@@ -122,30 +122,38 @@ def load_features(path: str | Path) -> FrameFeatures:
         ParameterError: payload contains non-finite values.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    if len(raw) < HEADER_SIZE:
-        raise FormatError(f"{path}: truncated header ({len(raw)} of {HEADER_SIZE} bytes)")
-    magic, version, rank = _HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}, expected {FORMAT_VERSION}")
-    if rank != 3:
-        raise FormatError(f"{path}: bad rank {rank}, expected 3")
-    dims = [
-        _DIM.unpack_from(raw, _HEADER.size + i * _DIM.size)[0] for i in range(3)
-    ]
-    for name, d in zip(("n_frames", "n_patches", "dim"), dims):
-        if d < 1:
-            raise FormatError(f"{path}: invalid {name} {d}, must be >= 1")
-    expected = dims[0] * dims[1] * dims[2] * 4
-    got = len(raw) - HEADER_SIZE
-    if got < expected:
-        raise FormatError(f"{path}: truncated payload, expected {expected} bytes, got {got}")
-    if got > expected:
-        raise FormatError(f"{path}: {got - expected} trailing bytes after payload")
-    data = np.frombuffer(raw, dtype="<f4", count=expected // 4, offset=HEADER_SIZE)
-    data = data.reshape(dims).copy()
+    with open(path, "rb", buffering=0) as fh:
+        head = fh.read(HEADER_SIZE)
+        if len(head) < HEADER_SIZE:
+            raise FormatError(f"{path}: truncated header ({len(head)} of {HEADER_SIZE} bytes)")
+        magic, version, rank = _HEADER.unpack_from(head, 0)
+        if magic != MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}, expected {FORMAT_VERSION}")
+        if rank != 3:
+            raise FormatError(f"{path}: bad rank {rank}, expected 3")
+        dims = [_DIM.unpack_from(head, _HEADER.size + i * _DIM.size)[0] for i in range(3)]
+        for name, d in zip(("n_frames", "n_patches", "dim"), dims):
+            if d < 1:
+                raise FormatError(f"{path}: invalid {name} {d}, must be >= 1")
+        expected = dims[0] * dims[1] * dims[2] * 4
+        got = os.fstat(fh.fileno()).st_size - HEADER_SIZE
+        if got < expected:
+            raise FormatError(f"{path}: truncated payload, expected {expected} bytes, got {got}")
+        if got > expected:
+            raise FormatError(f"{path}: {got - expected} trailing bytes after payload")
+        # read the payload straight into the array: one copy of the tensor
+        data = np.empty(dims, dtype="<f4")
+        view = memoryview(data.reshape(-1).view(np.uint8))
+        filled = 0
+        while filled < expected:
+            n = fh.readinto(view[filled:])
+            if not n:
+                raise FormatError(f"{path}: truncated payload, expected {expected} bytes")
+            filled += n
+        if fh.read(1):
+            raise FormatError(f"{path}: trailing bytes after payload")
 
     timestamps = None
     meta = _meta_path(path)

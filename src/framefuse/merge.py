@@ -2,10 +2,16 @@
 
 A scene tensor has shape (s, n_patches, dim): the stacked feature maps of
 one scene's s frames. Every strategy returns an (n_patches, dim) map.
+
+Each strategy has one implementation, :func:`merge_scenes`, which runs over
+a batch of scenes of shape (c, s, n_patches, dim) and trusts its input to be
+finite. The per-scene functions validate their outside input and call it on
+a batch of one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,9 +33,19 @@ def _as_scene(scene: np.ndarray) -> np.ndarray:
     return scene
 
 
+def fusion_weights_for(weights: np.ndarray, scene_shape: tuple[int, ...]) -> np.ndarray:
+    """*weights* as float64, checked against the (s, n_patches, dim) scene shape."""
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != tuple(scene_shape):
+        raise ParameterError(
+            f"weights shape {weights.shape} does not match scene shape {tuple(scene_shape)}"
+        )
+    return weights
+
+
 def temporal_average(scene: np.ndarray) -> np.ndarray:
     """Unweighted mean over the scene's frames."""
-    return _as_scene(scene).mean(axis=0)
+    return merge_scenes(_as_scene(scene)[None], "tavg")[0]
 
 
 def fusion_init(s: int, n_patches: int, dim: int) -> np.ndarray:
@@ -42,12 +58,7 @@ def fusion_init(s: int, n_patches: int, dim: int) -> np.ndarray:
 def fusion(scene: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Per-frame, per-patch, per-dim weighted sum over the scene's frames."""
     scene = _as_scene(scene)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != scene.shape:
-        raise ParameterError(
-            f"weights shape {weights.shape} does not match scene shape {scene.shape}"
-        )
-    return (scene * weights).sum(axis=0)
+    return merge_scenes(scene[None], "fusion", fusion_weights_for(weights, scene.shape))[0]
 
 
 def fusion_gradient(scene: np.ndarray, weights: np.ndarray,
@@ -55,12 +66,8 @@ def fusion_gradient(scene: np.ndarray, weights: np.ndarray,
     """Gradient of the fused output w.r.t. the weights, contracted with
     *upstream* (the loss gradient at the output): grad[i] = upstream * F_i."""
     scene = _as_scene(scene)
-    weights = np.asarray(weights, dtype=np.float64)
+    fusion_weights_for(weights, scene.shape)
     upstream = np.asarray(upstream, dtype=np.float64)
-    if weights.shape != scene.shape:
-        raise ParameterError(
-            f"weights shape {weights.shape} does not match scene shape {scene.shape}"
-        )
     if upstream.shape != scene.shape[1:]:
         raise ParameterError(
             f"upstream shape {upstream.shape} does not match output shape {scene.shape[1:]}"
@@ -129,22 +136,54 @@ def fit_fusion_weights(
 
 @dataclass(frozen=True, eq=False)
 class AttnProjections:
-    """Query/key projection matrices for attention pooling."""
+    """Query/key projection matrices for attention pooling.
+
+    ``qk`` is computed from wq and wk on first use and kept, so the
+    matrices must not change afterwards.
+    """
 
     wq: np.ndarray
     wk: np.ndarray
     seed: int
 
+    @functools.cached_property
+    def qk(self) -> np.ndarray:
+        """wq @ wk.T, read-only: the score of frame x against query q,
+        (q @ wq) . (x @ wk), regrouped as (q @ qk) . x."""
+        qk = self.wq @ self.wk.T
+        qk.flags.writeable = False
+        return qk
 
+
+# Projections of one (dim, seed) are reused across calls; at dim 1024 one
+# set holds three 8 MiB matrices (wq, wk and qk), so keep only the last.
+@functools.lru_cache(maxsize=1)
 def attn_projections(dim: int, seed: int = 0) -> AttnProjections:
-    """Xavier-uniform (dim, dim) projections, deterministic given the seed."""
+    """Xavier-uniform (dim, dim) projections, deterministic given the seed.
+
+    Repeated calls with the same arguments return the same object, whose
+    matrices are read-only.
+    """
     if dim < 1:
         raise ParameterError(f"dim must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     bound = math.sqrt(6.0 / (dim + dim))
     wq = rng.uniform(-bound, bound, size=(dim, dim))
     wk = rng.uniform(-bound, bound, size=(dim, dim))
+    wq.flags.writeable = False
+    wk.flags.writeable = False
     return AttnProjections(wq=wq, wk=wk, seed=seed)
+
+
+def _attention_weights(x: np.ndarray, qk: np.ndarray) -> np.ndarray:
+    # x: (c, s, L, D) float64; returns (c, s, L) softmax weights over s
+    c, s, n_patches, dim = x.shape
+    z = np.ascontiguousarray(x[:, s // 2]).reshape(c * n_patches, dim) @ qk
+    logits = np.einsum("csld,cld->csl", x, z.reshape(c, n_patches, dim)) / math.sqrt(dim)
+    logits -= logits.max(axis=1, keepdims=True)
+    w = np.exp(logits)
+    w /= w.sum(axis=1, keepdims=True)
+    return w
 
 
 def attention_weights(scene: np.ndarray, proj: AttnProjections) -> np.ndarray:
@@ -154,22 +193,12 @@ def attention_weights(scene: np.ndarray, proj: AttnProjections) -> np.ndarray:
     projected features as keys. Scores are scaled per-patch dot products,
     normalized over the frame axis so each patch gets a convex combination.
     """
-    scene = _as_scene(scene)
-    s, n_patches, dim = scene.shape
-    query = scene[s // 2] @ proj.wq
-    keys = scene @ proj.wk
-    logits = np.einsum("ld,mld->ml", query, keys) / math.sqrt(dim)
-    logits -= logits.max(axis=0, keepdims=True)
-    w = np.exp(logits)
-    w /= w.sum(axis=0, keepdims=True)
-    return w
+    return _attention_weights(_as_scene(scene)[None], proj.qk)[0]
 
 
 def attention_pool(scene: np.ndarray, proj: AttnProjections) -> np.ndarray:
     """Merge a scene as the per-patch attention-weighted sum of its frames."""
-    scene = _as_scene(scene)
-    w = attention_weights(scene, proj)
-    return np.einsum("ml,mld->ld", w, scene)
+    return merge_scenes(_as_scene(scene)[None], "attnpool", proj=proj)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,6 +221,60 @@ class SizedTokens:
         object.__setattr__(self, "sizes", sizes)
 
 
+def _pair_merge(tok: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray]:
+    # bsm_merge on trusted float64 input; returns (tokens, sizes)
+    t0 = tok.shape[0]
+    sizes = np.ones(t0, dtype=np.int64)
+    first = np.arange(t0)  # earliest original index absorbed by each token
+    remaining = t0 - target
+    while remaining > 0:
+        t_cur = tok.shape[0]
+        step = min(remaining, max(1, t_cur // 2))
+        a_idx = np.arange(0, t_cur, 2)
+        b_idx = np.arange(1, t_cur, 2)
+        # the same values as np.linalg.norm(tok, axis=1), without its copy
+        norms = np.sqrt((tok * tok).sum(axis=1, keepdims=True))
+        unit = tok / np.maximum(norms, 1e-12)
+        scores = unit[0::2] @ unit[1::2].T  # rows a_idx against rows b_idx
+        best_b = scores.argmax(axis=1)  # ties break to the lowest B position
+        best_score = scores[np.arange(a_idx.size), best_b]
+        order = np.argsort(-best_score, kind="stable")
+        merged_a = order[:step]
+        kept_a = np.sort(order[step:])
+
+        # Each touched B token becomes the size-weighted mean of itself and
+        # the A tokens merged into it, summed in a fixed order: the B token,
+        # then its A tokens best score first. Pass j adds the j-th A token of
+        # every group at once, so no pass has a repeated destination.
+        by_dst = np.argsort(best_b[merged_a], kind="stable")
+        src = a_idx[merged_a[by_dst]]
+        dst = best_b[merged_a[by_dst]]
+        touched, starts = np.unique(dst, return_index=True)
+        group = np.searchsorted(touched, dst)
+        rank = np.arange(dst.size) - starts[group]
+        b_rows = b_idx[touched]
+        weighted = tok[b_rows] * sizes[b_rows, None]
+        contrib = tok[src] * sizes[src, None]
+        for j in range(int(rank.max()) + 1):
+            sel = rank == j
+            weighted[group[sel]] += contrib[sel]
+        new_sizes = sizes[b_idx]
+        np.add.at(new_sizes, dst, sizes[src])
+        new_first = first[b_idx]
+        np.minimum.at(new_first, dst, first[src])
+        new_tok = tok[b_idx]
+        new_tok[touched] = weighted / new_sizes[touched, None]
+
+        keep = a_idx[kept_a]
+        tok = np.concatenate([tok[keep], new_tok])
+        sizes = np.concatenate([sizes[keep], new_sizes])
+        first = np.concatenate([first[keep], new_first])
+        remaining -= step
+
+    order = np.argsort(first, kind="stable")
+    return tok[order], sizes[order]
+
+
 def bsm_merge(tokens: np.ndarray, target: int) -> SizedTokens:
     """Reduce a token matrix to *target* rows by iterative pair merging.
 
@@ -211,44 +294,44 @@ def bsm_merge(tokens: np.ndarray, target: int) -> SizedTokens:
     t0 = tokens.shape[0]
     if not 1 <= target <= t0:
         raise ParameterError(f"target token count {target} outside [1, {t0}]")
+    tok, sizes = _pair_merge(tokens, target)
+    return SizedTokens(tokens=tok, sizes=sizes)
 
-    tok = tokens.copy()
-    sizes = np.ones(t0, dtype=np.int64)
-    first = np.arange(t0)  # earliest original index absorbed by each token
-    remaining = t0 - target
-    while remaining > 0:
-        t_cur = tok.shape[0]
-        step = min(remaining, max(1, t_cur // 2))
-        a_idx = np.arange(0, t_cur, 2)
-        b_idx = np.arange(1, t_cur, 2)
-        unit = tok / np.maximum(np.linalg.norm(tok, axis=1, keepdims=True), 1e-12)
-        scores = unit[a_idx] @ unit[b_idx].T
-        best_b = scores.argmax(axis=1)  # ties break to the lowest B position
-        best_score = scores[np.arange(a_idx.size), best_b]
-        order = np.argsort(-best_score, kind="stable")
-        merged_a = order[:step]
-        kept_a = np.sort(order[step:])
 
-        weighted = tok[b_idx] * sizes[b_idx, None]
-        new_sizes = sizes[b_idx].copy()
-        new_first = first[b_idx].copy()
-        src = a_idx[merged_a]
-        dst = best_b[merged_a]
-        np.add.at(weighted, dst, tok[src] * sizes[src, None])
-        np.add.at(new_sizes, dst, sizes[src])
-        np.minimum.at(new_first, dst, first[src])
-        new_tok = tok[b_idx].copy()
-        touched = np.unique(dst)
-        new_tok[touched] = weighted[touched] / new_sizes[touched, None]
+def merge_scenes(
+    batch: np.ndarray,
+    strategy: str,
+    weights: np.ndarray | None = None,
+    proj: AttnProjections | None = None,
+    seed: int = 0,
+) -> np.ndarray:
+    """Merge a batch of scenes, shape (c, s, n_patches, dim), to (c,
+    n_patches, dim) float64. See :func:`merge_scene` for the strategies.
 
-        keep = a_idx[kept_a]
-        tok = np.concatenate([tok[keep], new_tok])
-        sizes = np.concatenate([sizes[keep], new_sizes])
-        first = np.concatenate([first[keep], new_first])
-        remaining -= step
-
-    order = np.argsort(first, kind="stable")
-    return SizedTokens(tokens=tok[order], sizes=sizes[order])
+    Trusts its input: finite values of any float dtype and, for
+    ``fusion``, float64 *weights* of shape (s, n_patches, dim) or None.
+    ``tavg``, ``fusion`` and ``attnpool`` each run as one vectorised pass
+    over the batch; ``bsm`` runs its matching rounds scene by scene.
+    """
+    c, s, n_patches, dim = batch.shape
+    if strategy == "tavg":
+        return batch.mean(axis=1, dtype=np.float64)
+    if strategy == "fusion":
+        w = np.float64(1.0 / s) if weights is None else weights
+        return np.multiply(batch, w, dtype=np.float64).sum(axis=1)
+    if strategy == "attnpool":
+        if proj is None:
+            proj = attn_projections(dim, seed)
+        x = batch.astype(np.float64, copy=False)
+        return np.einsum("csl,csld->cld", _attention_weights(x, proj.qk), x)
+    if strategy == "bsm":
+        out = np.empty((c, n_patches, dim))
+        for i in range(c):
+            # patch-major: each patch's temporal copies alternate partitions
+            tokens = batch[i].transpose(1, 0, 2).astype(np.float64, order="C")
+            out[i] = _pair_merge(tokens.reshape(s * n_patches, dim), n_patches)[0]
+        return out
+    raise ParameterError(f"unknown merge strategy {strategy!r}, expected one of {STRATEGIES}")
 
 
 def merge_scene(
@@ -266,18 +349,6 @@ def merge_scene(
     s*n_patches tokens down to n_patches, and reshapes.
     """
     scene = _as_scene(scene)
-    s, n_patches, dim = scene.shape
-    if strategy == "tavg":
-        return temporal_average(scene)
-    if strategy == "fusion":
-        if weights is None:
-            weights = fusion_init(s, n_patches, dim)
-        return fusion(scene, weights)
-    if strategy == "attnpool":
-        if proj is None:
-            proj = attn_projections(dim, seed)
-        return attention_pool(scene, proj)
-    if strategy == "bsm":
-        tokens = scene.transpose(1, 0, 2).reshape(s * n_patches, dim)
-        return bsm_merge(tokens, n_patches).tokens.reshape(n_patches, dim)
-    raise ParameterError(f"unknown merge strategy {strategy!r}, expected one of {STRATEGIES}")
+    if strategy == "fusion" and weights is not None:
+        weights = fusion_weights_for(weights, scene.shape)
+    return merge_scenes(scene[None], strategy, weights, proj, seed)[0]

@@ -116,9 +116,30 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(a @ b) / (na * nb)
 
 
-def _sqdist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # (n, m) squared Euclidean distances; direct form avoids negative rounding
-    return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+# Bytes of the (rows, m, dim) float64 difference block that pairwise_sqdist
+# works on at a time (at least one row). Small blocks stay in the CPU cache:
+# at 512 x 48 x 1024, 1 MiB blocks took 58 ms, 16 MiB blocks 120 ms and the
+# whole 192 MiB temporary 152 ms.
+SQDIST_CHUNK_BYTES = 2**20
+
+
+def pairwise_sqdist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, m) squared Euclidean distances between float64 rows.
+
+    Uses the direct form sum((p - c)**2), which cannot round below zero,
+    a block of rows at a time so that its temporary stays within
+    SQDIST_CHUNK_BYTES however large n, m and dim grow. Each row's result
+    does not depend on the blocking.
+    """
+    n, dim = points.shape
+    m = centers.shape[0]
+    out = np.empty((n, m))
+    rows = max(1, SQDIST_CHUNK_BYTES // (m * dim * 8))
+    for start in range(0, n, rows):
+        diff = points[start:start + rows, None, :] - centers[None, :, :]
+        np.square(diff, out=diff)
+        diff.sum(axis=-1, out=out[start:start + rows])
+    return out
 
 
 def _init_center_indices(reps: np.ndarray, m: int, rng: np.random.Generator) -> list[int]:
@@ -169,7 +190,7 @@ def kmeans(
     centers = reps[_init_center_indices(reps, m, rng)].copy()
     iterations = 0
     for _ in range(max_iters):
-        d2 = _sqdist(reps, centers)
+        d2 = pairwise_sqdist(reps, centers)
         assign = d2.argmin(axis=1)
         new_centers = centers.copy()
         counts = np.bincount(assign, minlength=m)
@@ -189,7 +210,7 @@ def kmeans(
         if shift < tol:
             break
 
-    d2 = _sqdist(reps, centers)
+    d2 = pairwise_sqdist(reps, centers)
     assign = d2.argmin(axis=1)
     inertia = float(d2[np.arange(n), assign].sum())
     return Clustering(centers=centers, assignments=assign, inertia=inertia,
@@ -199,14 +220,14 @@ def kmeans(
 def representative_indices(reps: np.ndarray, clustering: Clustering) -> list[int]:
     """Frame nearest each cluster center, deduplicated and sorted ascending."""
     reps = np.asarray(reps, dtype=np.float64)
-    d2 = _sqdist(reps, clustering.centers)
+    d2 = pairwise_sqdist(reps, clustering.centers)
     nearest = d2.argmin(axis=0)  # ties break to the lowest frame index
     return sorted({int(i) for i in nearest})
 
 
 def _distinct_representatives(reps: np.ndarray, centers: np.ndarray) -> list[int]:
     # nearest-frame mapping with collisions resolved to the next-nearest frame
-    d2 = _sqdist(reps, centers)
+    d2 = pairwise_sqdist(reps, centers)
     used: set[int] = set()
     out = []
     for j in range(centers.shape[0]):

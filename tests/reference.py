@@ -1,0 +1,162 @@
+"""Reference implementations that the optimised code is tested against.
+
+These are the original per-scene forms: every scene is validated and
+upcast to float64 on its own, merged in its own call, and the merged maps
+are stacked. They are kept here, unoptimised, as the oracle for the
+batched merge engine and the chunked distance helper.
+"""
+
+import math
+
+import numpy as np
+
+from framefuse import (
+    FrameFeatures,
+    ParameterError,
+    attn_projections,
+    group_uniform_scenes,
+    select_scenes_bsm,
+    select_scenes_kmeans,
+    uniform_sample_indices,
+)
+
+
+def as_scene(scene):
+    scene = np.asarray(scene, dtype=np.float64)
+    if scene.ndim != 3:
+        raise ParameterError(f"scene tensor must be rank 3, got rank {scene.ndim}")
+    if min(scene.shape) < 1:
+        raise ParameterError(f"scene dims must be >= 1, got {scene.shape}")
+    if not np.all(np.isfinite(scene)):
+        raise ParameterError("scene tensor contains non-finite values")
+    return scene
+
+
+def temporal_average(scene):
+    return as_scene(scene).mean(axis=0)
+
+
+def fusion(scene, weights):
+    scene = as_scene(scene)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != scene.shape:
+        raise ParameterError(
+            f"weights shape {weights.shape} does not match scene shape {scene.shape}"
+        )
+    return (scene * weights).sum(axis=0)
+
+
+def attention_weights(scene, proj):
+    scene = as_scene(scene)
+    s, _, dim = scene.shape
+    query = scene[s // 2] @ proj.wq
+    keys = scene @ proj.wk
+    logits = np.einsum("ld,mld->ml", query, keys) / math.sqrt(dim)
+    logits -= logits.max(axis=0, keepdims=True)
+    w = np.exp(logits)
+    w /= w.sum(axis=0, keepdims=True)
+    return w
+
+
+def attention_pool(scene, proj):
+    scene = as_scene(scene)
+    return np.einsum("ml,mld->ld", attention_weights(scene, proj), scene)
+
+
+def bsm_merge(tokens, target):
+    """Returns (tokens, sizes) ordered by the earliest absorbed index."""
+    tokens = np.asarray(tokens, dtype=np.float64)
+    t0 = tokens.shape[0]
+    tok = tokens.copy()
+    sizes = np.ones(t0, dtype=np.int64)
+    first = np.arange(t0)
+    remaining = t0 - target
+    while remaining > 0:
+        t_cur = tok.shape[0]
+        step = min(remaining, max(1, t_cur // 2))
+        a_idx = np.arange(0, t_cur, 2)
+        b_idx = np.arange(1, t_cur, 2)
+        unit = tok / np.maximum(np.linalg.norm(tok, axis=1, keepdims=True), 1e-12)
+        scores = unit[a_idx] @ unit[b_idx].T
+        best_b = scores.argmax(axis=1)
+        best_score = scores[np.arange(a_idx.size), best_b]
+        order = np.argsort(-best_score, kind="stable")
+        merged_a = order[:step]
+        kept_a = np.sort(order[step:])
+
+        weighted = tok[b_idx] * sizes[b_idx, None]
+        new_sizes = sizes[b_idx].copy()
+        new_first = first[b_idx].copy()
+        src = a_idx[merged_a]
+        dst = best_b[merged_a]
+        np.add.at(weighted, dst, tok[src] * sizes[src, None])
+        np.add.at(new_sizes, dst, sizes[src])
+        np.minimum.at(new_first, dst, first[src])
+        new_tok = tok[b_idx].copy()
+        touched = np.unique(dst)
+        new_tok[touched] = weighted[touched] / new_sizes[touched, None]
+
+        keep = a_idx[kept_a]
+        tok = np.concatenate([tok[keep], new_tok])
+        sizes = np.concatenate([sizes[keep], new_sizes])
+        first = np.concatenate([first[keep], new_first])
+        remaining -= step
+
+    order = np.argsort(first, kind="stable")
+    return tok[order], sizes[order]
+
+
+def merge_scene(scene, strategy, weights=None, proj=None, seed=0):
+    scene = as_scene(scene)
+    s, n_patches, dim = scene.shape
+    if strategy == "tavg":
+        return temporal_average(scene)
+    if strategy == "fusion":
+        if weights is None:
+            weights = np.full((s, n_patches, dim), 1.0 / s, dtype=np.float64)
+        return fusion(scene, weights)
+    if strategy == "attnpool":
+        if proj is None:
+            proj = attn_projections(dim, seed)
+        return attention_pool(scene, proj)
+    if strategy == "bsm":
+        tokens = scene.transpose(1, 0, 2).reshape(s * n_patches, dim)
+        return bsm_merge(tokens, n_patches)[0].reshape(n_patches, dim)
+    raise ParameterError(f"unknown merge strategy {strategy!r}")
+
+
+def compress(features, cfg, weights=None):
+    """Sample, build a second FrameFeatures of the sampled frames, select,
+    then merge scene by scene and stack."""
+    if cfg.input_frames > features.n_frames:
+        raise ParameterError(
+            f"config wants {cfg.input_frames} input frames but tensor has {features.n_frames}"
+        )
+    idx = uniform_sample_indices(features.n_frames, cfg.input_frames)
+    ts = None
+    if features.frame_timestamps is not None:
+        ts = tuple(features.frame_timestamps[i] for i in idx)
+    sub = FrameFeatures(features.data[np.asarray(idx)], ts)
+    if cfg.selection == "uniform":
+        if cfg.input_frames != cfg.scenes_k * (cfg.supplements_r + 1):
+            raise ParameterError("uniform selection requires an exact budget")
+        scene_set = group_uniform_scenes(list(range(cfg.input_frames)), cfg.supplements_r + 1)
+    elif cfg.selection == "kmeans":
+        scene_set = select_scenes_kmeans(sub, cfg.scenes_k, cfg.supplements_r, seed=cfg.seed)
+    else:
+        scene_set = select_scenes_bsm(sub, cfg.scenes_k, cfg.supplements_r)
+    proj = attn_projections(features.dim, cfg.seed) if cfg.merging == "attnpool" else None
+    merged = [
+        merge_scene(sub.data[np.asarray(scene.members)], cfg.merging,
+                    weights=weights, proj=proj, seed=cfg.seed)
+        for scene in scene_set.scenes
+    ]
+    out_ts = None
+    if ts is not None:
+        out_ts = tuple(ts[s.representative] for s in scene_set.scenes)
+    return FrameFeatures(np.stack(merged).astype(np.float32), out_ts)
+
+
+def sqdist(points, centers):
+    """(n, m) squared distances through one (n, m, dim) temporary."""
+    return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)

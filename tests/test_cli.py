@@ -162,6 +162,20 @@ def test_bench_empty_config_list_exits_2(tmp_path, capsys):
     assert "empty" in stderr
 
 
+def test_bench_rejects_unknown_config_keys_exits_1(tmp_path, capsys):
+    src = tmp_path / "f.fvt"
+    run(gen_args(src, frames=96), capsys)
+    configs = tmp_path / "configs.json"
+    configs.write_text(json.dumps([
+        {"merge": "bsm", "selction": "kmeans", "input_frames": 96.9,
+         "scenes_k": 32, "supplements_r": 2},
+    ]))
+    code, stdout, stderr = run(["bench", str(src), "--configs", str(configs)], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert "selction" in stderr
+
+
 def test_bench_table_format(tmp_path, capsys):
     src = tmp_path / "f.fvt"
     run(gen_args(src, frames=48), capsys)

@@ -127,6 +127,37 @@ def test_trailing_bytes(tmp_path):
         load_features(path)
 
 
+def test_truncated_header_and_zero_dims(tmp_path):
+    path = tmp_path / "bad.fvt"
+    save_features(FrameFeatures(np.zeros((1, 1, 1))), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:HEADER_SIZE - 1])
+    with pytest.raises(FormatError, match="truncated header"):
+        load_features(path)
+    path.write_bytes(raw[:9] + (0).to_bytes(4, "little") + raw[13:])
+    with pytest.raises(FormatError, match="invalid n_frames 0"):
+        load_features(path)
+
+
+def test_load_holds_one_copy_of_the_payload(tmp_path):
+    import tracemalloc
+
+    path = tmp_path / "big.fvt"
+    data = np.random.default_rng(5).standard_normal((64, 32, 256)).astype(np.float32)
+    save_features(FrameFeatures(data), path)
+    tracemalloc.start()
+    try:
+        loaded = load_features(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.data.tobytes() == data.tobytes()
+    assert loaded.data.flags.c_contiguous and loaded.data.dtype == np.float32
+    # the payload (8 MiB) is read once, straight into the returned array;
+    # the finiteness check adds a boolean mask of a quarter payload
+    assert peak < 1.5 * data.nbytes, f"peak {peak / data.nbytes:.2f} payloads"
+
+
 def test_nan_rejected_before_write(tmp_path):
     with pytest.raises(ParameterError):
         save_features(FrameFeatures(np.full((1, 1, 1), np.nan)), tmp_path / "x.fvt")

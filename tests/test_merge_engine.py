@@ -1,0 +1,207 @@
+"""The batched merge engine against the per-scene reference in
+``reference.py``: compress and every per-scene wrapper, on random and
+degenerate inputs. tavg, fusion and bsm must match exactly. attnpool
+regroups its scores as q.(wq.wk^T).x^T, which rounds differently, so it
+must match within ATTNPOOL_TOL."""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import reference
+from framefuse import (
+    CompressConfig,
+    FrameFeatures,
+    ParameterError,
+    attention_pool,
+    attention_weights,
+    attn_projections,
+    bsm_merge,
+    compress,
+    fusion,
+    merge_scene,
+    temporal_average,
+)
+from framefuse import pipeline
+from framefuse.merge import STRATEGIES
+from framefuse.pipeline import SELECTIONS
+
+# Absolute; outputs are float32 and inputs stay within [-4, 4], where one
+# float32 rounding step is at most 4.8e-7.
+ATTNPOOL_TOL = 1e-6
+
+
+def _frames(rng, n, n_patches, dim, kind):
+    data = rng.uniform(-4.0, 4.0, (n, n_patches, dim))
+    if kind == "duplicates":
+        data = data[rng.integers(0, max(1, n // 3), n)]
+    elif kind == "zeros":
+        data[rng.random(n) < 0.5] = 0.0
+    elif kind == "all-zero":
+        data[:] = 0.0
+    elif kind == "identical":
+        data[:] = data[0]
+    return data
+
+
+@st.composite
+def compress_cases(draw):
+    selection = draw(st.sampled_from(SELECTIONS))
+    merging = draw(st.sampled_from(STRATEGIES))
+    k = draw(st.integers(1, 4))
+    r = draw(st.integers(0, 3))
+    s = r + 1
+    if selection == "uniform" or draw(st.booleans()):
+        input_frames = k * s
+    else:
+        input_frames = draw(st.integers(k * s, k * s + 6))
+    n = input_frames if draw(st.booleans()) else draw(st.integers(input_frames, input_frames + 8))
+    return {
+        "selection": selection, "merging": merging, "k": k, "r": r,
+        "input_frames": input_frames, "n": n,
+        "n_patches": draw(st.integers(1, 6)), "dim": draw(st.integers(1, 6)),
+        "kind": draw(st.sampled_from(["random", "duplicates", "zeros", "all-zero",
+                                      "identical"])),
+        "custom_weights": merging == "fusion" and draw(st.booleans()),
+        "timestamps": draw(st.booleans()),
+        "chunk_scenes": draw(st.integers(1, k)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _case(selection, merging, k, r, n, n_patches, dim, kind, **extra):
+    case = {"selection": selection, "merging": merging, "k": k, "r": r,
+            "input_frames": n, "n": n, "n_patches": n_patches, "dim": dim, "kind": kind,
+            "custom_weights": False, "timestamps": True, "chunk_scenes": 1, "seed": 7}
+    case.update(extra)
+    return case
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=compress_cases())
+# r = 0 (one frame a scene) with k*(r+1) = n, L = 1 and D = 1
+@example(case=_case("kmeans", "bsm", 5, 0, 5, 1, 1, "random"))
+@example(case=_case("bsm", "attnpool", 3, 0, 3, 1, 1, "duplicates"))
+@example(case=_case("uniform", "fusion", 2, 2, 6, 1, 1, "random", custom_weights=True))
+@example(case=_case("uniform", "bsm", 4, 3, 16, 2, 3, "all-zero", chunk_scenes=3))
+@example(case=_case("uniform", "attnpool", 2, 1, 4, 3, 5, "identical"))
+@example(case=_case("kmeans", "tavg", 2, 2, 6, 2, 2, "all-zero"))
+def test_compress_matches_per_scene_reference(case):
+    rng = np.random.default_rng(case["seed"])
+    n, s = case["n"], case["r"] + 1
+    shape = (case["n_patches"], case["dim"])
+    ts = tuple(0.5 * i for i in range(n)) if case["timestamps"] else None
+    features = FrameFeatures(_frames(rng, n, *shape, case["kind"]), ts)
+    weights = rng.standard_normal((s,) + shape) if case["custom_weights"] else None
+    cfg = CompressConfig(case["input_frames"], case["k"], case["r"],
+                         selection=case["selection"], merging=case["merging"],
+                         seed=case["seed"] % 1000)
+
+    saved = pipeline.MERGE_CHUNK_BYTES
+    pipeline.MERGE_CHUNK_BYTES = case["chunk_scenes"] * s * shape[0] * shape[1] * 8
+    try:
+        try:
+            want = reference.compress(features, cfg, weights)
+        except ParameterError as exc:  # e.g. cosine similarity of zero frames
+            with pytest.raises(ParameterError, match=re.escape(str(exc))):
+                compress(features, cfg, weights)
+            return
+        got = compress(features, cfg, weights)
+    finally:
+        pipeline.MERGE_CHUNK_BYTES = saved
+
+    assert got.frame_timestamps == want.frame_timestamps
+    assert got.data.dtype == np.float32 and got.data.shape == want.data.shape
+    if case["merging"] == "attnpool":
+        err = np.abs(got.data.astype(np.float64) - want.data)
+        assert err.max() <= ATTNPOOL_TOL
+    else:
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    s=st.integers(1, 6),
+    n_patches=st.integers(1, 4),
+    dim=st.integers(1, 6),
+    kind=st.sampled_from(["random", "duplicates", "zeros", "all-zero", "identical"]),
+)
+def test_per_scene_wrappers_match_reference(seed, s, n_patches, dim, kind):
+    rng = np.random.default_rng(seed)
+    scene = _frames(rng, s, n_patches, dim, kind)
+    weights = rng.standard_normal(scene.shape)
+    proj = attn_projections(dim, seed % 7)
+
+    for strategy in ("tavg", "fusion", "bsm"):
+        want = reference.merge_scene(scene, strategy)
+        assert merge_scene(scene, strategy).tobytes() == want.tobytes(), strategy
+    assert merge_scene(scene, "fusion", weights=weights).tobytes() == \
+        reference.fusion(scene, weights).tobytes()
+    assert temporal_average(scene).tobytes() == reference.temporal_average(scene).tobytes()
+    assert fusion(scene, weights).tobytes() == reference.fusion(scene, weights).tobytes()
+
+    tokens = scene.reshape(-1, dim)
+    target = int(rng.integers(1, tokens.shape[0] + 1))
+    got = bsm_merge(tokens, target)
+    want_tokens, want_sizes = reference.bsm_merge(tokens, target)
+    assert got.tokens.tobytes() == want_tokens.tobytes()
+    assert np.array_equal(got.sizes, want_sizes)
+
+    for got, want in (
+        (attention_weights(scene, proj), reference.attention_weights(scene, proj)),
+        (attention_pool(scene, proj), reference.attention_pool(scene, proj)),
+        (merge_scene(scene, "attnpool", seed=seed % 7),
+         reference.merge_scene(scene, "attnpool", seed=seed % 7)),
+    ):
+        assert np.abs(got - want).max() <= ATTNPOOL_TOL
+
+
+def test_compress_validates_once_and_builds_no_sampled_copy(monkeypatch):
+    # the input FrameFeatures is already validated, so no scene is checked
+    # again; uniform selection needs no FrameFeatures of the sampled frames,
+    # so the only one built is the output
+    from framefuse import merge
+
+    def no_recheck(scene):
+        raise AssertionError("compress re-validated a scene")
+
+    monkeypatch.setattr(merge, "_as_scene", no_recheck)
+    built = []
+    real_init = FrameFeatures.__post_init__
+
+    def counting_init(self):
+        built.append(np.asarray(self.data).shape)
+        real_init(self)
+
+    data = np.random.default_rng(3).standard_normal((24, 2, 4))
+    features = FrameFeatures(data)
+    monkeypatch.setattr(FrameFeatures, "__post_init__", counting_init)
+    for strategy in STRATEGIES:
+        built.clear()
+        compress(features, CompressConfig(12, 4, 2, merging=strategy))
+        assert built == [(4, 2, 4)], strategy
+
+
+def test_compress_rejects_wrong_fusion_weights():
+    features = FrameFeatures(np.random.default_rng(4).standard_normal((12, 2, 4)))
+    cfg = CompressConfig(12, 4, 2, merging="fusion")
+    with pytest.raises(ParameterError, match="weights shape"):
+        compress(features, cfg, weights=np.ones((2, 2, 4)))
+    # other strategies ignore weights
+    compress(features, CompressConfig(12, 4, 2, merging="tavg"), weights=np.ones((2, 2, 4)))
+
+
+def test_attn_projections_cached_read_only():
+    a = attn_projections(6, seed=5)
+    assert attn_projections(6, seed=5) is a
+    assert a.qk is a.qk
+    assert np.array_equal(a.qk, a.wq @ a.wk.T)
+    for matrix in (a.wq, a.wk, a.qk):
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+    b = attn_projections(6, seed=6)
+    assert not np.array_equal(a.wq, b.wq)
+    assert np.array_equal(attn_projections(6, seed=5).wq, a.wq)

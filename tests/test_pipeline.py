@@ -76,6 +76,30 @@ def test_compress_config_validation():
     assert CompressConfig.from_dict(cfg.to_dict()) == cfg
 
 
+@pytest.mark.parametrize("doc, key", [
+    # a misspelt key must not be dropped, nor a fractional count truncated
+    ({"merge": "bsm", "selction": "kmeans", "input_frames": 96.9, "scenes_k": 32,
+      "supplements_r": 2}, "merge"),
+    ({"input_frames": 96.9, "scenes_k": 32, "supplements_r": 2}, "input_frames"),
+    ({"input_frames": 96, "scenes_k": True, "supplements_r": 2}, "scenes_k"),
+    ({"input_frames": 96, "scenes_k": 32, "supplements_r": "2"}, "supplements_r"),
+    ({"input_frames": 96, "scenes_k": 32, "supplements_r": 2, "seed": None}, "seed"),
+    ({"input_frames": 96, "scenes_k": 32, "supplements_r": 2, "merging": 3}, "merging"),
+    ({"input_frames": 96, "scenes_k": 32, "supplements_r": 2, "selection": ["kmeans"]},
+     "selection"),
+])
+def test_compress_config_from_dict_rejects_what_it_would_guess(doc, key):
+    with pytest.raises(ParameterError, match=key):
+        CompressConfig.from_dict(doc)
+
+
+def test_compress_config_from_dict_accepts_integral_floats():
+    doc = {"input_frames": 96.0, "scenes_k": 32, "supplements_r": 2.0, "seed": 3}
+    assert CompressConfig.from_dict(doc) == CompressConfig(96, 32, 2, seed=3)
+    with pytest.raises(ParameterError, match="JSON object"):
+        CompressConfig.from_dict([96, 32, 2])
+
+
 def test_compress_96_to_32_kmeans_fusion():
     f = generate_synthetic(SyntheticSpec(96, 8, 16, 4, 0.1, seed=1))
     cfg = CompressConfig(96, 32, 2, selection="kmeans", merging="fusion", seed=2)

@@ -19,7 +19,8 @@ from framefuse import (
     select_scenes_kmeans,
     select_supplements,
 )
-from framefuse.select import Scene
+from framefuse import select
+from framefuse.select import Scene, pairwise_sqdist
 
 
 def scene_sizes(scene_set):
@@ -309,3 +310,43 @@ def test_selection_scaling_invariance():
     b = select_scenes_kmeans(scaled, 3, 2, seed=36)
     assert a.to_dict() == b.to_dict()
     assert select_scenes_bsm(f, 3, 2).to_dict() == select_scenes_bsm(scaled, 3, 2).to_dict()
+
+
+def test_pairwise_sqdist_equals_direct_form():
+    from reference import sqdist
+
+    rng = np.random.default_rng(31)
+    for n, m, dim in ((1, 1, 1), (7, 3, 5), (50, 8, 33), (200, 48, 64)):
+        points = rng.standard_normal((n, dim))
+        centers = rng.standard_normal((m, dim))
+        want = sqdist(points, centers)
+        assert pairwise_sqdist(points, centers).tobytes() == want.tobytes()
+        # blocks of one row and blocks that do not divide n
+        for block_rows in (1, 3):
+            saved = select.SQDIST_CHUNK_BYTES
+            select.SQDIST_CHUNK_BYTES = block_rows * m * dim * 8
+            try:
+                assert pairwise_sqdist(points, centers).tobytes() == want.tobytes()
+            finally:
+                select.SQDIST_CHUNK_BYTES = saved
+
+
+def test_pairwise_sqdist_memory_bounded():
+    import tracemalloc
+
+    # the direct form's (n, m, dim) float64 temporary would be 1 GiB here
+    n, m, dim = 2048, 64, 1024
+    assert n * m * dim * 8 == 2**30
+    rng = np.random.default_rng(32)
+    points = rng.standard_normal((n, dim))
+    centers = rng.standard_normal((m, dim))
+    tracemalloc.start()
+    try:
+        d2 = pairwise_sqdist(points, centers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert d2.shape == (n, m)
+    j = int(rng.integers(m))
+    assert np.array_equal(d2[:, j], ((points - centers[j]) ** 2).sum(axis=1))
