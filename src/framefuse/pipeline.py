@@ -15,7 +15,7 @@ from .merge import STRATEGIES, attn_projections, fusion_weights_for, merge_scene
 from .select import (
     Scene,
     SceneSet,
-    pairwise_sqdist,
+    nearest_centers,
     representative_features,
     select_scenes_bsm,
     select_scenes_kmeans,
@@ -190,7 +190,7 @@ def reconstruction_proxy(original: FrameFeatures, compressed: FrameFeatures) -> 
     feature to the nearest merged frame's representative feature."""
     a = representative_features(original)
     b = representative_features(compressed)
-    return float(pairwise_sqdist(a, b).min(axis=1).mean())
+    return float(nearest_centers(a, b)[1].mean())
 
 
 def bench(

@@ -142,6 +142,58 @@ def pairwise_sqdist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
+def nearest_centers(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each float64 point's nearest center and its squared distance to it.
+
+    Returns ``(assign, own_d2)``, bit-identical to
+    ``d2 = pairwise_sqdist(points, centers)``, ``d2.argmin(axis=1)`` (ties
+    to the lowest center index) and ``d2[i, assign[i]]``, without the
+    n*m*dim direct-form sweep. Centers are ranked by the expanded form
+    ||p||^2 - 2 p.c + ||c||^2, one matrix product. Each expanded entry lies
+    within ``err = 2 gamma_(dim+8) (||p|| + ||c||)^2 + 8 (dim+8) eta`` of
+    the direct form, with gamma_n = n u / (1 - n u), u the unit roundoff
+    and eta the smallest subnormal: each form is within
+    gamma_(dim+2) (||p|| + ||c||)^2 of the exact distance (the standard
+    dot-product forward bound, Higham, Accuracy and Stability of Numerical
+    Algorithms, section 3.1), the larger gamma index covers the rounding
+    of err and of the comparisons below, and the eta term covers products
+    that underflow. A row is settled when one center alone satisfies
+    ``approx - err <= min(approx + err)``; every other row, including any
+    whose bounds overflow or are NaN, is recomputed in the direct form.
+    The own distances are recomputed in the direct form a block of rows at
+    a time, like pairwise_sqdist.
+    """
+    n, dim = points.shape
+    u = np.finfo(np.float64).eps / 2
+    gamma = (dim + 8) * u / (1 - (dim + 8) * u)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        pp = np.einsum("ij,ij->i", points, points)
+        cc = np.einsum("ij,ij->i", centers, centers)
+        approx = points @ centers.T
+        approx *= -2.0
+        approx += pp[:, None]
+        approx += cc[None, :]
+        err = np.sqrt(pp)[:, None] + np.sqrt(cc)[None, :]
+        np.square(err, out=err)
+        err *= 2 * gamma
+        err += 8 * (dim + 8) * np.finfo(np.float64).smallest_subnormal
+        hi = approx + err
+        approx -= err
+        candidates = (approx <= hi.min(axis=1, keepdims=True)).sum(axis=1)
+        ambiguous = (candidates != 1) | ~np.isfinite(hi).all(axis=1)
+    assign = hi.argmin(axis=1)
+    rows = np.flatnonzero(ambiguous)
+    if rows.size:
+        assign[rows] = pairwise_sqdist(points[rows], centers).argmin(axis=1)
+    own_d2 = np.empty(n)
+    step = max(1, SQDIST_CHUNK_BYTES // (dim * 8))
+    for start in range(0, n, step):
+        diff = points[start:start + step] - centers[assign[start:start + step]]
+        np.square(diff, out=diff)
+        diff.sum(axis=1, out=own_d2[start:start + step])
+    return assign, own_d2
+
+
 def _init_center_indices(reps: np.ndarray, m: int, rng: np.random.Generator) -> list[int]:
     # distance-squared weighted seeding over data rows; always m distinct rows
     n = reps.shape[0]
@@ -190,29 +242,24 @@ def kmeans(
     centers = reps[_init_center_indices(reps, m, rng)].copy()
     iterations = 0
     for _ in range(max_iters):
-        d2 = pairwise_sqdist(reps, centers)
-        assign = d2.argmin(axis=1)
+        assign, own_d2 = nearest_centers(reps, centers)
         new_centers = centers.copy()
         counts = np.bincount(assign, minlength=m)
         for j in range(m):
             if counts[j]:
                 new_centers[j] = reps[assign == j].mean(axis=0)
-        empties = np.flatnonzero(counts == 0)
-        if empties.size:
-            point_d2 = d2[np.arange(n), assign].copy()
-            for j in empties:
-                far = int(point_d2.argmax())
-                new_centers[j] = reps[far]
-                point_d2[far] = -1.0
+        for j in np.flatnonzero(counts == 0):
+            far = int(own_d2.argmax())
+            new_centers[j] = reps[far]
+            own_d2[far] = -1.0
         iterations += 1
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
         if shift < tol:
             break
 
-    d2 = pairwise_sqdist(reps, centers)
-    assign = d2.argmin(axis=1)
-    inertia = float(d2[np.arange(n), assign].sum())
+    assign, own_d2 = nearest_centers(reps, centers)
+    inertia = float(own_d2.sum())
     return Clustering(centers=centers, assignments=assign, inertia=inertia,
                       iterations_run=iterations)
 
@@ -220,8 +267,8 @@ def kmeans(
 def representative_indices(reps: np.ndarray, clustering: Clustering) -> list[int]:
     """Frame nearest each cluster center, deduplicated and sorted ascending."""
     reps = np.asarray(reps, dtype=np.float64)
-    d2 = pairwise_sqdist(reps, clustering.centers)
-    nearest = d2.argmin(axis=0)  # ties break to the lowest frame index
+    # (c - p)**2 equals (p - c)**2 exactly; ties break to the lowest frame index
+    nearest, _ = nearest_centers(clustering.centers, reps)
     return sorted({int(i) for i in nearest})
 
 

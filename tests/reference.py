@@ -2,8 +2,10 @@
 
 These are the original per-scene forms: every scene is validated and
 upcast to float64 on its own, merged in its own call, and the merged maps
-are stacked. They are kept here, unoptimised, as the oracle for the
-batched merge engine and the chunked distance helper.
+are stacked, and Lloyd clustering with every distance in the direct
+form sum((p - c)**2). They are kept here, unoptimised, as the oracle for
+the batched merge engine, the chunked distance helper and the
+nearest-center search.
 """
 
 import math
@@ -11,6 +13,7 @@ import math
 import numpy as np
 
 from framefuse import (
+    Clustering,
     FrameFeatures,
     ParameterError,
     attn_projections,
@@ -160,3 +163,58 @@ def compress(features, cfg, weights=None):
 def sqdist(points, centers):
     """(n, m) squared distances through one (n, m, dim) temporary."""
     return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+
+
+def init_center_indices(reps, m, rng):
+    n = reps.shape[0]
+    chosen = [int(rng.integers(n))]
+    d2 = ((reps - reps[chosen[0]]) ** 2).sum(axis=1)
+    while len(chosen) < m:
+        total = float(d2.sum())
+        if total <= 0.0:
+            used = set(chosen)
+            chosen.extend(i for i in range(n) if i not in used)
+            return chosen[:m]
+        nxt = int(rng.choice(n, p=d2 / total))
+        chosen.append(nxt)
+        d2 = np.minimum(d2, ((reps - reps[nxt]) ** 2).sum(axis=1))
+    return chosen
+
+
+def kmeans(reps, m, max_iters=100, tol=1e-6, seed=0):
+    """Lloyd clustering with a full direct-form distance matrix each step."""
+    reps = np.asarray(reps, dtype=np.float64)
+    n = reps.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = reps[init_center_indices(reps, m, rng)].copy()
+    iterations = 0
+    for _ in range(max_iters):
+        d2 = sqdist(reps, centers)
+        assign = d2.argmin(axis=1)
+        new_centers = centers.copy()
+        counts = np.bincount(assign, minlength=m)
+        for j in range(m):
+            if counts[j]:
+                new_centers[j] = reps[assign == j].mean(axis=0)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size:
+            point_d2 = d2[np.arange(n), assign].copy()
+            for j in empties:
+                far = int(point_d2.argmax())
+                new_centers[j] = reps[far]
+                point_d2[far] = -1.0
+        iterations += 1
+        shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
+        centers = new_centers
+        if shift < tol:
+            break
+    d2 = sqdist(reps, centers)
+    assign = d2.argmin(axis=1)
+    inertia = float(d2[np.arange(n), assign].sum())
+    return Clustering(centers=centers, assignments=assign, inertia=inertia,
+                      iterations_run=iterations)
+
+
+def representative_indices(reps, clustering):
+    d2 = sqdist(np.asarray(reps, dtype=np.float64), clustering.centers)
+    return sorted({int(i) for i in d2.argmin(axis=0)})

@@ -17,6 +17,7 @@ from framefuse import (
     representative_features,
     save_features,
 )
+from framefuse import features
 from framefuse.features import HEADER_SIZE
 
 
@@ -156,6 +157,33 @@ def test_load_holds_one_copy_of_the_payload(tmp_path):
     # the payload (8 MiB) is read once, straight into the returned array;
     # the finiteness check adds a boolean mask of a quarter payload
     assert peak < 1.5 * data.nbytes, f"peak {peak / data.nbytes:.2f} payloads"
+
+
+def test_load_peak_under_1_1_payloads(tmp_path):
+    import tracemalloc
+
+    path = tmp_path / "big.fvt"
+    data = np.random.default_rng(6).standard_normal((64, 64, 512)).astype(np.float32)
+    save_features(FrameFeatures(data), path)
+    tracemalloc.start()
+    try:
+        loaded = load_features(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.data.tobytes() == data.tobytes()
+    # the finiteness check works on slices, never on a mask of the tensor
+    assert peak < 1.1 * data.nbytes, f"peak {peak / data.nbytes:.2f} payloads"
+
+
+@pytest.mark.parametrize("where", [0, features.FINITE_CHECK_VALUES - 1,
+                                   features.FINITE_CHECK_VALUES, -1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rejected_in_any_slice(where, bad):
+    data = np.zeros(2 * features.FINITE_CHECK_VALUES + 3, dtype=np.float32)
+    data[where] = bad
+    with pytest.raises(ParameterError, match="non-finite"):
+        FrameFeatures(data.reshape(1, 1, -1))
 
 
 def test_nan_rejected_before_write(tmp_path):

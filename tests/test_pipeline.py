@@ -15,6 +15,7 @@ from framefuse import (
     group_uniform_scenes,
     planted_block_labels,
     reconstruction_proxy,
+    representative_features,
     uniform_sample_indices,
 )
 
@@ -234,3 +235,23 @@ def test_fusion_weights_passed_through():
 def test_reconstruction_proxy_zero_for_self():
     f = generate_synthetic(SyntheticSpec(8, 2, 4, 2, 0.1, seed=20))
     assert reconstruction_proxy(f, f) == 0.0
+
+
+@pytest.mark.parametrize("kind", ["random", "duplicates", "all-zero", "offset"])
+@pytest.mark.parametrize("merging", ["tavg", "bsm"])
+def test_reconstruction_proxy_equals_direct_form(kind, merging):
+    from reference import sqdist
+
+    rng = np.random.default_rng(21)
+    data = rng.uniform(-4.0, 4.0, (30, 3, 6))
+    if kind == "duplicates":
+        data = data[rng.integers(0, 5, 30)]
+    elif kind == "all-zero":
+        data[:] = 0.0
+    elif kind == "offset":
+        data = 1e4 + 1e-3 * data
+    f = FrameFeatures(data.astype(np.float32))
+    out = compress(f, CompressConfig(24, 6, 3, "uniform", merging))
+    a = representative_features(f)
+    b = representative_features(out)
+    assert reconstruction_proxy(f, out) == float(sqdist(a, b).min(axis=1).mean())

@@ -3,7 +3,9 @@ and the bipartite-matching alternative."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import reference
 from framefuse import (
     FrameFeatures,
     ParameterError,
@@ -20,7 +22,7 @@ from framefuse import (
     select_supplements,
 )
 from framefuse import select
-from framefuse.select import Scene, pairwise_sqdist
+from framefuse.select import Scene, nearest_centers, pairwise_sqdist
 
 
 def scene_sizes(scene_set):
@@ -350,3 +352,130 @@ def test_pairwise_sqdist_memory_bounded():
     assert d2.shape == (n, m)
     j = int(rng.integers(m))
     assert np.array_equal(d2[:, j], ((points - centers[j]) ** 2).sum(axis=1))
+
+
+def _rows(rng, n, dim, kind):
+    """n float64 rows of one kind of input the distance code must get right."""
+    if kind == "random":
+        return rng.uniform(-4.0, 4.0, (n, dim))
+    if kind == "duplicates":
+        return rng.uniform(-4.0, 4.0, (max(1, n // 3), dim))[rng.integers(0, max(1, n // 3), n)]
+    if kind == "ties":
+        # small integers: many pairs of centers sit at exactly equal distances
+        return rng.integers(-1, 2, (n, dim)).astype(np.float64)
+    if kind == "all-zero":
+        return np.zeros((n, dim))
+    # a large common offset with tiny separations: the expanded form cancels
+    return 1e4 + 1e-6 * rng.standard_normal((n, dim))
+
+
+@st.composite
+def nearest_cases(draw):
+    n = draw(st.integers(1, 24))
+    m = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    return {
+        "n": n, "m": m, "dim": draw(st.integers(1, 9)),
+        "kind": draw(st.sampled_from(["random", "duplicates", "ties", "all-zero", "offset"])),
+        "centers_from_points": draw(st.booleans()),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def _direct_nearest(points, centers):
+    d2 = reference.sqdist(points, centers)
+    assign = d2.argmin(axis=1)
+    return assign, d2[np.arange(points.shape[0]), assign]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=nearest_cases())
+@example(case={"n": 6, "m": 6, "dim": 3, "kind": "ties", "centers_from_points": True, "seed": 1})
+@example(case={"n": 9, "m": 1, "dim": 4, "kind": "offset", "centers_from_points": False,
+               "seed": 2})
+def test_nearest_centers_equals_direct_form(case):
+    rng = np.random.default_rng(case["seed"])
+    points = _rows(rng, case["n"], case["dim"], case["kind"])
+    if case["centers_from_points"]:
+        centers = points[rng.integers(0, case["n"], case["m"])]
+    else:
+        centers = _rows(rng, case["m"], case["dim"], case["kind"])
+    want_assign, want_d2 = _direct_nearest(points, centers)
+    assign, own_d2 = nearest_centers(points, centers)
+    assert np.array_equal(assign, want_assign)
+    assert own_d2.tobytes() == want_d2.tobytes()
+
+
+def _assert_same_clustering(got, want):
+    assert got.centers.tobytes() == want.centers.tobytes()
+    assert got.assignments.tobytes() == want.assignments.tobytes()
+    assert got.inertia == want.inertia
+    assert got.iterations_run == want.iterations_run
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=nearest_cases(), max_iters=st.integers(1, 12))
+@example(case={"n": 7, "m": 7, "dim": 2, "kind": "duplicates", "centers_from_points": False,
+               "seed": 3}, max_iters=100)
+@example(case={"n": 12, "m": 3, "dim": 5, "kind": "offset", "centers_from_points": False,
+               "seed": 4}, max_iters=100)
+def test_kmeans_equals_direct_form_oracle(case, max_iters):
+    rng = np.random.default_rng(case["seed"])
+    reps = _rows(rng, case["n"], case["dim"], case["kind"])
+    got = kmeans(reps, case["m"], max_iters=max_iters, seed=case["seed"])
+    want = reference.kmeans(reps, case["m"], max_iters=max_iters, seed=case["seed"])
+    _assert_same_clustering(got, want)
+    assert representative_indices(reps, got) == reference.representative_indices(reps, want)
+
+
+def test_nearest_centers_overflowing_expanded_form():
+    # ||p||^2 overflows near 1e160, and the expanded form turns into
+    # inf - inf = NaN; the direct form's differences stay finite
+    rng = np.random.default_rng(40)
+    steps = rng.integers(-8, 9, (30, 6)).astype(np.float64)
+    points = 1e160 * (1.0 + steps * 2.0**-40)
+    points[::3] = rng.standard_normal((10, 6))  # ordinary rows among them
+    centers = points[[1, 4, 7, 10]].copy()
+    with np.errstate(over="ignore"):
+        assert np.isinf((points * points).sum(axis=1)).any()
+        want_assign, want_d2 = _direct_nearest(points, centers)
+        assign, own_d2 = nearest_centers(points, centers)
+    assert np.array_equal(assign, want_assign)
+    assert own_d2.tobytes() == want_d2.tobytes()
+    huge = points[np.abs(points).max(axis=1) > 1e100]
+    _assert_same_clustering(kmeans(huge, 3, seed=41), reference.kmeans(huge, 3, seed=41))
+
+
+def _drifting_scenes(seed, n=512, dim=1024, n_scenes=72, patches=16):
+    """Representative features of a video whose scenes each drift slowly
+    along a random direction, plus per-patch noise averaged over patches."""
+    rng = np.random.default_rng(seed)
+    cuts = np.sort(rng.choice(np.arange(1, n), size=n_scenes - 1, replace=False))
+    bounds = np.concatenate([[0], cuts, [n]])
+    reps = np.empty((n, dim))
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        base = rng.standard_normal(dim) / np.sqrt(patches)
+        drift = rng.standard_normal(dim) / np.sqrt(patches) / (stop - start)
+        steps = np.arange(stop - start)[:, None]
+        noise = rng.standard_normal((stop - start, dim)) * 0.5 / np.sqrt(patches)
+        reps[start:stop] = base + steps * drift + noise
+    return reps
+
+
+def test_kmeans_never_falls_back_to_direct_form(monkeypatch):
+    # deterministic guard against a silent return to the n*m*dim sweep:
+    # in kmeans, pairwise_sqdist runs only for rows the expanded form
+    # cannot settle, and on drifting-scene features there are none
+    calls = []
+    original = select.pairwise_sqdist
+
+    def recording(points, centers):
+        calls.append(points.shape[0])
+        return original(points, centers)
+
+    monkeypatch.setattr(select, "pairwise_sqdist", recording)
+    clustering = kmeans(_drifting_scenes(42), 48, seed=42)
+    assert clustering.iterations_run > 1
+    assert calls == []
+    # the recorder sees the fallback when it does run: all-zero rows tie
+    nearest_centers(np.zeros((5, 4)), np.zeros((2, 4)))
+    assert calls == [5]
