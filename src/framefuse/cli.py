@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .captions import dataset_stats, load_clip_manifest, pack_clips
+from .captions import _records_json, dataset_stats, load_clip_manifest, pack_clips
 from .errors import FrameFuseError, ParameterError
 from .features import (
     FrameFeatures,
@@ -38,11 +38,15 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _emit_json(obj, output: str | None) -> None:
+    _emit_text(json.dumps(obj, indent=2, sort_keys=True), output)
+
+
+def _emit_text(text: str, output: str | None) -> None:
     if output:
-        _write_json(Path(output), obj)
+        _atomic_write(Path(output), (text + "\n").encode())
         print(f"wrote {output}")
     else:
-        print(json.dumps(obj, indent=2, sort_keys=True))
+        print(text)
 
 
 def _table(rows: list[dict], columns: list[str]) -> str:
@@ -151,13 +155,12 @@ def cmd_synth(args) -> int:
     records = pack_clips(
         pool, min_s=args.min_s, max_s=args.max_s, seed=args.seed, n_frames=args.frames,
     )
-    docs = [r.to_dict() for r in records]
     if args.stats:
         if not records:
             raise FrameFuseError("no records produced; nothing to summarize")
         _emit_json(dataset_stats(records), args.output)
         return 0
-    _emit_json(docs, args.output)
+    _emit_text(_records_json(records), args.output)
     print(f"packed {len(pool)} clips into {len(records)} records", file=sys.stderr)
     return 0
 

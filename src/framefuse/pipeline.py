@@ -4,6 +4,7 @@ frames reduced to 32 merged frames)."""
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, fields
 
@@ -20,6 +21,8 @@ from .select import (
     select_scenes_bsm,
     select_scenes_kmeans,
 )
+
+logger = logging.getLogger(__name__)
 
 SELECTIONS = ("uniform", "kmeans", "bsm")
 
@@ -159,6 +162,9 @@ def compress(
     validated, and merged a chunk at a time; a chunk holds at most
     MERGE_CHUNK_BYTES of float64 scene data, so memory does not grow with
     cfg.scenes_k.
+
+    Each warning of the selection (a scene padded from outside its history
+    window; frame numbers count the sampled frames) is logged at WARNING.
     """
     if cfg.input_frames > features.n_frames:
         raise ParameterError(
@@ -166,6 +172,8 @@ def compress(
         )
     idx = np.asarray(uniform_sample_indices(features.n_frames, cfg.input_frames))
     scene_set = _select(features, idx, cfg)
+    for warning in scene_set.warnings:
+        logger.warning("%s", warning)
     members = idx[np.array([scene.members for scene in scene_set.scenes])]  # (k, s)
     k, s = members.shape
     _, n_patches, dim = features.data.shape

@@ -291,17 +291,17 @@ def _similarity_ranked(reps: np.ndarray, anchor: int, candidates: list[int],
     """Candidates ranked by cosine similarity to the anchor frame.
 
     ``similar`` ranks best-first, ``dissimilar`` worst-first; ties break to
-    the earlier frame index.
+    the earlier frame index. Norms are clamped at 1e-12, as in bsm
+    selection, so a zero vector has similarity 0 to every frame; the
+    ranking of vectors with larger norms does not change.
     """
     if not candidates:
         return []
     anchor_vec = reps[anchor]
-    na = np.linalg.norm(anchor_vec)
+    na = max(np.linalg.norm(anchor_vec), 1e-12)
     cand = np.asarray(candidates)
     vecs = reps[cand]
-    norms = np.linalg.norm(vecs, axis=1)
-    if na == 0.0 or np.any(norms == 0.0):
-        raise ParameterError("cosine similarity undefined for zero-norm input")
+    norms = np.maximum(np.linalg.norm(vecs, axis=1), 1e-12)
     sims = (vecs @ anchor_vec) / (norms * na)
     key = -sims if mode == "similar" else sims
     order = np.lexsort((cand, key))

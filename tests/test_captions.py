@@ -1,10 +1,13 @@
 """Caption-synthesis tests: packing, record building, instruction strings,
 and dataset statistics."""
 
+import copy
 import json
+import pickle
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from framefuse import (
     ClipRecord,
@@ -19,6 +22,7 @@ from framefuse import (
     render_frame_instruction,
     sample_timestamps,
 )
+from framefuse.captions import _records_json, format_mmss
 
 
 def make_pool(n, duration=60.0):
@@ -246,3 +250,117 @@ def test_record_to_dict_schema():
     }
     assert doc["segments"][0] == {"start_s": 0.0, "end_s": 400.0, "caption": "text"}
     assert doc["instruction"].startswith("This video samples 4 frames of a 400-second")
+
+
+# -- the records writer against json.dumps ------------------------------------
+
+_TRICKY = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "é", "中", "😀",
+           "\ud800", "\udfff"]
+_text = st.text(alphabet=st.one_of(st.sampled_from(_TRICKY), st.characters()), min_size=1,
+                max_size=12)
+_duration = st.one_of(
+    st.sampled_from([1 / 3 + 20, 0.1 + 0.2, 61.0, 47.0, 1e-3 + 30, 99.99999999999]),
+    st.floats(min_value=1e-9, max_value=1799.0, allow_nan=False, allow_infinity=False),
+)
+
+
+def _oracle(records):
+    return json.dumps([r.to_dict() for r in records], indent=2, sort_keys=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pool=st.lists(st.builds(ClipRecord, _text, _duration, _text), min_size=1, max_size=40),
+    seed=st.integers(0, 2**16),
+    n_frames=st.integers(1, 6),
+)
+def test_records_json_equals_json_dumps(pool, seed, n_frames):
+    records = pack_clips(pool, seed=seed, n_frames=n_frames)
+    assert _records_json(records) == _oracle(records)
+
+
+def test_records_json_long_reprs_and_empty():
+    assert _records_json([]) == _oracle([]) == "[]"
+    clips = [ClipRecord(f'c"{i}\\😀', 1 / 3 + 20, f"line\n{i}\t\ud800é") for i in range(20)]
+    records = [build_record(clips), build_record(clips[:15], n_frames=3)]
+    assert repr(records[0].segments[1].end_s) == "40.666666666666664"
+    assert _records_json(records) == _oracle(records)
+
+
+def test_build_record_labels_each_boundary_once(monkeypatch):
+    import framefuse.captions as captions
+
+    labelled = []
+
+    def counting_format_mmss(seconds):
+        labelled.append(seconds)
+        return format_mmss(seconds)
+
+    monkeypatch.setattr(captions, "format_mmss", counting_format_mmss)
+    for n in (1, 2, 7, 30):
+        labelled.clear()
+        rec = build_record(make_pool(n, duration=600.0 / n))
+        assert len(labelled) == n + 1
+        assert rec.merged_caption.count("\n") == n - 1
+
+
+def test_clip_records_and_segments_keep_value_semantics():
+    clip, seg = ClipRecord("a", 1 / 3, "x"), Segment(0.0, 1 / 3, "x")
+    for obj in (clip, seg):
+        assert not hasattr(obj, "__dict__")
+        assert pickle.loads(pickle.dumps(obj)) == obj == copy.deepcopy(obj)
+        assert hash(obj) == hash(copy.copy(obj))
+        with pytest.raises(AttributeError):
+            obj.caption = "y"
+
+
+# -- strict manifests -----------------------------------------------------------
+
+_GOOD = {"id": "a", "duration": 30.5, "caption": "hello"}
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"id": 1, "duration": 60.0, "caption": "x"}, "id must be a string"),
+    ({"id": "b", "duration": 60.0, "caption": 5}, "caption must be a string"),
+    ({"id": "b", "duration": True, "caption": "x"}, "duration must be a number"),
+    ({"id": "b", "duration": "60", "caption": "x"}, "duration must be a number"),
+    ({"id": "b", "duration": None, "caption": "x"}, "duration must be a number"),
+    ({"id": "b", "duration": 60.0, "caption": "x", "lang": "en"}, r"has keys \['caption', 'duration', 'id', 'lang'\]"),
+    ({"id": "b", "caption": "x"}, r"has keys \['caption', 'id'\]"),
+    (["b", 60.0, "x"], "expected an object"),
+    ({"id": "b", "duration": 10**400, "caption": "x"}, r"duration \d+ is out of range"),
+])
+def test_manifest_rejects_entries_it_would_coerce(tmp_path, entry, message):
+    path = tmp_path / "clips.json"
+    path.write_text(json.dumps([_GOOD, entry]))
+    with pytest.raises(FormatError, match=f"entry 1 is malformed: {message}"):
+        load_clip_manifest(path)
+
+
+def test_manifest_rejects_integer_past_the_digit_limit(tmp_path):
+    path = tmp_path / "clips.json"
+    path.write_text('[{"id": "a", "duration": ' + "1" * 5000 + ', "caption": "x"}]')
+    with pytest.raises(FormatError, match="digits"):
+        load_clip_manifest(path)
+
+
+def test_manifest_rejects_duplicate_ids_naming_both(tmp_path):
+    path = tmp_path / "clips.json"
+    path.write_text(json.dumps([_GOOD, dict(_GOOD, id="b"), dict(_GOOD, duration=9.0)]))
+    with pytest.raises(FormatError, match=r"entries 0 and 2 share the id 'a'"):
+        load_clip_manifest(path)
+
+
+def test_manifest_rejects_mixed_types_that_used_to_collide(tmp_path):
+    path = tmp_path / "clips.json"
+    path.write_text('[{"id": 1, "duration": true, "caption": 5},'
+                    ' {"id": "1", "duration": "60", "caption": "x"}]')
+    with pytest.raises(FormatError, match="entry 0"):
+        load_clip_manifest(path)
+
+
+def test_manifest_integer_duration_is_a_float(tmp_path):
+    path = tmp_path / "clips.json"
+    path.write_text(json.dumps([dict(_GOOD, duration=60)]))
+    (clip,) = load_clip_manifest(path)
+    assert type(clip.duration_s) is float and clip.duration_s == 60.0

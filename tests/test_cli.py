@@ -259,3 +259,63 @@ def test_missing_input_file_exits_1(tmp_path, capsys):
                            "--k", "2", "--r", "1"], capsys)
     assert code == 1
     assert "error" in stderr
+
+
+def _synth_oracle(manifest, seed):
+    from framefuse import load_clip_manifest, pack_clips
+
+    records = pack_clips(load_clip_manifest(manifest), seed=seed)
+    return json.dumps([r.to_dict() for r in records], indent=2, sort_keys=True) + "\n"
+
+
+def test_synth_records_equal_json_dumps_oracle(tmp_path, capsys):
+    manifest = tmp_path / "clips.json"
+    manifest.write_text(json.dumps([
+        {"id": f'c"{i}\\é', "duration": 20 + 1 / 3 + i,
+         "caption": f"scene\n{i}\t\x00 😀 \ud800 \"quoted\""}
+        for i in range(90)
+    ]))
+    out = tmp_path / "records.json"
+    code, _, _ = run(["synth", str(manifest), "--seed", "3", "-o", str(out)], capsys)
+    assert code == 0
+    expected = _synth_oracle(manifest, 3)
+    assert json.loads(expected)
+    assert out.read_bytes() == expected.encode()
+    code, stdout, _ = run(["synth", str(manifest), "--seed", "3"], capsys)
+    assert code == 0
+    assert stdout == expected
+
+
+def test_synth_empty_records_are_an_empty_array(tmp_path, capsys):
+    manifest = tmp_path / "clips.json"
+    write_manifest(manifest, n=2)
+    code, stdout, _ = run(["synth", str(manifest)], capsys)
+    assert code == 0
+    assert stdout == "[]\n" == _synth_oracle(manifest, 0)
+
+
+def test_synth_records_skip_the_pure_python_encoder(tmp_path, capsys, monkeypatch):
+    # json.dumps with indent falls back to json.encoder._make_iterencode;
+    # synth's records must not, whatever their size
+    manifest = tmp_path / "clips.json"
+    write_manifest(manifest, n=60, duration=47.0)
+    expected = _synth_oracle(manifest, 0)
+
+    def pure_python_encoder(*args, **kwargs):
+        raise AssertionError("synth reached json's pure-Python encoder")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python_encoder)
+    out = tmp_path / "records.json"
+    code, _, stderr = run(["synth", str(manifest), "-o", str(out)], capsys)
+    assert code == 0, stderr
+    assert out.read_text() == expected
+
+
+def test_synth_rejects_manifest_it_used_to_coerce(tmp_path, capsys):
+    manifest = tmp_path / "clips.json"
+    manifest.write_text('[{"id": "1", "duration": 60.0, "caption": "x"},'
+                        ' {"id": "1", "duration": 60.0, "caption": "y"}]')
+    code, stdout, stderr = run(["synth", str(manifest)], capsys)
+    assert code == 1
+    assert "entries 0 and 1 share the id '1'" in stderr
+    assert stdout == ""

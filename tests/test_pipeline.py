@@ -16,6 +16,7 @@ from framefuse import (
     planted_block_labels,
     reconstruction_proxy,
     representative_features,
+    select_scenes_kmeans,
     uniform_sample_indices,
 )
 
@@ -255,3 +256,32 @@ def test_reconstruction_proxy_equals_direct_form(kind, merging):
     a = representative_features(f)
     b = representative_features(out)
     assert reconstruction_proxy(f, out) == float(sqdist(a, b).min(axis=1).mean())
+
+
+def test_compress_logs_each_selection_warning(caplog):
+    # 40 frames into 10 scenes of 4: kmeans leaves history windows short,
+    # and select_scenes_kmeans reports each padded scene
+    f = generate_synthetic(SyntheticSpec(40, 4, 8, 4, 0.1, seed=0))
+    expected = select_scenes_kmeans(f, 10, 3, seed=0).warnings
+    assert len(expected) == 7
+    with caplog.at_level("WARNING", logger="framefuse.pipeline"):
+        compress(f, CompressConfig(40, 10, 3, "kmeans", "tavg"))
+    logged = [(r.name, r.levelname, r.getMessage()) for r in caplog.records]
+    assert logged == [("framefuse.pipeline", "WARNING", w) for w in expected]
+
+
+@pytest.mark.parametrize("zero_frames", [slice(None), slice(3, 12), slice(0, 1)])
+@pytest.mark.parametrize("merging", ["tavg", "bsm"])
+def test_kmeans_compress_accepts_zero_frames(zero_frames, merging):
+    # zero vectors have no cosine direction; ranking clamps their norm at
+    # 1e-12, as bsm selection does, instead of failing
+    rng = np.random.default_rng(22)
+    data = rng.uniform(-4.0, 4.0, (30, 3, 6)).astype(np.float32)
+    data[zero_frames] = 0.0
+    f = FrameFeatures(data)
+    for selection in ("kmeans", "bsm"):
+        out = compress(f, CompressConfig(30, 5, 2, selection, merging))
+        assert out.data.shape == (5, 3, 6)
+        assert np.all(np.isfinite(out.data))
+        if zero_frames == slice(None):
+            assert not out.data.any()
