@@ -13,6 +13,7 @@ from .features import (
     load_features,
     planted_block_labels,
     save_features,
+    uniform_sample_indices,
 )
 from .select import (
     Clustering,
@@ -47,7 +48,6 @@ from .pipeline import (
     compress,
     group_uniform_scenes,
     reconstruction_proxy,
-    uniform_sample_indices,
 )
 from .captions import (
     ClipRecord,

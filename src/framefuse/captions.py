@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
@@ -101,7 +102,14 @@ class LongVideoRecord:
 
 def _records_json(records: list[LongVideoRecord]) -> str:
     """The text of ``json.dumps([r.to_dict() for r in records], indent=2,
-    sort_keys=True)``, byte for byte, written for this one schema.
+    sort_keys=True)``, byte for byte: the pieces of :func:`_records_json_parts`
+    joined."""
+    return "".join(_records_json_parts(records))
+
+
+def _records_json_parts(records: list[LongVideoRecord]) -> Iterator[str]:
+    """The text of ``json.dumps([r.to_dict() for r in records], indent=2,
+    sort_keys=True)``, one record at a time, written for this one schema.
 
     json's C encoder runs only without ``indent``; with it, json falls back
     to its pure-Python encoder, which took about three times as long as
@@ -111,10 +119,10 @@ def _records_json(records: list[LongVideoRecord]) -> str:
     formatting of finite floats.
     """
     if not records:
-        return "[]"
+        yield "[]"
+        return
     enc = encode_basestring_ascii
     num = float.__repr__
-    parts = []
     sep = "[\n"
     for rec in records:
         segments = ",\n".join([
@@ -124,7 +132,7 @@ def _records_json(records: list[LongVideoRecord]) -> str:
             for seg in rec.segments
         ])
         clip_ids = ",\n      ".join(map(enc, rec.clip_ids))
-        parts.append(
+        yield (
             f'{sep}  {{\n    "clip_ids": [\n      {clip_ids}\n    ],\n'
             f'    "instruction": {enc(rec.instruction)},\n'
             f'    "merged_caption": {enc(rec.merged_caption)},\n'
@@ -132,8 +140,7 @@ def _records_json(records: list[LongVideoRecord]) -> str:
             f'    "total_duration_s": {num(rec.total_duration_s)}\n  }}'
         )
         sep = ",\n"
-    parts.append("\n]")
-    return "".join(parts)  # one copy of the text, not one per concatenation
+    yield "\n]"
 
 
 def _round_half_up(x: float) -> int:

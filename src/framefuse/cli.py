@@ -10,12 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .captions import _records_json, dataset_stats, load_clip_manifest, pack_clips
-from .errors import FrameFuseError, ParameterError
+from .captions import _records_json_parts, dataset_stats, load_clip_manifest, pack_clips
+from .errors import FormatError, FrameFuseError, ParameterError
 from .features import (
     FrameFeatures,
     SyntheticSpec,
@@ -23,6 +25,7 @@ from .features import (
     load_features,
     save_features,
     _atomic_write,
+    _read_shape,
 )
 from .merge import STRATEGIES
 from .pipeline import SELECTIONS, CompressConfig, bench, compress
@@ -34,19 +37,20 @@ class _UsageError(Exception):
 
 
 def _write_json(path: Path, obj) -> None:
-    _atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
+    _atomic_write(path, [(json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def _emit_json(obj, output: str | None) -> None:
-    _emit_text(json.dumps(obj, indent=2, sort_keys=True), output)
+    _emit_text([json.dumps(obj, indent=2, sort_keys=True)], output)
 
 
-def _emit_text(text: str, output: str | None) -> None:
+def _emit_text(parts: Iterable[str], output: str | None) -> None:
+    """Write the text *parts* and a newline to *output*, or to stdout."""
     if output:
-        _atomic_write(Path(output), (text + "\n").encode())
+        _atomic_write(Path(output), (part.encode() for part in chain(parts, ["\n"])))
         print(f"wrote {output}")
     else:
-        print(text)
+        sys.stdout.writelines(chain(parts, ["\n"]))
 
 
 def _table(rows: list[dict], columns: list[str]) -> str:
@@ -98,8 +102,12 @@ def cmd_select(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    features = load_features(args.input)
     input_frames = args.frames if args.frames else args.k * (args.r + 1)
+    # Keep only the frames compress samples. A count outside the file's
+    # frames loads it whole, so that the config and compress reject it.
+    n_frames = _read_shape(args.input)[0]
+    sample = input_frames if 1 <= input_frames <= n_frames else None
+    features = load_features(args.input, sample=sample)
     cfg = CompressConfig(
         input_frames=input_frames,
         scenes_k=args.k,
@@ -123,6 +131,8 @@ def cmd_bench(args) -> int:
         doc = json.loads(Path(args.configs).read_text())
     except json.JSONDecodeError as exc:
         raise FrameFuseError(f"{args.configs}: invalid JSON at byte offset {exc.pos}") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise FormatError(f"{args.configs}: {exc}") from exc
     if not isinstance(doc, list):
         raise _UsageError(f"{args.configs}: expected a JSON array of configs")
     if not doc:
@@ -160,7 +170,7 @@ def cmd_synth(args) -> int:
             raise FrameFuseError("no records produced; nothing to summarize")
         _emit_json(dataset_stats(records), args.output)
         return 0
-    _emit_text(_records_json(records), args.output)
+    _emit_text(_records_json_parts(records), args.output)
     print(f"packed {len(pool)} clips into {len(records)} records", file=sys.stderr)
     return 0
 

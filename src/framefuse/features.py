@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import struct
 import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +33,38 @@ HEADER_SIZE = _HEADER.size + 3 * _DIM.size
 # is 64 KiB instead of a quarter of the tensor. At 384x144x1024, slices of
 # 2**16 values took 39 ms and one mask of the whole tensor 59 ms.
 FINITE_CHECK_VALUES = 2**16
+
+# Payload bytes that load_features reads at a time. Frames it keeps are read
+# straight into the returned array; frames a sampled load skips are read
+# into one reused buffer of this size, checked for finiteness and dropped,
+# so a sampled load holds the kept frames plus one chunk.
+READ_CHUNK_BYTES = 4 * 2**20
+
+
+def _all_finite(flat: np.ndarray) -> bool:
+    return all(np.isfinite(flat[start:start + FINITE_CHECK_VALUES]).all()
+               for start in range(0, flat.size, FINITE_CHECK_VALUES))
+
+
+def _checked_timestamps(timestamps, n_frames: int) -> tuple[float, ...]:
+    """*timestamps* as floats, or a ParameterError: one real number per
+    frame (not a bool or a string), finite, non-negative and strictly
+    increasing."""
+    ts = []
+    for i, t in enumerate(timestamps):
+        if isinstance(t, bool) or not isinstance(t, numbers.Real):
+            raise ParameterError(f"timestamp {i} must be a number, got {t!r}")
+        try:
+            ts.append(float(t))
+        except OverflowError:
+            raise ParameterError(f"timestamp {i} is out of range: {t}") from None
+    if len(ts) != n_frames:
+        raise ParameterError(f"expected {n_frames} timestamps, got {len(ts)}")
+    if any(t < 0 or not math.isfinite(t) for t in ts):
+        raise ParameterError("timestamps must be finite and non-negative")
+    if any(b <= a for a, b in zip(ts, ts[1:])):
+        raise ParameterError("timestamps must be strictly increasing")
+    return tuple(ts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,22 +86,12 @@ class FrameFeatures:
         if min(data.shape) < 1:
             raise ParameterError(f"frame feature dims must be >= 1, got {data.shape}")
         data = np.ascontiguousarray(data, dtype=np.float32)
-        flat = data.reshape(-1)
-        if not all(np.isfinite(flat[start:start + FINITE_CHECK_VALUES]).all()
-                   for start in range(0, flat.size, FINITE_CHECK_VALUES)):
+        if not _all_finite(data.reshape(-1)):
             raise ParameterError("frame features contain non-finite values")
         object.__setattr__(self, "data", data)
         if self.frame_timestamps is not None:
-            ts = tuple(float(t) for t in self.frame_timestamps)
-            if len(ts) != data.shape[0]:
-                raise ParameterError(
-                    f"expected {data.shape[0]} timestamps, got {len(ts)}"
-                )
-            if any(t < 0 or not math.isfinite(t) for t in ts):
-                raise ParameterError("timestamps must be finite and non-negative")
-            if any(b <= a for a, b in zip(ts, ts[1:])):
-                raise ParameterError("timestamps must be strictly increasing")
-            object.__setattr__(self, "frame_timestamps", ts)
+            object.__setattr__(self, "frame_timestamps",
+                               _checked_timestamps(self.frame_timestamps, data.shape[0]))
 
     @property
     def n_frames(self) -> int:
@@ -86,11 +110,13 @@ def _meta_path(path: Path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
 
-def _atomic_write(path: Path, payload: bytes) -> None:
+def _atomic_write(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write *chunks* to *path* through a temporary file in its directory,
+    so that *path* never holds a partial write."""
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -109,69 +135,161 @@ def save_features(features: FrameFeatures, path: str | Path) -> None:
     path = Path(path)
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, 3)
     dims = b"".join(_DIM.pack(d) for d in features.data.shape)
-    payload = np.ascontiguousarray(features.data, dtype="<f4").tobytes()
-    _atomic_write(path, header + dims + payload)
+    # the array's own memory on a little-endian host, not a copy of it
+    payload = np.ascontiguousarray(features.data, dtype="<f4")
+    _atomic_write(path, (header, dims, payload.data.cast("B")))
     meta = _meta_path(path)
     if features.frame_timestamps is not None:
         doc = {"frame_timestamps": list(features.frame_timestamps)}
-        _atomic_write(meta, (json.dumps(doc, sort_keys=True) + "\n").encode())
+        _atomic_write(meta, [(json.dumps(doc, sort_keys=True) + "\n").encode()])
     elif meta.exists():
         # a stale sidecar would attach wrong timestamps on the next load
         meta.unlink()
 
 
-def load_features(path: str | Path) -> FrameFeatures:
+def uniform_sample_indices(total: int, n: int) -> list[int]:
+    """Evenly spread n frame indices over [0, total): index j is floor(j*total/n)."""
+    if total < 1:
+        raise ParameterError(f"total must be >= 1, got {total}")
+    if not 1 <= n <= total:
+        raise ParameterError(f"sample count {n} outside [1, {total}]")
+    return [(j * total) // n for j in range(n)]
+
+
+def _read_header(fh, path: Path) -> tuple[int, int, int]:
+    """Check the header of the open FVT1 file *fh* and that the file holds
+    exactly the payload it announces; return the dims."""
+    head = fh.read(HEADER_SIZE)
+    if len(head) < HEADER_SIZE:
+        raise FormatError(f"{path}: truncated header ({len(head)} of {HEADER_SIZE} bytes)")
+    magic, version, rank = _HEADER.unpack_from(head, 0)
+    if magic != MAGIC:
+        raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+    if version != FORMAT_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}, expected {FORMAT_VERSION}")
+    if rank != 3:
+        raise FormatError(f"{path}: bad rank {rank}, expected 3")
+    dims = tuple(_DIM.unpack_from(head, _HEADER.size + i * _DIM.size)[0] for i in range(3))
+    for name, d in zip(("n_frames", "n_patches", "dim"), dims):
+        if d < 1:
+            raise FormatError(f"{path}: invalid {name} {d}, must be >= 1")
+    expected = dims[0] * dims[1] * dims[2] * 4
+    got = os.fstat(fh.fileno()).st_size - HEADER_SIZE
+    if got < expected:
+        raise FormatError(f"{path}: truncated payload, expected {expected} bytes, got {got}")
+    if got > expected:
+        raise FormatError(f"{path}: {got - expected} trailing bytes after payload")
+    return dims
+
+
+def _read_shape(path: str | Path) -> tuple[int, int, int]:
+    """The (n_frames, n_patches, dim) of an FVT1 file, from its header alone."""
+    path = Path(path)
+    with open(path, "rb", buffering=0) as fh:
+        return _read_header(fh, path)
+
+
+def _read_exactly(fh, view: memoryview, path: Path, expected: int) -> None:
+    filled = 0
+    while filled < len(view):
+        n = fh.readinto(view[filled:filled + READ_CHUNK_BYTES])
+        if not n:
+            raise FormatError(f"{path}: truncated payload, expected {expected} bytes")
+        filled += n
+
+
+def _read_frames(fh, path: Path, dims: tuple[int, int, int], keep) -> np.ndarray:
+    """Read the payload that follows the header, keeping the frames *keep*
+    (increasing indices); every other frame is checked for finiteness in
+    the reused buffer and dropped."""
+    n_frames, n_patches, dim = dims
+    frame_bytes = n_patches * dim * 4
+    expected = n_frames * frame_bytes
+    data = np.empty((len(keep), n_patches, dim), dtype="<f4")
+    out = memoryview(data.reshape(-1).view(np.uint8))
+    scratch = np.empty(min(READ_CHUNK_BYTES, expected - out.nbytes) // 4, dtype="<f4")
+    buf = memoryview(scratch.view(np.uint8))
+    runs: list[list[int]] = []  # [first, stop) of each run of consecutive kept frames
+    for i in keep:
+        if runs and runs[-1][1] == i:
+            runs[-1][1] += 1
+        else:
+            runs.append([i, i + 1])
+    pos = filled = 0  # frames read from the file, bytes kept
+    for first, stop in runs + [[n_frames, n_frames]]:  # the last run skips the tail
+        skip = (first - pos) * frame_bytes
+        while skip:
+            piece = min(skip, buf.nbytes)
+            _read_exactly(fh, buf[:piece], path, expected)
+            if not _all_finite(scratch[:piece // 4]):
+                raise ParameterError("frame features contain non-finite values")
+            skip -= piece
+        end = filled + (stop - first) * frame_bytes
+        _read_exactly(fh, out[filled:end], path, expected)
+        pos, filled = stop, end
+    if fh.read(1):
+        raise FormatError(f"{path}: trailing bytes after payload")
+    return data
+
+
+def _read_timestamps(meta: Path) -> list[float] | None:
+    """The timestamps of a ``{"frame_timestamps": [numbers]}`` sidecar, or
+    None without one. Anything else in it is a FormatError."""
+    if not meta.exists():
+        return None
+    try:
+        doc = json.loads(meta.read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{meta}: invalid JSON at byte offset {exc.pos}") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise FormatError(f"{meta}: {exc}") from exc
+    if not isinstance(doc, dict) or "frame_timestamps" not in doc:
+        raise FormatError(f"{meta}: missing frame_timestamps field")
+    if len(doc) != 1:
+        raise FormatError(f"{meta}: unknown fields {sorted(set(doc) - {'frame_timestamps'})}, "
+                          "expected only frame_timestamps")
+    entries = doc["frame_timestamps"]
+    if not isinstance(entries, list):
+        raise FormatError(f"{meta}: frame_timestamps must be an array, got {type(entries).__name__}")
+    timestamps = []
+    for i, t in enumerate(entries):
+        # json.loads builds exact types, so `type(t) in` keeps bools out of the numbers
+        if type(t) not in (int, float):
+            raise FormatError(f"{meta}: frame_timestamps entry {i} must be a number, got {t!r}")
+        try:
+            timestamps.append(float(t))
+        except OverflowError:
+            raise FormatError(f"{meta}: frame_timestamps entry {i} is out of range: {t}") from None
+    return timestamps
+
+
+def load_features(path: str | Path, sample: int | None = None) -> FrameFeatures:
     """Read an FVT1 file written by :func:`save_features`.
+
+    With *sample*, only the frames ``uniform_sample_indices(n_frames,
+    sample)`` picks are kept, with their timestamps. The whole file is
+    still read and checked: every value must be finite, and the sidecar's
+    timestamps are checked over all frames before they are subset. The
+    payload is read READ_CHUNK_BYTES at a time, and the skipped frames pass
+    through one buffer of that size, so a sampled load holds the kept
+    frames plus one chunk.
 
     Raises:
         FormatError: bad magic, version, rank, or dims; truncated or
-            oversized payload.
-        ParameterError: payload contains non-finite values.
+            oversized payload; a sidecar that is not a JSON object with
+            one field, ``frame_timestamps``, an array of numbers.
+        ParameterError: non-finite values; invalid timestamps; a sample
+            outside [1, n_frames].
     """
     path = Path(path)
     with open(path, "rb", buffering=0) as fh:
-        head = fh.read(HEADER_SIZE)
-        if len(head) < HEADER_SIZE:
-            raise FormatError(f"{path}: truncated header ({len(head)} of {HEADER_SIZE} bytes)")
-        magic, version, rank = _HEADER.unpack_from(head, 0)
-        if magic != MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        if version != FORMAT_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}, expected {FORMAT_VERSION}")
-        if rank != 3:
-            raise FormatError(f"{path}: bad rank {rank}, expected 3")
-        dims = [_DIM.unpack_from(head, _HEADER.size + i * _DIM.size)[0] for i in range(3)]
-        for name, d in zip(("n_frames", "n_patches", "dim"), dims):
-            if d < 1:
-                raise FormatError(f"{path}: invalid {name} {d}, must be >= 1")
-        expected = dims[0] * dims[1] * dims[2] * 4
-        got = os.fstat(fh.fileno()).st_size - HEADER_SIZE
-        if got < expected:
-            raise FormatError(f"{path}: truncated payload, expected {expected} bytes, got {got}")
-        if got > expected:
-            raise FormatError(f"{path}: {got - expected} trailing bytes after payload")
-        # read the payload straight into the array: one copy of the tensor
-        data = np.empty(dims, dtype="<f4")
-        view = memoryview(data.reshape(-1).view(np.uint8))
-        filled = 0
-        while filled < expected:
-            n = fh.readinto(view[filled:])
-            if not n:
-                raise FormatError(f"{path}: truncated payload, expected {expected} bytes")
-            filled += n
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after payload")
-
-    timestamps = None
-    meta = _meta_path(path)
-    if meta.exists():
-        try:
-            doc = json.loads(meta.read_text())
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{meta}: invalid JSON at byte offset {exc.pos}") from exc
-        if not isinstance(doc, dict) or "frame_timestamps" not in doc:
-            raise FormatError(f"{meta}: missing frame_timestamps field")
-        timestamps = tuple(doc["frame_timestamps"])
+        dims = _read_header(fh, path)
+        keep = range(dims[0]) if sample is None else uniform_sample_indices(dims[0], sample)
+        data = _read_frames(fh, path, dims, keep)
+    timestamps = _read_timestamps(_meta_path(path))
+    if timestamps is not None and sample is not None:
+        timestamps = _checked_timestamps(timestamps, dims[0])
+        timestamps = [timestamps[i] for i in keep]
     return FrameFeatures(data, timestamps)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ParameterError
-from .features import FrameFeatures
+from .features import FrameFeatures, uniform_sample_indices
 from .merge import STRATEGIES, attn_projections, fusion_weights_for, merge_scenes
 from .select import (
     Scene,
@@ -107,15 +107,6 @@ class CompressConfig:
         return cls(**values)
 
 
-def uniform_sample_indices(total: int, n: int) -> list[int]:
-    """Evenly spread n frame indices over [0, total): index j is floor(j*total/n)."""
-    if total < 1:
-        raise ParameterError(f"total must be >= 1, got {total}")
-    if not 1 <= n <= total:
-        raise ParameterError(f"sample count {n} outside [1, {total}]")
-    return [(j * total) // n for j in range(n)]
-
-
 def group_uniform_scenes(indices: list[int], scene_size: int) -> SceneSet:
     """Chunk consecutive indices into scenes; the middle member represents."""
     if scene_size < 1:
@@ -140,7 +131,8 @@ def _select(features: FrameFeatures, idx: np.ndarray, cfg: CompressConfig) -> Sc
                 f"got {cfg.input_frames} != {cfg.scenes_k}*{cfg.supplements_r + 1}"
             )
         return group_uniform_scenes(list(range(cfg.input_frames)), cfg.supplements_r + 1)
-    sub = FrameFeatures(features.data[idx])
+    # a sample of every frame is the identity: select on the validated input
+    sub = features if len(idx) == features.n_frames else FrameFeatures(features.data[idx])
     if cfg.selection == "kmeans":
         return select_scenes_kmeans(sub, cfg.scenes_k, cfg.supplements_r, seed=cfg.seed)
     return select_scenes_bsm(sub, cfg.scenes_k, cfg.supplements_r)
@@ -156,7 +148,10 @@ def compress(
     Uniformly samples cfg.input_frames frames, groups them into scenes by
     the configured selection, merges each scene with the configured
     strategy, and stacks the merged maps in representative order.
-    Deterministic for identical (input, config, seed).
+    Deterministic for identical (input, config, seed). A tensor of exactly
+    cfg.input_frames frames, such as ``load_features(path,
+    sample=cfg.input_frames)`` returns, samples the identity, so it
+    compresses to the same bytes as the whole tensor.
 
     The scenes are gathered straight from *features*, which is already
     validated, and merged a chunk at a time; a chunk holds at most
@@ -196,9 +191,11 @@ def compress(
 def reconstruction_proxy(original: FrameFeatures, compressed: FrameFeatures) -> float:
     """Mean squared distance from each original frame's representative
     feature to the nearest merged frame's representative feature."""
-    a = representative_features(original)
-    b = representative_features(compressed)
-    return float(nearest_centers(a, b)[1].mean())
+    return _proxy(representative_features(original), compressed)
+
+
+def _proxy(original_reps: np.ndarray, compressed: FrameFeatures) -> float:
+    return float(nearest_centers(original_reps, representative_features(compressed))[1].mean())
 
 
 def bench(
@@ -209,6 +206,7 @@ def bench(
     """Run each config and report token count, wall time, and the
     reconstruction proxy. Configs run sequentially for stable timing."""
     results = []
+    reps = representative_features(features)
     for cfg in configs:
         start = time.perf_counter()
         out = compress(features, cfg, weights)
@@ -218,7 +216,7 @@ def bench(
                 "config": cfg.to_dict(),
                 "out_frames": out.n_frames,
                 "wall_ms": wall_ms,
-                "recon_mse": reconstruction_proxy(features, out),
+                "recon_mse": _proxy(reps, out),
             }
         )
     return results

@@ -319,3 +319,101 @@ def test_synth_rejects_manifest_it_used_to_coerce(tmp_path, capsys):
     assert code == 1
     assert "entries 0 and 1 share the id '1'" in stderr
     assert stdout == ""
+
+
+# -- compress reads only its sample -------------------------------------------
+
+def test_compress_of_a_long_file_holds_its_sample_not_the_file(tmp_path, capsys):
+    import tracemalloc
+
+    from framefuse import FrameFeatures, save_features
+    from framefuse.features import READ_CHUNK_BYTES
+
+    n_frames, n_patches, dim, sample = 3000, 16, 256, 96
+    data = np.random.default_rng(9).standard_normal((n_frames, n_patches, dim), dtype=np.float32)
+    src = tmp_path / "long.fvt"
+    save_features(FrameFeatures(data, tuple(float(i) for i in range(n_frames))), src)
+    del data
+    out = tmp_path / "c.fvt"
+    tracemalloc.start()
+    try:
+        code = main(["compress", str(src), "--k", "32", "--r", "2", "--frames", str(sample),
+                     "--select", "kmeans", "--merge", "fusion", "-o", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    sampled = sample * n_patches * dim * 4
+    bound = sampled + READ_CHUNK_BYTES + 4 * 2**20
+    assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+    # loading the whole file would break the bound several times over
+    assert n_frames * n_patches * dim * 4 > 4 * bound
+    from framefuse import uniform_sample_indices
+
+    ts = load_features(out).frame_timestamps
+    assert len(ts) == 32
+    assert set(ts) <= {float(i) for i in uniform_sample_indices(n_frames, sample)}
+
+
+def test_compress_more_frames_than_the_file_keeps_its_message(tmp_path, capsys):
+    src = tmp_path / "f.fvt"
+    run(gen_args(src, frames=48), capsys)
+    code, stdout, stderr = run(["compress", str(src), "--k", "8", "--r", "2",
+                                "--frames", "5000", "-o", str(tmp_path / "c.fvt")], capsys)
+    assert code == 1
+    assert stderr == "error: config wants 5000 input frames but tensor has 48\n"
+    assert not (tmp_path / "c.fvt").exists()
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    ("magic", "bad magic b'XXXX'"),
+    ("nan_unsampled", "frame features contain non-finite values"),
+    ("sidecar", "meta.json: invalid JSON at byte offset 1"),
+    ("timestamps", "timestamps must be strictly increasing"),
+])
+@pytest.mark.parametrize("config", [
+    ["--k", "0", "--r", "2"],                      # no input frames
+    ["--k", "8", "--r", "2", "--frames", "5000"],  # more frames than the file
+    ["--k", "8", "--r", "2", "--frames", "-3"],
+])
+def test_compress_reports_a_corrupt_file_before_a_bad_config(tmp_path, capsys, corrupt, message,
+                                                             config):
+    src = tmp_path / "f.fvt"
+    run(gen_args(src, frames=48), capsys)
+    raw = bytearray(src.read_bytes())
+    if corrupt == "magic":
+        raw[:4] = b"XXXX"
+    elif corrupt == "nan_unsampled":
+        raw[-4:] = np.array([np.nan], dtype="<f4").tobytes()  # the last frame
+    elif corrupt == "sidecar":
+        (tmp_path / "f.fvt.meta.json").write_text("{bad")
+    else:
+        (tmp_path / "f.fvt.meta.json").write_text(
+            json.dumps({"frame_timestamps": [float(47 - i) for i in range(48)]}))
+    src.write_bytes(bytes(raw))
+    code, stdout, stderr = run(["compress", str(src), *config, "-o", str(tmp_path / "c.fvt")],
+                               capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: ") and message in stderr
+
+
+def test_bench_config_integer_past_the_digit_limit_exits_1(tmp_path, capsys):
+    src = tmp_path / "f.fvt"
+    run(gen_args(src, frames=24), capsys)
+    configs = tmp_path / "configs.json"
+    configs.write_text('[{"input_frames": 1' + "0" * 5000 + ', "scenes_k": 4, "supplements_r": 1}]')
+    code, stdout, stderr = run(["bench", str(src), "--configs", str(configs)], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith(f"error: {configs}: ") and "digits" in stderr
+
+
+def test_compress_sidecar_integer_past_the_digit_limit_exits_1(tmp_path, capsys):
+    src = tmp_path / "f.fvt"
+    run(gen_args(src, frames=24), capsys)
+    (tmp_path / "f.fvt.meta.json").write_text('{"frame_timestamps": [1' + "0" * 5000 + "]}")
+    code, _, stderr = run(["compress", str(src), "--k", "4", "--r", "1", "--frames", "12",
+                           "-o", str(tmp_path / "c.fvt")], capsys)
+    assert code == 1
+    assert stderr.startswith("error: ") and "meta.json" in stderr and "digits" in stderr

@@ -268,3 +268,174 @@ def test_kmeans_recovers_planted_partition():
         mapping.setdefault(planted, got)
         assert mapping[planted] == got
     assert len(set(mapping.values())) == 3
+
+
+# -- sampled loads --------------------------------------------------------------
+
+def _write_raw(path, data, timestamps=None):
+    """An FVT1 file with *data* as written, non-finite values included."""
+    data = np.ascontiguousarray(data, dtype="<f4")
+    path.write_bytes(features._HEADER.pack(features.MAGIC, features.FORMAT_VERSION, 3)
+                     + b"".join(features._DIM.pack(d) for d in data.shape) + data.tobytes())
+    if timestamps is not None:
+        (path.parent / (path.name + ".meta.json")).write_text(
+            json.dumps({"frame_timestamps": timestamps}))
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 10])
+def test_sampled_load_keeps_the_uniform_sample(tmp_path, n):
+    from framefuse import uniform_sample_indices
+
+    data = np.random.default_rng(3).standard_normal((10, 3, 5)).astype(np.float32)
+    ts = tuple(0.5 * i for i in range(10))
+    path = tmp_path / "t.fvt"
+    save_features(FrameFeatures(data, ts), path)
+    got = load_features(path, sample=n)
+    idx = uniform_sample_indices(10, n)
+    assert got.data.tobytes() == data[idx].tobytes()
+    assert got.frame_timestamps == tuple(ts[i] for i in idx)
+
+
+def test_sampled_load_out_of_range(tmp_path):
+    path = tmp_path / "t.fvt"
+    save_features(FrameFeatures(np.zeros((4, 1, 1))), path)
+    for n in (0, 5):
+        with pytest.raises(ParameterError, match=rf"sample count {n} outside \[1, 4\]"):
+            load_features(path, sample=n)
+
+
+# 8 frames of 1.5 MiB sampled down to frames 0 and 4: frames 1-3 and 5-7 are
+# read through the 4 MiB buffer, and frames 3 and 7 straddle its refill
+_FRAME = (384, 1024)
+_CHUNK_VALUES = features.READ_CHUNK_BYTES // 4
+_FRAME_VALUES = _FRAME[0] * _FRAME[1]
+
+
+@pytest.mark.parametrize("where", [
+    _FRAME_VALUES,                          # first value of the first unsampled frame
+    8 * _FRAME_VALUES - 1,                  # last value of the last frame
+    _FRAME_VALUES + _CHUNK_VALUES - 1,      # frame 3, last value before the refill
+    _FRAME_VALUES + _CHUNK_VALUES,          # frame 3, first value after it
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sampled_load_rejects_non_finite_unsampled_frames(tmp_path, where, bad):
+    assert features.READ_CHUNK_BYTES % (4 * _FRAME_VALUES) != 0
+    data = np.zeros((8, *_FRAME), dtype=np.float32)
+    data.reshape(-1)[where] = bad
+    path = tmp_path / "bad.fvt"
+    _write_raw(path, data)
+    with pytest.raises(ParameterError, match="non-finite"):
+        load_features(path, sample=2)
+    data.reshape(-1)[where] = 0.0
+    _write_raw(path, data)
+    assert load_features(path, sample=2).data.shape == (2, *_FRAME)
+
+
+def test_sampled_load_holds_the_sample_and_one_chunk(tmp_path):
+    import tracemalloc
+
+    path = tmp_path / "big.fvt"
+    data = np.random.default_rng(7).standard_normal((512, 32, 512), dtype=np.float32)
+    save_features(FrameFeatures(data), path)
+    tracemalloc.start()
+    try:
+        loaded = load_features(path, sample=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.data.tobytes() == data[::32].tobytes()
+    bound = loaded.data.nbytes + features.READ_CHUNK_BYTES + 2**18
+    assert peak < bound, f"peak {peak} bytes, bound {bound}"
+    assert data.nbytes > 4 * bound
+
+
+def test_sampled_load_checks_the_sidecar_over_every_frame(tmp_path):
+    data = np.zeros((6, 1, 1), dtype=np.float32)
+    path = tmp_path / "t.fvt"
+    # frames 1 and 2 are not sampled, but their timestamps still count
+    for ts, message in (([0.0, 5.0, 4.0, 6.0, 7.0, 8.0], "strictly increasing"),
+                        ([0.0, -1.0, 2.0, 3.0, 4.0, 5.0], "non-negative"),
+                        ([0.0, 1.0, 2.0, 3.0], "expected 6 timestamps, got 4")):
+        _write_raw(path, data, ts)
+        with pytest.raises(ParameterError, match=message):
+            load_features(path, sample=2)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"frame_timestamps": [False, "1.5", 2], "extra": 1},
+     r"unknown fields \['extra'\], expected only frame_timestamps"),
+    ({"frame_timestamps": [False, 1.5, 2]}, "entry 0 must be a number, got False"),
+    ({"frame_timestamps": [0, "1.5", 2]}, "entry 1 must be a number, got '1.5'"),
+    ({"frame_timestamps": [0, 1.5, None]}, "entry 2 must be a number, got None"),
+    ({"frame_timestamps": [0, [1.5], 2]}, r"entry 1 must be a number, got \[1.5\]"),
+    ({"frame_timestamps": "0 1 2"}, "frame_timestamps must be an array, got str"),
+    ({"timestamps": [0, 1, 2]}, "missing frame_timestamps field"),
+    ([0, 1, 2], "missing frame_timestamps field"),
+])
+@pytest.mark.parametrize("sample", [None, 2])
+def test_sidecar_is_used_as_written_or_rejected(tmp_path, doc, message, sample):
+    path = tmp_path / "t.fvt"
+    save_features(FrameFeatures(np.zeros((3, 1, 1))), path)
+    (tmp_path / "t.fvt.meta.json").write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=message):
+        load_features(path, sample=sample)
+
+
+def test_sidecar_integers_are_floats_and_huge_ones_are_rejected(tmp_path):
+    path = tmp_path / "t.fvt"
+    save_features(FrameFeatures(np.zeros((3, 1, 1))), path)
+    sidecar = tmp_path / "t.fvt.meta.json"
+    sidecar.write_text('{"frame_timestamps": [0, 1.5, 2]}')
+    assert load_features(path).frame_timestamps == (0.0, 1.5, 2.0)
+    sidecar.write_text('{"frame_timestamps": [0, 1, 1' + "0" * 400 + "]}")
+    with pytest.raises(FormatError, match="entry 2 is out of range"):
+        load_features(path)
+    # past Python's 4,300-digit limit for int(), json.loads raises ValueError
+    sidecar.write_text('{"frame_timestamps": [0, 1, 1' + "0" * 5000 + "]}")
+    with pytest.raises(FormatError, match="meta.json: .*digits"):
+        load_features(path)
+
+
+def test_frame_features_timestamps_must_be_numbers():
+    data = np.zeros((3, 1, 1))
+    for ts, i in (((False, 1.0, 2.0), 0), ((0.0, "1.5", 2.0), 1), ((0.0, 1.0, None), 2),
+                  ((0.0, 1.0, np.bool_(True)), 2)):
+        with pytest.raises(ParameterError, match=f"timestamp {i} must be a number"):
+            FrameFeatures(data, ts)
+    with pytest.raises(ParameterError, match="timestamp 1 is out of range"):
+        FrameFeatures(data, (0, 10**400, 10**401))
+    f = FrameFeatures(data, (np.float32(0.5), np.float64(1.5), np.int64(2)))
+    assert f.frame_timestamps == (0.5, 1.5, 2.0)
+    assert all(type(t) is float for t in f.frame_timestamps)
+
+
+# -- the write side -------------------------------------------------------------
+
+def test_save_writes_the_array_without_copying_it(tmp_path):
+    import tracemalloc
+
+    data = np.random.default_rng(8).standard_normal((64, 32, 256)).astype(np.float32)
+    f = FrameFeatures(data)
+    path = tmp_path / "out.fvt"
+    tracemalloc.start()
+    try:
+        save_features(f, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes()[HEADER_SIZE:] == data.tobytes()
+    assert peak < 0.05 * data.nbytes, f"peak {peak / data.nbytes:.2f} payloads"
+
+
+def test_atomic_write_leaves_nothing_when_a_chunk_fails(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old")
+
+    def chunks():
+        yield b"new"
+        raise RuntimeError("producer failed")
+
+    with pytest.raises(RuntimeError, match="producer failed"):
+        features._atomic_write(path, chunks())
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]

@@ -285,3 +285,37 @@ def test_kmeans_compress_accepts_zero_frames(zero_frames, merging):
         assert np.all(np.isfinite(out.data))
         if zero_frames == slice(None):
             assert not out.data.any()
+
+
+def test_bench_computes_the_original_representatives_once(monkeypatch):
+    from framefuse import pipeline
+
+    f = generate_synthetic(SyntheticSpec(24, 3, 6, 3, 0.1, seed=23))
+    cfgs = [CompressConfig(24, 8, 2, "kmeans", merging, seed=1)
+            for merging in ("tavg", "fusion", "attnpool", "bsm")]
+    calls = []
+    real = pipeline.representative_features
+    monkeypatch.setattr(pipeline, "representative_features",
+                        lambda features: calls.append(features) or real(features))
+    report = bench(f, cfgs)
+    # the original once, then each compressed output once
+    assert [c is f for c in calls] == [True] + [False] * len(cfgs)
+    for entry, cfg in zip(report, cfgs):
+        assert entry["recon_mse"] == reconstruction_proxy(f, compress(f, cfg))
+
+
+@pytest.mark.parametrize("selection", ["kmeans", "bsm"])
+def test_select_uses_a_whole_tensor_sample_as_it_is(monkeypatch, selection):
+    from framefuse import pipeline
+
+    f = generate_synthetic(SyntheticSpec(30, 3, 6, 3, 0.1, seed=24))
+    name = f"select_scenes_{selection}"
+    seen = []
+    real = getattr(pipeline, name)
+    monkeypatch.setattr(pipeline, name, lambda features, *a, **kw:
+                        seen.append(features) or real(features, *a, **kw))
+    compress(f, CompressConfig(30, 5, 2, selection, "tavg"))
+    compress(f, CompressConfig(20, 5, 2, selection, "tavg"))
+    assert seen[0] is f
+    assert seen[1] is not f
+    assert seen[1].data.tobytes() == f.data[uniform_sample_indices(30, 20)].tobytes()

@@ -1,12 +1,17 @@
 """Property-based checks of the library's structural invariants."""
 
+import logging
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from framefuse import (
+    CompressConfig,
     FrameFeatures,
     bsm_merge,
+    compress,
     fusion,
     fusion_init,
     load_features,
@@ -110,3 +115,52 @@ def test_instruction_roundtrip_no_information_loss(n, total):
     assert len(parsed) == n
     for got, want in zip(parsed, ts):
         assert got == float(f"{want:.1f}")  # exact at the stated precision
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append((record.name, record.levelname, record.getMessage()))
+
+
+def _compress_logged(features, cfg):
+    handler = _Records()
+    logger = logging.getLogger("framefuse.pipeline")
+    logger.addHandler(handler)
+    try:
+        out = compress(features, cfg)
+    finally:
+        logger.removeHandler(handler)
+    return out, handler.messages
+
+
+@pytest.mark.parametrize("merging", ["tavg", "fusion", "attnpool", "bsm"])
+@pytest.mark.parametrize("selection", ["uniform", "kmeans", "bsm"])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_sampled_load_compresses_like_the_whole_file(tmp_path_factory, selection, merging, data):
+    total = data.draw(st.integers(1, 40), label="n_frames")
+    k = data.draw(st.integers(1, total), label="k")
+    r = data.draw(st.integers(0, total // k - 1), label="r")
+    n = k * (r + 1) if selection == "uniform" else data.draw(
+        st.integers(k * (r + 1), total), label="input_frames")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    rng = np.random.default_rng(seed)
+    # few distinct small values, so that ties, duplicate frames and padded
+    # scenes (warnings) are common
+    values = rng.integers(-2, 3, (total, data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))))
+    timestamps = None
+    if data.draw(st.booleans(), label="timestamps"):
+        timestamps = tuple(np.cumsum(rng.uniform(0.1, 2.0, total)).tolist())
+    path = tmp_path_factory.mktemp("fvt") / "t.fvt"
+    save_features(FrameFeatures(values.astype(np.float32), timestamps), path)
+    cfg = CompressConfig(n, k, r, selection, merging, seed)
+
+    whole, whole_log = _compress_logged(load_features(path), cfg)
+    sampled, sampled_log = _compress_logged(load_features(path, sample=n), cfg)
+    assert sampled.data.tobytes() == whole.data.tobytes()
+    assert sampled.frame_timestamps == whole.frame_timestamps
+    assert sampled_log == whole_log
