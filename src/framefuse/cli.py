@@ -78,16 +78,21 @@ def cmd_gen(args) -> int:
 
 
 def cmd_select(args) -> int:
+    # flags left unset take select_scenes_kmeans's defaults
+    kmeans_opts = {name: getattr(args, name) for name in ("seed", "mode", "max_iters", "tol")
+                   if getattr(args, name) is not None}
+    if args.method == "bsm" and kmeans_opts:
+        flags = ", ".join("--" + name.replace("_", "-") for name in kmeans_opts)
+        raise _UsageError(f"--method bsm does not use {flags}")
+    if args.format == "table" and args.output:
+        raise _UsageError("--format table prints to stdout; it cannot be written with -o")
     features = load_features(args.input)
     if args.method == "kmeans":
-        scene_set = select_scenes_kmeans(
-            features, args.k, args.r,
-            max_iters=args.max_iters, tol=args.tol, seed=args.seed, mode=args.mode,
-        )
+        scene_set = select_scenes_kmeans(features, args.k, args.r, **kmeans_opts)
     else:
         scene_set = select_scenes_bsm(features, args.k, args.r)
     doc = scene_set.to_dict()
-    if args.format == "table" and not args.output:
+    if args.format == "table":
         rows = [
             {"scene": i, "representative": s["representative"],
              "members": " ".join(map(str, s["members"]))}
@@ -203,12 +208,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("kmeans", "bsm"), default="kmeans")
     p.add_argument("--k", type=int, required=True, help="number of scenes")
     p.add_argument("--r", type=int, required=True, help="supplement frames per scene")
-    p.add_argument("--mode", choices=SUPPLEMENT_MODES, default="similar",
-                   help="rank supplements by highest or lowest similarity")
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--mode", choices=SUPPLEMENT_MODES,
+                   help="kmeans: rank supplements by highest or lowest similarity "
+                        "(default similar)")
+    p.add_argument("--max-iters", type=int, help="kmeans: Lloyd iterations (default 100)")
+    p.add_argument("--tol", type=float, help="kmeans: center shift to stop at (default 1e-6)")
     common(p)
-    p.set_defaults(func=cmd_select)
+    p.set_defaults(func=cmd_select, seed=None)
 
     p = sub.add_parser("compress", help="compress a feature tensor to k merged frames")
     p.add_argument("input", help="FVT1 feature file")

@@ -8,6 +8,7 @@ frames on feasible inputs.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,8 @@ from .errors import ParameterError
 from .features import FrameFeatures
 
 SUPPLEMENT_MODES = ("similar", "dissimilar")
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -142,74 +145,133 @@ def pairwise_sqdist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return out
 
 
-def nearest_centers(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each float64 point's nearest center and its squared distance to it.
+def _expanded_bounds(points: np.ndarray, pp: np.ndarray,
+                     centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), each (n, m): bounds on every direct-form squared distance.
 
-    Returns ``(assign, own_d2)``, bit-identical to
-    ``d2 = pairwise_sqdist(points, centers)``, ``d2.argmin(axis=1)`` (ties
-    to the lowest center index) and ``d2[i, assign[i]]``, without the
-    n*m*dim direct-form sweep. Centers are ranked by the expanded form
-    ||p||^2 - 2 p.c + ||c||^2, one matrix product. Each expanded entry lies
+    *pp* holds the points' squared norms. The expanded form
+    ||p||^2 - 2 p.c + ||c||^2 costs one matrix product, and each entry lies
     within ``err = 2 gamma_(dim+8) (||p|| + ||c||)^2 + 8 (dim+8) eta`` of
-    the direct form, with gamma_n = n u / (1 - n u), u the unit roundoff
-    and eta the smallest subnormal: each form is within
+    the direct form sum((p - c)**2), with gamma_n = n u / (1 - n u), u the
+    unit roundoff and eta the smallest subnormal: each form is within
     gamma_(dim+2) (||p|| + ||c||)^2 of the exact distance (the standard
     dot-product forward bound, Higham, Accuracy and Stability of Numerical
     Algorithms, section 3.1), the larger gamma index covers the rounding
-    of err and of the comparisons below, and the eta term covers products
-    that underflow. A row is settled when one center alone satisfies
-    ``approx - err <= min(approx + err)``; every other row, including any
-    whose bounds overflow or are NaN, is recomputed in the direct form.
-    The own distances are recomputed in the direct form a block of rows at
-    a time, like pairwise_sqdist.
+    of err and of the callers' comparisons, and the eta term covers
+    products that underflow. So ``lo <= direct <= hi`` wherever both
+    bounds are finite; entries that overflow are infinite or NaN.
     """
-    n, dim = points.shape
+    dim = points.shape[1]
     u = np.finfo(np.float64).eps / 2
     gamma = (dim + 8) * u / (1 - (dim + 8) * u)
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        pp = np.einsum("ij,ij->i", points, points)
         cc = np.einsum("ij,ij->i", centers, centers)
-        approx = points @ centers.T
-        approx *= -2.0
-        approx += pp[:, None]
-        approx += cc[None, :]
+        lo = points @ centers.T
+        lo *= -2.0
+        lo += pp[:, None]
+        lo += cc[None, :]
         err = np.sqrt(pp)[:, None] + np.sqrt(cc)[None, :]
         np.square(err, out=err)
         err *= 2 * gamma
         err += 8 * (dim + 8) * np.finfo(np.float64).smallest_subnormal
-        hi = approx + err
-        approx -= err
-        candidates = (approx <= hi.min(axis=1, keepdims=True)).sum(axis=1)
-        ambiguous = (candidates != 1) | ~np.isfinite(hi).all(axis=1)
+        hi = lo + err
+        lo -= err
+    return lo, hi
+
+
+def _nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each point's nearest center (ties to the lowest index), and how many
+    rows the bound left to the direct form.
+
+    A row is settled when one center alone satisfies ``lo <= min(hi)``.
+    Every other row, including any whose bounds overflow or are NaN, is
+    recomputed in the direct form against the union of the ambiguous rows'
+    candidate columns (those with ``lo <= min(hi)``), or against every
+    center when a bound is not finite. A column outside a row's candidates
+    is strictly farther than that row's nearest center, so the argmin and
+    its ties are those of the full direct-form matrix.
+    """
+    pp = np.einsum("ij,ij->i", points, points)
+    lo, hi = _expanded_bounds(points, pp, centers)
+    with np.errstate(invalid="ignore"):
+        candidates = lo <= hi.min(axis=1, keepdims=True)
+    finite = np.isfinite(hi).all(axis=1)
     assign = hi.argmin(axis=1)
-    rows = np.flatnonzero(ambiguous)
+    rows = np.flatnonzero((candidates.sum(axis=1) != 1) | ~finite)
     if rows.size:
-        assign[rows] = pairwise_sqdist(points[rows], centers).argmin(axis=1)
+        if finite[rows].all():
+            cols = np.flatnonzero(candidates[rows].any(axis=0))
+        else:
+            cols = np.arange(centers.shape[0])
+        assign[rows] = cols[pairwise_sqdist(points[rows], centers[cols]).argmin(axis=1)]
+    return assign, int(rows.size)
+
+
+def _own_sqdist(points: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    # direct-form distance of each point to its assigned center, a block of
+    # rows at a time like pairwise_sqdist
+    n, dim = points.shape
     own_d2 = np.empty(n)
     step = max(1, SQDIST_CHUNK_BYTES // (dim * 8))
     for start in range(0, n, step):
         diff = points[start:start + step] - centers[assign[start:start + step]]
         np.square(diff, out=diff)
         diff.sum(axis=1, out=own_d2[start:start + step])
-    return assign, own_d2
+    return own_d2
 
 
-def _init_center_indices(reps: np.ndarray, m: int, rng: np.random.Generator) -> list[int]:
-    # distance-squared weighted seeding over data rows; always m distinct rows
+def nearest_centers(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each float64 point's nearest center and its squared distance to it.
+
+    Returns ``(assign, own_d2)``, bit-identical to
+    ``d2 = pairwise_sqdist(points, centers)``, ``d2.argmin(axis=1)`` (ties
+    to the lowest center index) and ``d2[i, assign[i]]``, without the
+    n*m*dim direct-form sweep. Centers are ranked by the expanded form,
+    one matrix product, whose rounding bound (see _expanded_bounds)
+    settles most rows; the others are recomputed in the direct form
+    against their candidate centers only. The own distances are
+    recomputed in the direct form a block of rows at a time, like
+    pairwise_sqdist.
+    """
+    assign, _ = _nearest(points, centers)
+    return assign, _own_sqdist(points, centers, assign)
+
+
+def _init_center_indices(reps: np.ndarray, m: int,
+                         rng: np.random.Generator) -> tuple[list[int], int]:
+    """k-means++ seeding over data rows (Arthur and Vassilvitskii, SODA
+    2007): always m distinct rows. Also returns how many row-center pairs
+    were recomputed in the direct form.
+
+    Each row's d2 stays bit-identical to the minimum of its direct-form
+    distances to the chosen rows, so the sampling probabilities are too: a
+    new center changes d2 only where the expanded-form bound cannot show
+    it is farther (``lo > d2``, both bounds finite), and only those rows
+    are recomputed in the direct form.
+    """
     n = reps.shape[0]
     chosen = [int(rng.integers(n))]
     d2 = ((reps - reps[chosen[0]]) ** 2).sum(axis=1)
+    pp = np.einsum("ij,ij->i", reps, reps)
+    rechecked = 0
     while len(chosen) < m:
         total = float(d2.sum())
         if total <= 0.0:
             # remaining rows duplicate chosen centers; take unused rows in order
             used = set(chosen)
             chosen.extend(i for i in range(n) if i not in used)
-            return chosen[:m]
+            return chosen[:m], rechecked
         nxt = int(rng.choice(n, p=d2 / total))
         chosen.append(nxt)
-        d2 = np.minimum(d2, ((reps - reps[nxt]) ** 2).sum(axis=1))
-    return chosen
+        lo, hi = _expanded_bounds(reps, pp, reps[nxt:nxt + 1])
+        rows = np.flatnonzero(~((lo[:, 0] > d2) & np.isfinite(hi[:, 0])))
+        rechecked += rows.size
+        diff = reps[rows]
+        diff -= reps[nxt]
+        np.square(diff, out=diff)
+        d2[rows] = np.minimum(d2[rows], diff.sum(axis=1))
+        del diff  # free it before the next center copies its rows
+    return chosen, rechecked
 
 
 def kmeans(
@@ -225,7 +287,10 @@ def kmeans(
     until the largest center displacement drops below *tol* or *max_iters*
     is reached; a cluster that empties is re-seeded at the point farthest
     from its assigned center. Returned assignments are consistent with the
-    returned centers (ties break to the lowest center index).
+    returned centers (ties break to the lowest center index). Logs one
+    DEBUG line to ``framefuse.select``: m, iterations, convergence, inertia
+    and the rows that seeding and the nearest-center searches recomputed
+    in the direct form.
     """
     reps = np.asarray(reps, dtype=np.float64)
     if reps.ndim != 2:
@@ -239,27 +304,41 @@ def kmeans(
         raise ParameterError(f"tol must be >= 0, got {tol}")
 
     rng = np.random.default_rng(seed)
-    centers = reps[_init_center_indices(reps, m, rng)].copy()
+    chosen, seed_rechecked = _init_center_indices(reps, m, rng)
+    centers = reps[chosen].copy()
     iterations = 0
+    converged = False
+    search_rechecked = 0
     for _ in range(max_iters):
-        assign, own_d2 = nearest_centers(reps, centers)
+        assign, rechecked = _nearest(reps, centers)
+        search_rechecked += rechecked
         new_centers = centers.copy()
         counts = np.bincount(assign, minlength=m)
         for j in range(m):
             if counts[j]:
                 new_centers[j] = reps[assign == j].mean(axis=0)
-        for j in np.flatnonzero(counts == 0):
-            far = int(own_d2.argmax())
-            new_centers[j] = reps[far]
-            own_d2[far] = -1.0
+        empties = np.flatnonzero(counts == 0)
+        if empties.size:
+            own_d2 = _own_sqdist(reps, centers, assign)
+            for j in empties:
+                far = int(own_d2.argmax())
+                new_centers[j] = reps[far]
+                own_d2[far] = -1.0
         iterations += 1
         shift = np.sqrt(((new_centers - centers) ** 2).sum(axis=1)).max()
         centers = new_centers
         if shift < tol:
+            converged = True
             break
 
-    assign, own_d2 = nearest_centers(reps, centers)
-    inertia = float(own_d2.sum())
+    assign, rechecked = _nearest(reps, centers)
+    search_rechecked += rechecked
+    inertia = float(_own_sqdist(reps, centers, assign).sum())
+    logger.debug(
+        "kmeans n=%d m=%d iterations=%d converged=%s inertia=%r "
+        "seeding_rechecked=%d search_rechecked=%d",
+        n, m, iterations, converged, inertia, seed_rechecked, search_rechecked,
+    )
     return Clustering(centers=centers, assignments=assign, inertia=inertia,
                       iterations_run=iterations)
 
@@ -268,21 +347,26 @@ def representative_indices(reps: np.ndarray, clustering: Clustering) -> list[int
     """Frame nearest each cluster center, deduplicated and sorted ascending."""
     reps = np.asarray(reps, dtype=np.float64)
     # (c - p)**2 equals (p - c)**2 exactly; ties break to the lowest frame index
-    nearest, _ = nearest_centers(clustering.centers, reps)
+    nearest, _ = _nearest(clustering.centers, reps)
     return sorted({int(i) for i in nearest})
 
 
 def _distinct_representatives(reps: np.ndarray, centers: np.ndarray) -> list[int]:
-    # nearest-frame mapping with collisions resolved to the next-nearest frame
-    d2 = pairwise_sqdist(reps, centers)
-    used: set[int] = set()
+    """One distinct frame per center, sorted ascending.
+
+    Each center in turn takes its nearest frame. A center whose nearest
+    frame an earlier center already took computes its own direct-form
+    column and takes the nearest unused frame (ties to the lowest index).
+    """
+    nearest, _ = _nearest(centers, reps)
+    taken = np.zeros(reps.shape[0], dtype=bool)
     out = []
-    for j in range(centers.shape[0]):
-        for i in np.argsort(d2[:, j], kind="stable"):
-            if int(i) not in used:
-                used.add(int(i))
-                out.append(int(i))
-                break
+    for j, i in enumerate(nearest):
+        if taken[i]:
+            free = np.flatnonzero(~taken)
+            i = free[pairwise_sqdist(reps[free], centers[j:j + 1]).argmin()]
+        taken[i] = True
+        out.append(int(i))
     return sorted(out)
 
 
@@ -382,10 +466,7 @@ def select_scenes_kmeans(
         )
     reps = representative_features(features)
     clustering = kmeans(reps, k, max_iters=max_iters, tol=tol, seed=seed)
-    rep_idx = representative_indices(reps, clustering)
-    if len(rep_idx) < k:
-        # two centers collapsed onto one frame; remap to distinct frames
-        rep_idx = _distinct_representatives(reps, clustering.centers)
+    rep_idx = _distinct_representatives(reps, clustering.centers)
     return select_supplements(reps, rep_idx, r, mode=mode)
 
 

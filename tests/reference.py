@@ -4,8 +4,9 @@ These are the original per-scene forms: every scene is validated and
 upcast to float64 on its own, merged in its own call, and the merged maps
 are stacked, and Lloyd clustering with every distance in the direct
 form sum((p - c)**2). They are kept here, unoptimised, as the oracle for
-the batched merge engine, the chunked distance helper and the
-nearest-center search.
+the batched merge engine, the chunked distance helper, the nearest-center
+search, the bounded k-means++ seeding and the choice of one distinct
+frame per center.
 """
 
 import math
@@ -218,3 +219,19 @@ def kmeans(reps, m, max_iters=100, tol=1e-6, seed=0):
 def representative_indices(reps, clustering):
     d2 = sqdist(np.asarray(reps, dtype=np.float64), clustering.centers)
     return sorted({int(i) for i in d2.argmin(axis=0)})
+
+
+def distinct_representatives(reps, centers):
+    """One distinct frame per center from the full (n, m) direct-form
+    matrix: each center in turn takes the first unused frame of its
+    stably sorted column."""
+    d2 = sqdist(reps, centers)
+    used = set()
+    out = []
+    for j in range(centers.shape[0]):
+        for i in np.argsort(d2[:, j], kind="stable"):
+            if int(i) not in used:
+                used.add(int(i))
+                out.append(int(i))
+                break
+    return sorted(out)

@@ -417,3 +417,44 @@ def test_compress_sidecar_integer_past_the_digit_limit_exits_1(tmp_path, capsys)
                            "-o", str(tmp_path / "c.fvt")], capsys)
     assert code == 1
     assert stderr.startswith("error: ") and "meta.json" in stderr and "digits" in stderr
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seed", "0"], ["--seed", "3"], ["--mode", "dissimilar"], ["--max-iters", "5"],
+    ["--tol", "0.1"], ["--mode", "similar", "--tol", "1e-6"],
+])
+def test_select_bsm_rejects_kmeans_flags(tmp_path, capsys, flags):
+    src = tmp_path / "f.fvt"
+    run(gen_args(src, frames=24), capsys)
+    code, stdout, stderr = run(["select", str(src), "--method", "bsm", "--k", "4", "--r", "1",
+                                *flags], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert "usage error: --method bsm does not use" in stderr
+    assert all(flag in stderr for flag in flags[::2])
+
+
+def test_select_table_with_output_exits_2(tmp_path, capsys):
+    src = tmp_path / "f.fvt"
+    run(gen_args(src, frames=24), capsys)
+    out = tmp_path / "scenes.txt"
+    code, stdout, stderr = run(["select", str(src), "--k", "4", "--r", "1",
+                                "--format", "table", "-o", str(out)], capsys)
+    assert code == 2
+    assert stdout == "" and "--format table" in stderr
+    assert not out.exists()
+
+
+def test_select_explicit_kmeans_defaults_match_omitted_flags(tmp_path, capsys):
+    src = tmp_path / "f.fvt"
+    run(gen_args(src, frames=48), capsys)
+    base = ["select", str(src), "--k", "6", "--r", "2"]
+    for fmt in ("json", "table"):
+        code, omitted, _ = run(base + ["--format", fmt], capsys)
+        assert code == 0
+        code, explicit, _ = run(base + ["--format", fmt, "--seed", "0", "--mode", "similar",
+                                        "--max-iters", "100", "--tol", "1e-6"], capsys)
+        assert code == 0
+        assert explicit == omitted
+    code, bsm, _ = run(base + ["--method", "bsm"], capsys)
+    assert code == 0 and json.loads(bsm)["k"] == 6

@@ -479,3 +479,181 @@ def test_kmeans_never_falls_back_to_direct_form(monkeypatch):
     # the recorder sees the fallback when it does run: all-zero rows tie
     nearest_centers(np.zeros((5, 4)), np.zeros((2, 4)))
     assert calls == [5]
+
+
+def _seeding_rows(rng, n, dim, kind):
+    if kind == "huge":
+        # ||p||^2 overflows, so every expanded-form bound is inf or NaN
+        return 1e160 * (1.0 + rng.integers(-8, 9, (n, dim)) * 2.0**-40)
+    return _rows(rng, n, dim, kind)
+
+
+@st.composite
+def seeding_cases(draw):
+    n = draw(st.integers(1, 24))
+    return {
+        "n": n, "m": draw(st.one_of(st.just(1), st.just(n), st.integers(1, n))),
+        "dim": draw(st.integers(1, 9)),
+        "kind": draw(st.sampled_from(["random", "duplicates", "all-zero", "offset", "huge"])),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=seeding_cases())
+@example(case={"n": 6, "m": 6, "dim": 3, "kind": "all-zero", "seed": 5})
+@example(case={"n": 9, "m": 9, "dim": 4, "kind": "duplicates", "seed": 6})
+@example(case={"n": 12, "m": 5, "dim": 7, "kind": "huge", "seed": 7})
+@example(case={"n": 10, "m": 4, "dim": 5, "kind": "offset", "seed": 8})
+def test_init_center_indices_equals_direct_form_oracle(case):
+    reps = _seeding_rows(np.random.default_rng(case["seed"]), case["n"], case["dim"],
+                         case["kind"])
+    with np.errstate(over="ignore"):
+        chosen, _ = select._init_center_indices(reps, case["m"],
+                                                np.random.default_rng(case["seed"]))
+        want = reference.init_center_indices(reps, case["m"],
+                                             np.random.default_rng(case["seed"]))
+    assert chosen == want
+    assert len(set(chosen)) == case["m"]
+
+
+def test_seeding_rechecks_few_pairs():
+    # deterministic guard against a silent return to a direct-form pass
+    # per center: on drifting-scene features the bound settles most pairs
+    reps = _drifting_scenes(42)
+    chosen, rechecked = select._init_center_indices(reps, 48, np.random.default_rng(42))
+    assert chosen == reference.init_center_indices(reps, 48, np.random.default_rng(42))
+    assert rechecked < 0.25 * 512 * 47, rechecked
+
+
+def test_nearest_centers_rechecks_candidate_columns_only(monkeypatch):
+    # the first point ties exactly between centers 1 and 3; the other
+    # centers are strictly farther, so only those two are recomputed
+    shapes = []
+    original = select.pairwise_sqdist
+
+    def recording(points, centers):
+        shapes.append((points.shape[0], centers.shape[0]))
+        return original(points, centers)
+
+    monkeypatch.setattr(select, "pairwise_sqdist", recording)
+    points = np.array([[0.0, 0.0], [9.0, 9.0], [-9.0, 9.0]])
+    centers = np.array([[10.0, 10.0], [1.0, 0.0], [-10.0, 10.0], [-1.0, 0.0],
+                        [10.0, -10.0], [0.0, 20.0]])
+    assign, own_d2 = nearest_centers(points, centers)
+    want_assign, want_d2 = _direct_nearest(points, centers)
+    assert np.array_equal(assign, want_assign)
+    assert own_d2.tobytes() == want_d2.tobytes()
+    assert assign[0] == 1
+    assert shapes == [(1, 2)]
+
+
+def test_distinct_representatives_collapsed_centers():
+    rng = np.random.default_rng(50)
+    reps = rng.standard_normal((12, 4))
+    # centers 0, 2 and 3 share nearest frame 5; center 1 sits on frame 9
+    centers = np.stack([reps[5], reps[9], reps[5] + 1e-3, reps[5]])
+    clustering = select.Clustering(centers, np.zeros(12, dtype=int), 0.0, 1)
+    assert representative_indices(reps, clustering) == [5, 9]
+    got = select._distinct_representatives(reps, centers)
+    assert got == reference.distinct_representatives(reps, centers)
+    assert len(got) == 4 and {5, 9} <= set(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=nearest_cases())
+def test_distinct_representatives_equal_oracle(case):
+    rng = np.random.default_rng(case["seed"])
+    reps = _rows(rng, case["n"], case["dim"], case["kind"])
+    if case["centers_from_points"]:
+        centers = reps[rng.integers(0, case["n"], case["m"])]
+    else:
+        centers = _rows(rng, case["m"], case["dim"], case["kind"])
+    got = select._distinct_representatives(reps, centers)
+    assert got == reference.distinct_representatives(reps, centers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 16), dim=st.integers(1, 6), r=st.integers(0, 2),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=6, dim=2, r=0, seed=1)
+def test_select_scenes_kmeans_with_duplicate_frames_equals_oracle(n, dim, r, seed):
+    # duplicate frames make centers collapse onto one nearest frame
+    rng = np.random.default_rng(seed)
+    frames = rng.standard_normal((max(1, n // 3), 2, dim))[rng.integers(0, max(1, n // 3), n)]
+    features = FrameFeatures(frames.astype(np.float32))
+    k = n // (r + 1)
+    got = select_scenes_kmeans(features, k, r, seed=seed)
+    reps = representative_features(features)
+    clustering = reference.kmeans(reps, k, seed=seed)
+    rep_idx = reference.representative_indices(reps, clustering)
+    if len(rep_idx) < k:
+        rep_idx = reference.distinct_representatives(reps, clustering.centers)
+    assert got == select_supplements(reps, rep_idx, r)
+
+
+def _kmeans_debug_fields(caplog, *args, **kwargs):
+    with caplog.at_level("DEBUG", logger="framefuse.select"):
+        clustering = kmeans(*args, **kwargs)
+    lines = [rec.getMessage() for rec in caplog.records if rec.name == "framefuse.select"]
+    assert len(lines) == 1 and lines[0].startswith("kmeans ")
+    return clustering, dict(field.split("=", 1) for field in lines[0].split()[1:])
+
+
+def test_kmeans_debug_line_sizes(caplog):
+    _, fields = _kmeans_debug_fields(caplog, np.arange(40.0).reshape(20, 2), 3, seed=1)
+    assert fields["n"] == "20"
+    assert fields["m"] == "3"
+
+
+def test_kmeans_debug_line_iterations_and_convergence(caplog):
+    reps = _drifting_scenes(3, n=96, dim=16, n_scenes=6)
+    clustering, fields = _kmeans_debug_fields(caplog, reps, 6, seed=3)
+    assert fields["iterations"] == str(clustering.iterations_run)
+    assert clustering.iterations_run < 100 and fields["converged"] == "True"
+    caplog.clear()
+    # tol 0 never stops early: the last step still moved a center
+    clustering, fields = _kmeans_debug_fields(caplog, reps, 6, max_iters=1, tol=0.0, seed=3)
+    assert fields["iterations"] == "1" and fields["converged"] == "False"
+    caplog.clear()
+    # a run that converges on its last allowed step is reported as converged
+    clustering, fields = _kmeans_debug_fields(caplog, np.ones((5, 2)), 1, max_iters=1, seed=3)
+    assert clustering.iterations_run == 1 and fields["converged"] == "True"
+
+
+def test_kmeans_debug_line_inertia(caplog):
+    reps = _drifting_scenes(4, n=64, dim=8, n_scenes=5)
+    clustering, fields = _kmeans_debug_fields(caplog, reps, 5, seed=4)
+    assert float(fields["inertia"]) == clustering.inertia
+    assert fields["inertia"] == repr(clustering.inertia)
+
+
+def test_kmeans_debug_line_seeding_rechecked(caplog):
+    reps = _drifting_scenes(5, n=128, dim=32, n_scenes=8)
+    _, fields = _kmeans_debug_fields(caplog, reps, 8, seed=5)
+    _, rechecked = select._init_center_indices(reps, 8, np.random.default_rng(5))
+    assert fields["seeding_rechecked"] == str(rechecked)
+    caplog.clear()
+    # two groups of three equal rows: the second center can only lower d2
+    # on its own group, so the bound settles the first center's group
+    reps = np.repeat([[0.0, 0.0], [1.0, 0.0]], 3, axis=0)
+    _, fields = _kmeans_debug_fields(caplog, reps, 2, seed=5)
+    assert fields["seeding_rechecked"] == "3"
+
+
+def test_kmeans_debug_line_search_rechecked(caplog, monkeypatch):
+    counts = []
+    original = select._nearest
+
+    def recording(points, centers):
+        assign, rechecked = original(points, centers)
+        counts.append(rechecked)
+        return assign, rechecked
+
+    monkeypatch.setattr(select, "_nearest", recording)
+    # small integer rows: many rows tie between centers
+    reps = np.random.default_rng(6).integers(-1, 2, (30, 3)).astype(np.float64)
+    clustering, fields = _kmeans_debug_fields(caplog, reps, 4, seed=6)
+    assert len(counts) == clustering.iterations_run + 1
+    assert sum(counts) > 0
+    assert fields["search_rechecked"] == str(sum(counts))
