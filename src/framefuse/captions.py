@@ -125,12 +125,19 @@ def _records_json_parts(records: list[LongVideoRecord]) -> Iterator[str]:
     num = float.__repr__
     sep = "[\n"
     for rec in records:
-        segments = ",\n".join([
-            f'      {{\n        "caption": {enc(seg.caption)},\n'
-            f'        "end_s": {num(seg.end_s)},\n'
-            f'        "start_s": {num(seg.start_s)}\n      }}'
-            for seg in rec.segments
-        ])
+        lines = []
+        end = end_text = None
+        for seg in rec.segments:
+            # a segment that starts where the last one ended reuses that
+            # boundary's text: equal floats share one repr, except 0.0 and -0.0
+            start_text = end_text if seg.start_s == end and end else num(seg.start_s)
+            end, end_text = seg.end_s, num(seg.end_s)
+            lines.append(
+                f'      {{\n        "caption": {enc(seg.caption)},\n'
+                f'        "end_s": {end_text},\n'
+                f'        "start_s": {start_text}\n      }}'
+            )
+        segments = ",\n".join(lines)
         clip_ids = ",\n      ".join(map(enc, rec.clip_ids))
         yield (
             f'{sep}  {{\n    "clip_ids": [\n      {clip_ids}\n    ],\n'
@@ -231,6 +238,19 @@ def pack_clips(
     and is kept only if it reached min_s. Clips are used at most once;
     clips of max_s or longer are skipped with a warning.
     """
+    return [build_record(group, n_frames=n_frames)
+            for group, _ in _pack_groups(pool, min_s, max_s, seed)]
+
+
+def _pack_groups(
+    pool: list[ClipRecord], min_s: float, max_s: float, seed: int,
+) -> Iterator[tuple[list[ClipRecord], float]]:
+    """The groups :func:`pack_clips` keeps, each with its running total,
+    yielded as each one closes so that warnings and errors keep their order.
+
+    The running total is the same left fold from 0.0 as ``build_record``'s
+    record duration, so the two are bit-identical.
+    """
     if not pool:
         raise ParameterError("clip pool is empty")
     if not (MIN_DURATION_S <= min_s <= max_s <= MAX_DURATION_S):
@@ -241,34 +261,29 @@ def pack_clips(
     rng = np.random.default_rng(seed)
     shuffled = [pool[i] for i in rng.permutation(len(pool))]
 
-    records = []
+    def close(group, total):
+        if total >= min_s:
+            yield group, total
+        elif group:
+            logger.warning(
+                "dropping group of %d clips (%.1fs < %.0fs minimum)",
+                len(group), total, min_s,
+            )
+
     group: list[ClipRecord] = []
     total = 0.0
-
-    def close():
-        nonlocal group, total
-        if group:
-            if total >= min_s:
-                records.append(build_record(group, n_frames=n_frames))
-            else:
-                logger.warning(
-                    "dropping group of %d clips (%.1fs < %.0fs minimum)",
-                    len(group), total, min_s,
-                )
-        group = []
-        total = 0.0
-
     for clip in shuffled:
         if clip.duration_s >= max_s:
             logger.warning("skipping clip %r: %.1fs is not below max %.1fs",
                            clip.id, clip.duration_s, max_s)
             continue
         if total + clip.duration_s > max_s:
-            close()
+            yield from close(group, total)
+            group = []
+            total = 0.0
         group.append(clip)
         total += clip.duration_s
-    close()
-    return records
+    yield from close(group, total)
 
 
 _MANIFEST_KEYS = frozenset(("id", "duration", "caption"))
@@ -336,9 +351,36 @@ def dataset_stats(records: list[LongVideoRecord]) -> dict:
     window) and merged-caption word counts, plus simple means."""
     if not records:
         raise ParameterError("no records to summarize")
-    durations = [r.total_duration_s for r in records]
-    words = [len(r.merged_caption.split()) for r in records]
+    return _summarize([r.total_duration_s for r in records],
+                      [len(r.merged_caption.split()) for r in records])
 
+
+def _packed_sizes(pool: list[ClipRecord], min_s: float, max_s: float,
+                  seed: int) -> tuple[list[float], list[int]]:
+    """The duration and merged-caption word count of each record
+    ``pack_clips(pool, min_s, max_s, seed)`` would build, without building it.
+
+    A merged-caption line is ``"[MM:SS - MM:SS] caption"`` and the labels
+    hold no whitespace, so each clip adds 3 words to its caption's own. A
+    clip too short to move its group's running total raises the error its
+    record would: an empty segment.
+    """
+    durations, words = [], []
+    for group, total in _pack_groups(pool, min_s, max_s, seed):
+        start, n_words = 0.0, 3 * len(group)
+        for clip in group:
+            end = start + clip.duration_s
+            if end <= start:
+                raise ParameterError(f"segment [{start}, {end}) is empty")
+            start = end
+            n_words += len(clip.caption.split())
+        durations.append(total)
+        words.append(n_words)
+    return durations, words
+
+
+def _summarize(durations: list[float], words: list[int]) -> dict:
+    """:func:`dataset_stats` of records with these durations and word counts."""
     duration_hist = []
     lo = MIN_DURATION_S
     while lo < MAX_DURATION_S:
@@ -360,7 +402,7 @@ def dataset_stats(records: list[LongVideoRecord]) -> dict:
         words_hist.append({"lo": lo_w, "hi": hi_w, "count": count})
 
     return {
-        "count": len(records),
+        "count": len(durations),
         "mean_duration_s": sum(durations) / len(durations),
         "mean_caption_words": sum(words) / len(words),
         "duration_hist": duration_hist,

@@ -1,6 +1,6 @@
 """Command-line front end: gen, select, compress, bench, synth.
 
-Every command is reproducible from its flags plus --seed; primary output
+Every command is reproducible from its inputs and flags; primary output
 files are written atomically and byte-identical across reruns. Exit codes:
 0 success, 1 runtime or validation error, 2 usage error.
 """
@@ -16,7 +16,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .captions import _records_json_parts, dataset_stats, load_clip_manifest, pack_clips
+from .captions import (
+    DEFAULT_RECORD_FRAMES,
+    _packed_sizes,
+    _records_json_parts,
+    _summarize,
+    load_clip_manifest,
+    pack_clips,
+)
 from .errors import FormatError, FrameFuseError, ParameterError
 from .features import (
     FrameFeatures,
@@ -166,15 +173,19 @@ def cmd_bench(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.stats and args.frames is not None:
+        raise _UsageError("--stats does not use --frames")
     pool = load_clip_manifest(args.manifest)
-    records = pack_clips(
-        pool, min_s=args.min_s, max_s=args.max_s, seed=args.seed, n_frames=args.frames,
-    )
     if args.stats:
-        if not records:
+        # the summary needs each record's duration and word count, not the record
+        durations, words = _packed_sizes(pool, args.min_s, args.max_s, args.seed)
+        if not durations:
             raise FrameFuseError("no records produced; nothing to summarize")
-        _emit_json(dataset_stats(records), args.output)
+        _emit_json(_summarize(durations, words), args.output)
         return 0
+    n_frames = DEFAULT_RECORD_FRAMES if args.frames is None else args.frames
+    records = pack_clips(pool, min_s=args.min_s, max_s=args.max_s, seed=args.seed,
+                         n_frames=n_frames)
     _emit_text(_records_json_parts(records), args.output)
     print(f"packed {len(pool)} clips into {len(records)} records", file=sys.stderr)
     return 0
@@ -188,11 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output_required=False):
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    def common(p, output_required=False, seed=True, table=False):
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         p.add_argument("-o", "--output", required=output_required,
                        help="output path" + ("" if output_required else " (default stdout)"))
-        p.add_argument("--format", choices=("json", "table"), default="json")
+        if table:
+            p.add_argument("--format", choices=("json", "table"), default="json")
 
     p = sub.add_parser("gen", help="generate a synthetic feature tensor (FVT1)")
     p.add_argument("--frames", type=int, required=True, help="number of frames")
@@ -213,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default similar)")
     p.add_argument("--max-iters", type=int, help="kmeans: Lloyd iterations (default 100)")
     p.add_argument("--tol", type=float, help="kmeans: center shift to stop at (default 1e-6)")
-    common(p)
+    common(p, table=True)
     p.set_defaults(func=cmd_select, seed=None)
 
     p = sub.add_parser("compress", help="compress a feature tensor to k merged frames")
@@ -231,15 +244,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run compression configs and report quality/timing")
     p.add_argument("input", help="FVT1 feature file")
     p.add_argument("--configs", required=True, help="JSON array of compression configs")
-    common(p)
+    common(p, seed=False, table=True)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("synth", help="pack a clip manifest into long-video records")
     p.add_argument("manifest", help="JSON array of {id, duration, caption}")
     p.add_argument("--min-s", type=float, default=300.0, help="minimum record seconds")
     p.add_argument("--max-s", type=float, default=1800.0, help="maximum record seconds")
-    p.add_argument("--frames", type=int, default=32,
-                   help="frame count in each record's instruction string")
+    p.add_argument("--frames", type=int,
+                   help="frame count in each record's instruction string "
+                        f"(default {DEFAULT_RECORD_FRAMES}; not with --stats)")
     p.add_argument("--stats", action="store_true",
                    help="emit duration/caption histograms instead of records")
     common(p)

@@ -85,13 +85,6 @@ class SceneSet:
             "warnings": list(self.warnings),
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SceneSet":
-        scenes = tuple(
-            Scene(s["representative"], tuple(s["members"])) for s in doc["scenes"]
-        )
-        return cls(scenes=scenes, r=int(doc["r"]), warnings=tuple(doc.get("warnings", ())))
-
 
 @dataclass(frozen=True, eq=False)
 class Clustering:

@@ -287,6 +287,20 @@ def test_records_json_long_reprs_and_empty():
     assert _records_json(records) == _oracle(records)
 
 
+def test_records_json_boundaries_that_are_close_but_not_equal():
+    # the validator allows a gap of up to 1e-6 between segments, so the
+    # writer may reuse a boundary's text only where the floats are equal;
+    # 0.0 == -0.0, but their reprs differ
+    segments = (Segment(-5e-7, 0.0, "a"), Segment(-0.0, 100.0, "b"),
+                Segment(100.0 + 5e-7, 250.0, "c"), Segment(250.0 - 3e-7, 250.5, "d"),
+                Segment(250.5, 400.0, "e"))
+    rec = LongVideoRecord(clip_ids=tuple("abcde"), total_duration_s=400.0, segments=segments,
+                          merged_caption="abcde", instruction="i")
+    text = _records_json([rec])
+    assert text == _oracle([rec])
+    assert '"start_s": -0.0' in text and '"start_s": 100.0000005' in text
+
+
 def test_build_record_labels_each_boundary_once(monkeypatch):
     import framefuse.captions as captions
 

@@ -6,8 +6,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from framefuse import load_features
+from framefuse import ParameterError, load_features
 from framefuse.cli import main
 
 
@@ -458,3 +459,119 @@ def test_select_explicit_kmeans_defaults_match_omitted_flags(tmp_path, capsys):
         assert explicit == omitted
     code, bsm, _ = run(base + ["--method", "bsm"], capsys)
     assert code == 0 and json.loads(bsm)["k"] == 6
+
+
+# -- synth --stats summarizes the packed groups without building records ------
+
+def _stats_oracle(manifest, min_s, max_s, seed):
+    """(exit code, stdout, stderr) of `synth --stats`, from the records."""
+    from framefuse import dataset_stats, load_clip_manifest, pack_clips
+
+    try:
+        records = pack_clips(load_clip_manifest(manifest), min_s, max_s, seed)
+    except ParameterError as exc:
+        return 1, "", f"error: {exc}\n"
+    if not records:
+        return 1, "", "error: no records produced; nothing to summarize\n"
+    return 0, json.dumps(dataset_stats(records), indent=2, sort_keys=True) + "\n", ""
+
+
+# str.split() whitespace that is neither the space nor the newline the merged
+# caption joins with
+_WHITESPACE = ["\t", "\r", "\x0b", "\x1c", "\x85", "\xa0", "\u3000", " ", "\n"]
+_WINDOWS = [(300.0, 1800.0), (300.0, 600.0), (450.5, 700.25), (900.0, 1000.0), (1500.0, 1800.0)]
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    clips=st.lists(st.tuples(
+        # clips of max_s or longer are skipped; a third of a second never
+        # sums exactly
+        st.one_of(st.floats(5.0, 400.0), st.floats(5.0, 400.0),
+                  st.sampled_from([600.0, 1800.0, 2500.0, 20 + 1 / 3])),
+        st.text(alphabet=st.one_of(st.sampled_from(_WHITESPACE), st.sampled_from("ab"),
+                                   st.characters()), min_size=1, max_size=10),
+    ), min_size=1, max_size=60),
+    # a clip too short to move a running total: its record has an empty segment
+    tiny=st.booleans(),
+    window=st.sampled_from(_WINDOWS),
+    seed=st.integers(0, 2**16),
+)
+def test_synth_stats_equal_the_stats_of_the_records(tmp_path, capsys, clips, tiny, window,
+                                                   seed):
+    if tiny:
+        clips = clips + [(1e-300, "tiny")]
+    manifest = tmp_path / "clips.json"
+    manifest.write_text(json.dumps([
+        {"id": f"c{i}", "duration": duration, "caption": caption}
+        for i, (duration, caption) in enumerate(clips)
+    ]))
+    min_s, max_s = window
+    expected = _stats_oracle(manifest, min_s, max_s, seed)
+    got = run(["synth", str(manifest), "--stats", "--seed", str(seed),
+               "--min-s", repr(min_s), "--max-s", repr(max_s)], capsys)
+    assert got == expected
+
+
+def test_synth_stats_does_not_build_records(tmp_path, capsys, monkeypatch):
+    import framefuse.captions as captions
+
+    manifest = tmp_path / "clips.json"
+    write_manifest(manifest, n=300, duration=47.0)
+    expected = _stats_oracle(manifest, 300.0, 1800.0, 2)
+    assert expected[0] == 0
+
+    def no_records(*args, **kwargs):
+        raise AssertionError("synth --stats built a record")
+
+    monkeypatch.setattr(captions, "build_record", no_records)
+    assert run(["synth", str(manifest), "--stats", "--seed", "2"], capsys) == expected
+    out = tmp_path / "stats.json"
+    code, _, stderr = run(["synth", str(manifest), "--stats", "--seed", "2", "-o", str(out)],
+                          capsys)
+    assert code == 0, stderr
+    assert out.read_text() == expected[1]
+
+
+def test_synth_stats_keeps_the_records_empty_segment_error(tmp_path, capsys):
+    manifest = tmp_path / "clips.json"
+    manifest.write_text(json.dumps([{"id": "a", "duration": 400.0, "caption": "x"},
+                                    {"id": "b", "duration": 1e-300, "caption": "y"}]))
+    for extra in ([], ["--stats"]):
+        code, stdout, stderr = run(["synth", str(manifest), *extra], capsys)
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: segment [400.0, 400.0) is empty\n"
+
+
+def test_synth_stats_rejects_frames(tmp_path, capsys):
+    out = tmp_path / "stats.json"
+    code, stdout, stderr = run(["synth", str(tmp_path / "missing.json"), "--stats",
+                                "--frames", "32", "-o", str(out)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == "usage error: --stats does not use --frames\n"
+    assert not out.exists()
+
+
+def test_synth_unset_frames_means_the_default(tmp_path, capsys):
+    manifest = tmp_path / "clips.json"
+    write_manifest(manifest, n=60, duration=47.0)
+    omitted = run(["synth", str(manifest), "--seed", "1"], capsys)
+    assert omitted[0] == 0
+    assert run(["synth", str(manifest), "--seed", "1", "--frames", "32"], capsys) == omitted
+
+
+@pytest.mark.parametrize("argv, ignored", [
+    (["gen", "--frames", "12", "-o", "f.fvt"], ["--format", "json"]),
+    (["compress", "f.fvt", "--k", "2", "--r", "1", "-o", "c.fvt"], ["--format", "table"]),
+    (["synth", "clips.json"], ["--format", "json"]),
+    (["bench", "f.fvt", "--configs", "configs.json"], ["--seed", "1"]),
+], ids=["gen", "compress", "synth", "bench"])
+def test_flags_a_command_would_ignore_exit_2(tmp_path, capsys, monkeypatch, argv, ignored):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ignored)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(ignored)}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
