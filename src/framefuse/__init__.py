@@ -13,23 +13,17 @@ from .features import (
     load_features,
     planted_block_labels,
     save_features,
-    uniform_sample_indices,
 )
 from .select import (
     Clustering,
     Scene,
     SceneSet,
-    cosine_similarity,
     kmeans,
     representative_features,
-    representative_indices,
     select_scenes_bsm,
     select_scenes_kmeans,
-    select_supplements,
 )
 from .merge import (
-    AttnProjections,
-    SizedTokens,
     attention_pool,
     attention_weights,
     attn_projections,
@@ -38,7 +32,6 @@ from .merge import (
     fusion,
     fusion_gradient,
     fusion_init,
-    fusion_loss,
     merge_scene,
     temporal_average,
 )
@@ -46,25 +39,20 @@ from .pipeline import (
     CompressConfig,
     bench,
     compress,
-    group_uniform_scenes,
     reconstruction_proxy,
 )
 from .captions import (
     ClipRecord,
     LongVideoRecord,
     Segment,
-    build_record,
     dataset_stats,
     load_clip_manifest,
     pack_clips,
-    render_frame_instruction,
-    sample_timestamps,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttnProjections",
     "ClipRecord",
     "Clustering",
     "CompressConfig",
@@ -76,24 +64,19 @@ __all__ = [
     "Scene",
     "SceneSet",
     "Segment",
-    "SizedTokens",
     "SyntheticSpec",
     "attention_pool",
     "attention_weights",
     "attn_projections",
     "bench",
     "bsm_merge",
-    "build_record",
     "compress",
-    "cosine_similarity",
     "dataset_stats",
     "fit_fusion_weights",
     "fusion",
     "fusion_gradient",
     "fusion_init",
-    "fusion_loss",
     "generate_synthetic",
-    "group_uniform_scenes",
     "kmeans",
     "load_clip_manifest",
     "load_features",
@@ -101,14 +84,9 @@ __all__ = [
     "pack_clips",
     "planted_block_labels",
     "reconstruction_proxy",
-    "render_frame_instruction",
     "representative_features",
-    "representative_indices",
-    "sample_timestamps",
     "save_features",
     "select_scenes_bsm",
     "select_scenes_kmeans",
-    "select_supplements",
     "temporal_average",
-    "uniform_sample_indices",
 ]

@@ -100,13 +100,6 @@ class LongVideoRecord:
         }
 
 
-def _records_json(records: list[LongVideoRecord]) -> str:
-    """The text of ``json.dumps([r.to_dict() for r in records], indent=2,
-    sort_keys=True)``, byte for byte: the pieces of :func:`_records_json_parts`
-    joined."""
-    return "".join(_records_json_parts(records))
-
-
 def _records_json_parts(records: list[LongVideoRecord]) -> Iterator[str]:
     """The text of ``json.dumps([r.to_dict() for r in records], indent=2,
     sort_keys=True)``, one record at a time, written for this one schema.
@@ -236,8 +229,11 @@ def pack_clips(
     Greedy single pass over a seeded shuffle: a group accumulates clips
     while the next clip still fits under max_s, closes when it would not,
     and is kept only if it reached min_s. Clips are used at most once;
-    clips of max_s or longer are skipped with a warning.
+    clips of max_s or longer are skipped with a warning. An *n_frames*
+    below 1 is rejected before any clip is packed or any warning logged.
     """
+    if n_frames < 1:
+        raise ParameterError(f"sample count must be >= 1, got {n_frames}")
     return [build_record(group, n_frames=n_frames)
             for group, _ in _pack_groups(pool, min_s, max_s, seed)]
 

@@ -24,9 +24,8 @@ from .captions import (
     load_clip_manifest,
     pack_clips,
 )
-from .errors import FormatError, FrameFuseError, ParameterError
+from .errors import FormatError, FrameFuseError
 from .features import (
-    FrameFeatures,
     SyntheticSpec,
     generate_synthetic,
     load_features,
@@ -41,10 +40,6 @@ from .select import SUPPLEMENT_MODES, select_scenes_bsm, select_scenes_kmeans
 
 class _UsageError(Exception):
     """Bad command usage discovered after argparse (exit code 2)."""
-
-
-def _write_json(path: Path, obj) -> None:
-    _atomic_write(path, [(json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def _emit_json(obj, output: str | None) -> None:
@@ -151,9 +146,8 @@ def cmd_bench(args) -> int:
         raise _UsageError(f"{args.configs}: config list is empty")
     configs = [CompressConfig.from_dict(entry) for entry in doc]
     report = bench(features, configs)
-    if args.output:
-        _write_json(Path(args.output), report)
-        print(f"wrote {args.output}")
+    if args.output or args.format == "json":
+        _emit_json(report, args.output)
     if args.format == "table":
         rows = [
             {
@@ -167,8 +161,6 @@ def cmd_bench(args) -> int:
             for r in report
         ]
         print(_table(rows, ["selection", "merging", "in", "out", "wall_ms", "recon_mse"]))
-    elif not args.output:
-        print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 

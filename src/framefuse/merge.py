@@ -72,17 +72,12 @@ def fusion_gradient(scene: np.ndarray, weights: np.ndarray,
         raise ParameterError(
             f"upstream shape {upstream.shape} does not match output shape {scene.shape[1:]}"
         )
-    return upstream[None, :, :] * scene
+    return _weight_gradient(scene, upstream)
 
 
-def fusion_loss(scenes: list[np.ndarray], targets: list[np.ndarray],
-                weights: np.ndarray) -> float:
-    """Mean over scenes of the half squared error of fusion vs target."""
-    total = 0.0
-    for scene, target in zip(scenes, targets):
-        resid = fusion(scene, weights) - np.asarray(target, dtype=np.float64)
-        total += 0.5 * float((resid * resid).sum())
-    return total / len(scenes)
+def _weight_gradient(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    # x (..., s, L, D) and upstream (..., L, D): upstream times every frame
+    return upstream[..., None, :, :] * x
 
 
 def fit_fusion_weights(
@@ -94,10 +89,17 @@ def fit_fusion_weights(
 ):
     """Fit fusion weights to (scene, target) pairs by gradient descent.
 
-    Starts from the uniform init and returns the best iterate seen; with a
-    stable learning rate (at most 1 over the largest per-coordinate
-    sum of squared frame values) the loss is non-increasing and the best
-    iterate is the last. Set *return_history* for the per-step losses.
+    The loss is the mean over scenes of the half squared error
+    0.5 * ||fusion(scene, w) - target||^2. Starts from the uniform init and
+    returns the best iterate seen; with a stable learning rate (at most 1
+    over the largest per-coordinate sum of squared frame values) the loss
+    is non-increasing and the best iterate is the last. Set
+    *return_history* for the per-step losses.
+
+    The scenes are checked once and stacked into a (c, s, L, D) batch.
+    Each step takes every residual from one :func:`merge_scenes` pass and
+    the gradient from the formula :func:`fusion_gradient` uses, summed
+    over the scenes.
     """
     if not scenes or len(scenes) != len(targets):
         raise ParameterError("scenes and targets must be nonempty lists of equal length")
@@ -113,22 +115,26 @@ def fit_fusion_weights(
             raise ParameterError(f"scene shape {sc.shape} differs from {shape}")
         if t.shape != shape[1:]:
             raise ParameterError(f"target shape {t.shape} does not match {shape[1:]}")
+    n = len(scenes)
+    x, t = np.stack(scenes), np.stack(targets)
+    del scenes, targets  # the steps read only the stacks
+
+    def residual_and_loss(w):
+        resid = merge_scenes(x, "fusion", w) - t
+        # each scene's error is summed on its own, then added in scene order
+        return resid, sum(0.5 * float(r.sum()) for r in resid * resid) / n
 
     w = fusion_init(*shape)
-    best_w = w.copy()
-    best_loss = fusion_loss(scenes, targets, w)
+    resid, best_loss = residual_and_loss(w)
+    best_w = w
     history = [best_loss]
-    n = len(scenes)
     for _ in range(steps):
-        grad = np.zeros_like(w)
-        for scene, target in zip(scenes, targets):
-            grad += fusion_gradient(scene, w, fusion(scene, w) - target)
-        w = w - (lr / n) * grad
-        loss = fusion_loss(scenes, targets, w)
+        w = w - (lr / n) * _weight_gradient(x, resid).sum(axis=0)
+        resid, loss = residual_and_loss(w)
         history.append(loss)
         if loss < best_loss:
             best_loss = loss
-            best_w = w.copy()
+            best_w = w
     if return_history:
         return best_w, history
     return best_w
@@ -207,18 +213,6 @@ class SizedTokens:
 
     tokens: np.ndarray
     sizes: np.ndarray
-
-    def __post_init__(self):
-        tokens = np.asarray(self.tokens, dtype=np.float64)
-        sizes = np.asarray(self.sizes, dtype=np.int64)
-        if tokens.ndim != 2 or sizes.shape != (tokens.shape[0],):
-            raise ParameterError(
-                f"tokens {tokens.shape} and sizes {sizes.shape} are inconsistent"
-            )
-        if np.any(sizes < 1):
-            raise ParameterError("token sizes must be positive")
-        object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "sizes", sizes)
 
 
 def _pair_merge(tok: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray]:
@@ -306,7 +300,17 @@ def merge_scenes(
     seed: int = 0,
 ) -> np.ndarray:
     """Merge a batch of scenes, shape (c, s, n_patches, dim), to (c,
-    n_patches, dim) float64. See :func:`merge_scene` for the strategies.
+    n_patches, dim) float64 with the named strategy.
+
+    - ``tavg``: the unweighted mean over the scene's frames.
+    - ``fusion``: the per-frame, per-patch, per-dim weighted sum over the
+      frames, with *weights* or the uniform init 1/s.
+    - ``attnpool``: the per-patch attention-weighted sum of the frames (see
+      :func:`attention_weights`), with *proj* or seed-derived projections.
+    - ``bsm``: the scene is flattened patch-major, so each patch's
+      temporal copies land in alternating partitions; its s*n_patches
+      tokens are pair-merged down to n_patches (see :func:`bsm_merge`) and
+      reshaped.
 
     Trusts its input: finite values of any float dtype and, for
     ``fusion``, float64 *weights* of shape (s, n_patches, dim) or None.
@@ -341,13 +345,9 @@ def merge_scene(
     proj: AttnProjections | None = None,
     seed: int = 0,
 ) -> np.ndarray:
-    """Collapse a scene to one (n_patches, dim) map with the named strategy.
-
-    ``fusion`` uses *weights* or the uniform init; ``attnpool`` uses *proj*
-    or seed-derived projections; ``bsm`` flattens the scene patch-major so
-    each patch's temporal copies land in alternating partitions, merges
-    s*n_patches tokens down to n_patches, and reshapes.
-    """
+    """Collapse a scene (s, n_patches, dim) to one (n_patches, dim) map
+    with a strategy of :func:`merge_scenes`, after checking the scene and
+    any fusion *weights*."""
     scene = _as_scene(scene)
     if strategy == "fusion" and weights is not None:
         weights = fusion_weights_for(weights, scene.shape)

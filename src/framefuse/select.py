@@ -101,17 +101,6 @@ def representative_features(features: FrameFeatures) -> np.ndarray:
     return features.data.mean(axis=1, dtype=np.float64)
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors; requires nonzero norms."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ParameterError("cosine similarity undefined for zero-norm input")
-    return float(a @ b) / (na * nb)
-
-
 # Bytes of the (rows, m, dim) float64 difference block that pairwise_sqdist
 # works on at a time (at least one row). Small blocks stay in the CPU cache:
 # at 512 x 48 x 1024, 1 MiB blocks took 58 ms, 16 MiB blocks 120 ms and the
@@ -336,14 +325,6 @@ def kmeans(
                       iterations_run=iterations)
 
 
-def representative_indices(reps: np.ndarray, clustering: Clustering) -> list[int]:
-    """Frame nearest each cluster center, deduplicated and sorted ascending."""
-    reps = np.asarray(reps, dtype=np.float64)
-    # (c - p)**2 equals (p - c)**2 exactly; ties break to the lowest frame index
-    nearest, _ = _nearest(clustering.centers, reps)
-    return sorted({int(i) for i in nearest})
-
-
 def _distinct_representatives(reps: np.ndarray, centers: np.ndarray) -> list[int]:
     """One distinct frame per center, sorted ascending.
 
@@ -438,6 +419,18 @@ def select_supplements(
     return SceneSet(scenes=tuple(scenes), r=r, warnings=tuple(warnings))
 
 
+def _check_scene_budget(n: int, k: int, r: int) -> None:
+    """Reject a k, r pair that cannot give k disjoint scenes of r+1 of n frames."""
+    if k < 1:
+        raise ParameterError(f"scene count k must be >= 1, got {k}")
+    if r < 0:
+        raise ParameterError(f"supplement count r must be >= 0, got {r}")
+    if k * (r + 1) > n:
+        raise ParameterError(
+            f"cannot form {k} disjoint scenes of {r + 1} frames from {n} frames"
+        )
+
+
 def select_scenes_kmeans(
     features: FrameFeatures,
     k: int,
@@ -448,15 +441,7 @@ def select_scenes_kmeans(
     mode: str = "similar",
 ) -> SceneSet:
     """Cluster representative features and grow each center into a scene."""
-    n = features.n_frames
-    if k < 1:
-        raise ParameterError(f"scene count k must be >= 1, got {k}")
-    if r < 0:
-        raise ParameterError(f"supplement count r must be >= 0, got {r}")
-    if k * (r + 1) > n:
-        raise ParameterError(
-            f"cannot form {k} disjoint scenes of {r + 1} frames from {n} frames"
-        )
+    _check_scene_budget(features.n_frames, k, r)
     reps = representative_features(features)
     clustering = kmeans(reps, k, max_iters=max_iters, tol=tol, seed=seed)
     rep_idx = _distinct_representatives(reps, clustering.centers)
@@ -501,14 +486,7 @@ def select_scenes_bsm(features: FrameFeatures, k: int, r: int) -> SceneSet:
     per segment, the r+1 frames touched by the most similar cross-partition
     pairs (segment frames alternate between the two partitions)."""
     n = features.n_frames
-    if k < 1:
-        raise ParameterError(f"scene count k must be >= 1, got {k}")
-    if r < 0:
-        raise ParameterError(f"supplement count r must be >= 0, got {r}")
-    if k * (r + 1) > n:
-        raise ParameterError(
-            f"cannot form {k} disjoint scenes of {r + 1} frames from {n} frames"
-        )
+    _check_scene_budget(n, k, r)
     reps = representative_features(features)
     scenes = []
     for segment in np.array_split(np.arange(n), k):

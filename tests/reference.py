@@ -2,11 +2,12 @@
 
 These are the original per-scene forms: every scene is validated and
 upcast to float64 on its own, merged in its own call, and the merged maps
-are stacked, and Lloyd clustering with every distance in the direct
+are stacked; the fusion fitter that re-checks and merges every scene in
+every step; and Lloyd clustering with every distance in the direct
 form sum((p - c)**2). They are kept here, unoptimised, as the oracle for
-the batched merge engine, the chunked distance helper, the nearest-center
-search, the bounded k-means++ seeding and the choice of one distinct
-frame per center.
+the batched merge engine, the batched fusion fitter, the chunked distance
+helper, the nearest-center search, the bounded k-means++ seeding and the
+choice of one distinct frame per center.
 """
 
 import math
@@ -18,11 +19,11 @@ from framefuse import (
     FrameFeatures,
     ParameterError,
     attn_projections,
-    group_uniform_scenes,
     select_scenes_bsm,
     select_scenes_kmeans,
-    uniform_sample_indices,
 )
+from framefuse.features import uniform_sample_indices
+from framefuse.pipeline import group_uniform_scenes
 
 
 def as_scene(scene):
@@ -48,6 +49,39 @@ def fusion(scene, weights):
             f"weights shape {weights.shape} does not match scene shape {scene.shape}"
         )
     return (scene * weights).sum(axis=0)
+
+
+def fusion_loss(scenes, targets, weights):
+    """Mean over scenes of the half squared error of fusion vs target."""
+    total = 0.0
+    for scene, target in zip(scenes, targets):
+        resid = fusion(scene, weights) - np.asarray(target, dtype=np.float64)
+        total += 0.5 * float((resid * resid).sum())
+    return total / len(scenes)
+
+
+def fit_fusion_weights(scenes, targets, lr, steps):
+    """Gradient descent scene by scene from the uniform init; returns the
+    best iterate and the per-step losses."""
+    scenes = [as_scene(sc) for sc in scenes]
+    targets = [np.asarray(t, dtype=np.float64) for t in targets]
+    s, n_patches, dim = scenes[0].shape
+    w = np.full((s, n_patches, dim), 1.0 / s, dtype=np.float64)
+    best_w = w.copy()
+    best_loss = fusion_loss(scenes, targets, w)
+    history = [best_loss]
+    n = len(scenes)
+    for _ in range(steps):
+        grad = np.zeros_like(w)
+        for scene, target in zip(scenes, targets):
+            grad += (fusion(scene, w) - target)[None, :, :] * scene
+        w = w - (lr / n) * grad
+        loss = fusion_loss(scenes, targets, w)
+        history.append(loss)
+        if loss < best_loss:
+            best_loss = loss
+            best_w = w.copy()
+    return best_w, history
 
 
 def attention_weights(scene, proj):

@@ -15,14 +15,17 @@ from framefuse import (
     LongVideoRecord,
     ParameterError,
     Segment,
-    build_record,
     dataset_stats,
     load_clip_manifest,
     pack_clips,
+)
+from framefuse.captions import (
+    _records_json_parts,
+    build_record,
+    format_mmss,
     render_frame_instruction,
     sample_timestamps,
 )
-from framefuse.captions import _records_json, format_mmss
 
 
 def make_pool(n, duration=60.0):
@@ -262,6 +265,10 @@ _duration = st.one_of(
     st.sampled_from([1 / 3 + 20, 0.1 + 0.2, 61.0, 47.0, 1e-3 + 30, 99.99999999999]),
     st.floats(min_value=1e-9, max_value=1799.0, allow_nan=False, allow_infinity=False),
 )
+
+
+def _records_json(records):
+    return "".join(_records_json_parts(records))
 
 
 def _oracle(records):

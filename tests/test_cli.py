@@ -349,7 +349,7 @@ def test_compress_of_a_long_file_holds_its_sample_not_the_file(tmp_path, capsys)
     assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
     # loading the whole file would break the bound several times over
     assert n_frames * n_patches * dim * 4 > 4 * bound
-    from framefuse import uniform_sample_indices
+    from framefuse.features import uniform_sample_indices
 
     ts = load_features(out).frame_timestamps
     assert len(ts) == 32
@@ -560,6 +560,20 @@ def test_synth_unset_frames_means_the_default(tmp_path, capsys):
     omitted = run(["synth", str(manifest), "--seed", "1"], capsys)
     assert omitted[0] == 0
     assert run(["synth", str(manifest), "--seed", "1", "--frames", "32"], capsys) == omitted
+
+
+@pytest.mark.parametrize("n_clips, frames", [(3, "0"), (40, "0"), (40, "-2")])
+def test_synth_rejects_frames_below_1_before_packing(tmp_path, capsys, caplog, n_clips, frames):
+    # 3 clips of 60 s pack into no record and 40 into two; both are
+    # rejected before a clip is packed or a warning logged
+    manifest = tmp_path / "clips.json"
+    write_manifest(manifest, n=n_clips)
+    with caplog.at_level("WARNING", logger="framefuse.captions"):
+        code, stdout, stderr = run(["synth", str(manifest), "--frames", frames], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"error: sample count must be >= 1, got {frames}\n"
+    assert caplog.records == []
 
 
 @pytest.mark.parametrize("argv, ignored", [

@@ -284,7 +284,7 @@ def _write_raw(path, data, timestamps=None):
 
 @pytest.mark.parametrize("n", [1, 3, 7, 10])
 def test_sampled_load_keeps_the_uniform_sample(tmp_path, n):
-    from framefuse import uniform_sample_indices
+    from framefuse.features import uniform_sample_indices
 
     data = np.random.default_rng(3).standard_normal((10, 3, 5)).astype(np.float32)
     ts = tuple(0.5 * i for i in range(10))

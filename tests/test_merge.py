@@ -14,7 +14,6 @@ from framefuse import (
     fusion,
     fusion_gradient,
     fusion_init,
-    fusion_loss,
     merge_scene,
     temporal_average,
 )
@@ -334,12 +333,16 @@ def test_merge_strategies_dim_permutation_equivariance():
     assert np.allclose(b, a[:, perm], atol=1e-10)
 
 
-def test_fusion_loss_helper_matches_definition():
+def test_fit_history_matches_loss_definition():
+    # history[0] is the loss at the uniform init: the mean over scenes of
+    # the half squared error of fusion vs target
     rng = np.random.default_rng(27)
     scenes = [random_scene(rng) for _ in range(2)]
     targets = [rng.standard_normal(scenes[0].shape[1:]) for _ in range(2)]
-    w = rng.standard_normal(scenes[0].shape)
+    w0 = fusion_init(*scenes[0].shape)
     want = np.mean(
-        [0.5 * float(((fusion(sc, w) - t) ** 2).sum()) for sc, t in zip(scenes, targets)]
+        [0.5 * float(((fusion(sc, w0) - t) ** 2).sum()) for sc, t in zip(scenes, targets)]
     )
-    assert fusion_loss(scenes, targets, w) == pytest.approx(want)
+    w, hist = fit_fusion_weights(scenes, targets, lr=0.01, steps=0, return_history=True)
+    assert hist == [pytest.approx(want)]
+    assert w.tobytes() == w0.tobytes()

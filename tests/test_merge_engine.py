@@ -1,6 +1,6 @@
 """The batched merge engine against the per-scene reference in
-``reference.py``: compress and every per-scene wrapper, on random and
-degenerate inputs. tavg, fusion and bsm must match exactly. attnpool
+``reference.py``: compress, every per-scene wrapper and the fusion fitter,
+on random and degenerate inputs. tavg, fusion and bsm must match exactly. attnpool
 regroups its scores as q.(wq.wk^T).x^T, which rounds differently, so it
 must match within ATTNPOOL_TOL."""
 
@@ -20,6 +20,7 @@ from framefuse import (
     attn_projections,
     bsm_merge,
     compress,
+    fit_fusion_weights,
     fusion,
     merge_scene,
     temporal_average,
@@ -157,6 +158,65 @@ def test_per_scene_wrappers_match_reference(seed, s, n_patches, dim, kind):
          reference.merge_scene(scene, "attnpool", seed=seed % 7)),
     ):
         assert np.abs(got - want).max() <= ATTNPOOL_TOL
+
+
+def _assert_same_fit(scenes, targets, lr, steps):
+    w, history = fit_fusion_weights(scenes, targets, lr=lr, steps=steps, return_history=True)
+    want_w, want_history = reference.fit_fusion_weights(scenes, targets, lr, steps)
+    assert w.tobytes() == want_w.tobytes()
+    assert np.array(history).tobytes() == np.array(want_history).tobytes()
+    return history
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    c=st.integers(1, 4),
+    s=st.integers(1, 3),
+    n_patches=st.integers(1, 4),
+    dim=st.integers(1, 5),
+    kind=st.sampled_from(["random", "duplicates", "zeros", "all-zero"]),
+    steps=st.sampled_from([0, 1, 5]),
+    lr_scale=st.sampled_from([0.5, 1.0, 4.0]),
+)
+def test_fit_fusion_weights_equals_reference(seed, c, s, n_patches, dim, kind, steps,
+                                              lr_scale):
+    # lr_scale above 1 is past the stable learning rate
+    rng = np.random.default_rng(seed)
+    scenes = [_frames(rng, s, n_patches, dim, kind) for _ in range(c)]
+    targets = [rng.uniform(-4.0, 4.0, (n_patches, dim)) for _ in range(c)]
+    bound = max(float((sc * sc).sum(axis=0).max()) for sc in scenes)
+    lr = lr_scale / bound if bound > 0 else lr_scale
+    _assert_same_fit(scenes, targets, lr, steps)
+
+
+def test_fit_fusion_weights_unstable_lr_equals_reference():
+    # the loss falls for two steps and then grows, so the best iterate is
+    # neither the init nor the last
+    rng = np.random.default_rng(11)
+    scenes = [rng.standard_normal((3, 2, 4)) for _ in range(5)]
+    targets = [sc[0] for sc in scenes]
+    bound = max(float((sc * sc).sum(axis=0).max()) for sc in scenes)
+    history = _assert_same_fit(scenes, targets, 8.0 / bound, 5)
+    assert 0 < int(np.argmin(history)) < len(history) - 1
+
+
+def test_fit_fusion_weights_validates_each_scene_once(monkeypatch):
+    from framefuse import merge
+
+    calls = []
+    real = merge._as_scene
+
+    def counting(scene):
+        calls.append(np.shape(scene))
+        return real(scene)
+
+    monkeypatch.setattr(merge, "_as_scene", counting)
+    rng = np.random.default_rng(12)
+    scenes = [rng.standard_normal((2, 3, 4)) for _ in range(4)]
+    targets = [rng.standard_normal((3, 4)) for _ in range(4)]
+    fit_fusion_weights(scenes, targets, lr=0.01, steps=6)
+    assert calls == [(2, 3, 4)] * 4
 
 
 def test_compress_validates_once_and_builds_no_sampled_copy(monkeypatch):

@@ -12,13 +12,13 @@ from framefuse import (
     compress,
     fusion_init,
     generate_synthetic,
-    group_uniform_scenes,
     planted_block_labels,
     reconstruction_proxy,
     representative_features,
     select_scenes_kmeans,
-    uniform_sample_indices,
 )
+from framefuse.features import uniform_sample_indices
+from framefuse.pipeline import group_uniform_scenes
 
 
 def test_uniform_sample_identity():

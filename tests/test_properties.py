@@ -15,12 +15,12 @@ from framefuse import (
     fusion,
     fusion_init,
     load_features,
-    render_frame_instruction,
     save_features,
     select_scenes_bsm,
     select_scenes_kmeans,
     temporal_average,
 )
+from framefuse.captions import render_frame_instruction
 
 finite32 = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False, width=32

@@ -11,18 +11,15 @@ from framefuse import (
     ParameterError,
     SceneSet,
     SyntheticSpec,
-    cosine_similarity,
     generate_synthetic,
     kmeans,
     planted_block_labels,
     representative_features,
-    representative_indices,
     select_scenes_bsm,
     select_scenes_kmeans,
-    select_supplements,
 )
 from framefuse import select
-from framefuse.select import Scene, nearest_centers, pairwise_sqdist
+from framefuse.select import Scene, nearest_centers, pairwise_sqdist, select_supplements
 
 
 def scene_sizes(scene_set):
@@ -138,7 +135,7 @@ def test_representative_indices_zero_noise_blocks():
     f = generate_synthetic(spec)
     reps = representative_features(f)
     labels = planted_block_labels(spec)
-    idx = representative_indices(reps, kmeans(reps, 2, seed=3))
+    idx = select._distinct_representatives(reps, kmeans(reps, 2, seed=3).centers)
     assert len(idx) == 2
     assert {labels[i] for i in idx} == {0, 1}
 
@@ -147,7 +144,7 @@ def test_representative_indices_m1_exhaustive_scan():
     rng = np.random.default_rng(16)
     reps = rng.standard_normal((15, 5))
     c = kmeans(reps, 1, seed=17)
-    idx = representative_indices(reps, c)
+    idx = select._distinct_representatives(reps, c.centers)
     dists = ((reps - c.centers[0]) ** 2).sum(axis=1)
     assert idx == [int(dists.argmin())]
 
@@ -155,16 +152,7 @@ def test_representative_indices_m1_exhaustive_scan():
 def test_representative_indices_tie_breaks_to_lowest():
     reps = np.ones((4, 3))
     c = kmeans(reps, 1, seed=18)
-    assert representative_indices(reps, c) == [0]
-
-
-def test_cosine_similarity_cases():
-    v = np.array([1.0, 2.0, -3.0])
-    assert cosine_similarity(v, v) == pytest.approx(1.0)
-    assert cosine_similarity(v, -v) == pytest.approx(-1.0)
-    assert cosine_similarity([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-    with pytest.raises(ParameterError):
-        cosine_similarity([0.0, 0.0], [1.0, 0.0])
+    assert select._distinct_representatives(reps, c.centers) == [0]
 
 
 def test_supplements_r0():
@@ -422,7 +410,8 @@ def test_kmeans_equals_direct_form_oracle(case, max_iters):
     got = kmeans(reps, case["m"], max_iters=max_iters, seed=case["seed"])
     want = reference.kmeans(reps, case["m"], max_iters=max_iters, seed=case["seed"])
     _assert_same_clustering(got, want)
-    assert representative_indices(reps, got) == reference.representative_indices(reps, want)
+    assert (select._distinct_representatives(reps, got.centers)
+            == reference.distinct_representatives(reps, want.centers))
 
 
 def test_nearest_centers_overflowing_expanded_form():
@@ -552,7 +541,7 @@ def test_distinct_representatives_collapsed_centers():
     # centers 0, 2 and 3 share nearest frame 5; center 1 sits on frame 9
     centers = np.stack([reps[5], reps[9], reps[5] + 1e-3, reps[5]])
     clustering = select.Clustering(centers, np.zeros(12, dtype=int), 0.0, 1)
-    assert representative_indices(reps, clustering) == [5, 9]
+    assert reference.representative_indices(reps, clustering) == [5, 9]
     got = select._distinct_representatives(reps, centers)
     assert got == reference.distinct_representatives(reps, centers)
     assert len(got) == 4 and {5, 9} <= set(got)
