@@ -3,6 +3,12 @@
 Clips are packed into composite records of 5 to 30 minutes; each clip
 becomes one timestamped segment of the merged caption, and every record
 carries the frame-sampling instruction string used for training prompts.
+
+The work runs on manifest columns: parallel lists of clip ids, durations
+and captions, with a group of clips given as a list of indices into them.
+``synth`` and ``synth --stats`` use the columns alone. The object API
+(:func:`load_clip_manifest`, :func:`pack_clips`, :func:`build_record`)
+wraps the same code.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
+from operator import lt
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +33,22 @@ MIN_DURATION_S = 300.0
 MAX_DURATION_S = 1800.0
 DEFAULT_RECORD_FRAMES = 32
 
+# "MM:SS" of each whole second from 0 to MAX_DURATION_S: every boundary of
+# a record rounds into this range
+_MMSS = [f"{s // 60:02d}:{s % 60:02d}" for s in range(int(MAX_DURATION_S) + 1)]
+
+# Every byte that str.split() treats as whitespace in ASCII text (those for
+# which str.isspace is true) maps to b" ", every other byte to b"x"
+_WORD_BYTES = bytes(32 if chr(b).isspace() else 120 for b in range(256))
+
+
+def _check_clip(clip_id: str, duration_s: float, caption: str) -> None:
+    """A clip's rule: a finite duration above 0 and a nonempty caption."""
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ParameterError(f"clip {clip_id!r}: duration must be > 0, got {duration_s}")
+    if not caption:
+        raise ParameterError(f"clip {clip_id!r}: caption must be nonempty")
+
 
 @dataclass(frozen=True, slots=True)
 class ClipRecord:
@@ -36,10 +59,7 @@ class ClipRecord:
     caption: str
 
     def __post_init__(self):
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
-            raise ParameterError(f"clip {self.id!r}: duration must be > 0, got {self.duration_s}")
-        if not self.caption:
-            raise ParameterError(f"clip {self.id!r}: caption must be nonempty")
+        _check_clip(self.id, self.duration_s, self.caption)
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,9 +120,13 @@ class LongVideoRecord:
         }
 
 
-def _records_json_parts(records: list[LongVideoRecord]) -> Iterator[str]:
+def _records_json_parts(records: list[tuple]) -> Iterator[str]:
     """The text of ``json.dumps([r.to_dict() for r in records], indent=2,
     sort_keys=True)``, one record at a time, written for this one schema.
+
+    Each record is given as the tuple :func:`_record_fields` returns,
+    ``(clip_ids, total_duration_s, starts, ends, captions, merged_caption,
+    instruction)``: segment i spans [starts[i], ends[i]) with captions[i].
 
     json's C encoder runs only without ``indent``; with it, json falls back
     to its pure-Python encoder, which took about three times as long as
@@ -117,27 +141,27 @@ def _records_json_parts(records: list[LongVideoRecord]) -> Iterator[str]:
     enc = encode_basestring_ascii
     num = float.__repr__
     sep = "[\n"
-    for rec in records:
+    for clip_ids, total, starts, ends, captions, merged_caption, instruction in records:
         lines = []
         end = end_text = None
-        for seg in rec.segments:
+        for start, stop, caption in zip(starts, ends, captions):
             # a segment that starts where the last one ended reuses that
             # boundary's text: equal floats share one repr, except 0.0 and -0.0
-            start_text = end_text if seg.start_s == end and end else num(seg.start_s)
-            end, end_text = seg.end_s, num(seg.end_s)
+            start_text = end_text if start == end and end else num(start)
+            end, end_text = stop, num(stop)
             lines.append(
-                f'      {{\n        "caption": {enc(seg.caption)},\n'
+                f'      {{\n        "caption": {enc(caption)},\n'
                 f'        "end_s": {end_text},\n'
                 f'        "start_s": {start_text}\n      }}'
             )
-        segments = ",\n".join(lines)
-        clip_ids = ",\n      ".join(map(enc, rec.clip_ids))
+        segments_text = ",\n".join(lines)
+        clip_ids_text = ",\n      ".join(map(enc, clip_ids))
         yield (
-            f'{sep}  {{\n    "clip_ids": [\n      {clip_ids}\n    ],\n'
-            f'    "instruction": {enc(rec.instruction)},\n'
-            f'    "merged_caption": {enc(rec.merged_caption)},\n'
-            f'    "segments": [\n{segments}\n    ],\n'
-            f'    "total_duration_s": {num(rec.total_duration_s)}\n  }}'
+            f'{sep}  {{\n    "clip_ids": [\n      {clip_ids_text}\n    ],\n'
+            f'    "instruction": {enc(instruction)},\n'
+            f'    "merged_caption": {enc(merged_caption)},\n'
+            f'    "segments": [\n{segments_text}\n    ],\n'
+            f'    "total_duration_s": {num(total)}\n  }}'
         )
         sep = ",\n"
     yield "\n]"
@@ -149,72 +173,69 @@ def _round_half_up(x: float) -> int:
 
 def format_mmss(seconds: float) -> str:
     """MM:SS with seconds rounded half-up."""
-    total = _round_half_up(seconds)
+    total = math.floor(seconds + 0.5)  # _round_half_up, inlined: one call per boundary
+    if 0 <= total <= MAX_DURATION_S:
+        return _MMSS[total]
     return f"{total // 60:02d}:{total % 60:02d}"
 
 
-def sample_timestamps(total_s: float, n: int) -> list[float]:
-    """n evenly spaced timestamps starting at 0: t_j = j * total_s / n."""
-    if n < 1:
-        raise ParameterError(f"sample count must be >= 1, got {n}")
-    if not (math.isfinite(total_s) and total_s > 0):
-        raise ParameterError(f"total duration must be > 0, got {total_s}")
-    return [j * total_s / n for j in range(n)]
+def _check_segments(bounds: list[float]) -> None:
+    """Reject segment boundaries that do not increase: a clip too short to
+    move the running total makes an empty segment."""
+    if not all(map(lt, bounds, bounds[1:])):
+        start, end = next((a, b) for a, b in zip(bounds, bounds[1:]) if b <= a)
+        raise ParameterError(f"segment [{start}, {end}) is empty")
 
 
-def render_frame_instruction(n_frames: int, total_s: float,
-                             timestamps: list[float]) -> str:
-    """The fixed prompt sentence embedding frame count, duration, and
-    sampled timestamps. Duration renders as the nearest integer and each
-    timestamp with one decimal, so output is byte-stable."""
-    if n_frames < 1:
-        raise ParameterError(f"n_frames must be >= 1, got {n_frames}")
-    if len(timestamps) != n_frames:
-        raise ParameterError(f"expected {n_frames} timestamps, got {len(timestamps)}")
-    prev = None
-    for t in timestamps:
-        if not (math.isfinite(t) and 0 <= t <= total_s):
-            raise ParameterError(f"timestamp {t} outside [0, {total_s}]")
-        if prev is not None and t <= prev:
-            raise ParameterError("timestamps must be strictly increasing")
-        prev = t
-    listed = ", ".join(f"{t:.1f}" for t in timestamps)
-    return (
-        f"This video samples {n_frames} frames of a "
-        f"{_round_half_up(total_s)}-second video at {listed} seconds."
-    )
-
-
-def build_record(clips: list[ClipRecord], n_frames: int = DEFAULT_RECORD_FRAMES) -> LongVideoRecord:
-    """Assemble one composite record from an ordered clip list.
+def _record_fields(clip_ids: list[str], durations: list[float], captions: list[str],
+                   n_frames: int) -> tuple:
+    """The fields of the record of these clips, in order, as
+    :func:`_records_json_parts` takes them.
 
     Segment i spans the cumulative durations [sum(dur[:i]), sum(dur[:i+1]));
     the merged caption joins "[MM:SS - MM:SS] <caption>" blocks with
     newlines. The total duration must land in the 5 to 30 minute window.
+    The instruction lists the n_frames timestamps j * total / n_frames at
+    one decimal, and the total rounded half-up to whole seconds.
     """
-    if not clips:
+    if not durations:
         raise ParameterError("cannot build a record from zero clips")
-    bounds = list(accumulate([c.duration_s for c in clips], initial=0.0))
+    bounds = list(accumulate(durations, initial=0.0))
     total = bounds[-1]
     if not MIN_DURATION_S <= total <= MAX_DURATION_S:
         raise ParameterError(
             f"total duration {total:.1f}s outside [{MIN_DURATION_S:.0f}, {MAX_DURATION_S:.0f}]"
         )
+    if n_frames < 1:
+        raise ParameterError(f"sample count must be >= 1, got {n_frames}")
+    _check_segments(bounds)
     # each boundary ends one segment and starts the next: label it once
-    labels = [format_mmss(b) for b in bounds]
-    captions = [c.caption for c in clips]
-    instruction = render_frame_instruction(
-        n_frames, total, sample_timestamps(total, n_frames)
+    labels = list(map(format_mmss, bounds))
+    merged = "\n".join(
+        [f"[{a} - {b}] {cap}" for a, b, cap in zip(labels, labels[1:], captions)]
     )
-    return LongVideoRecord(
-        clip_ids=tuple(c.id for c in clips),
-        total_duration_s=total,
-        segments=tuple(map(Segment, bounds, bounds[1:], captions)),
-        merged_caption="\n".join(
-            [f"[{a} - {b}] {cap}" for a, b, cap in zip(labels, labels[1:], captions)]
-        ),
-        instruction=instruction,
+    listed = ", ".join([f"{j * total / n_frames:.1f}" for j in range(n_frames)])
+    instruction = (
+        f"This video samples {n_frames} frames of a "
+        f"{_round_half_up(total)}-second video at {listed} seconds."
     )
+    return clip_ids, total, bounds[:-1], bounds[1:], captions, merged, instruction
+
+
+def _as_record(fields: tuple) -> LongVideoRecord:
+    clip_ids, total, starts, ends, captions, merged, instruction = fields
+    return LongVideoRecord(tuple(clip_ids), total, tuple(map(Segment, starts, ends, captions)),
+                           merged, instruction)
+
+
+def _clip_columns(clips: list[ClipRecord]) -> tuple[list[str], list[float], list[str]]:
+    return [c.id for c in clips], [c.duration_s for c in clips], [c.caption for c in clips]
+
+
+def build_record(clips: list[ClipRecord], n_frames: int = DEFAULT_RECORD_FRAMES) -> LongVideoRecord:
+    """Assemble one composite record from an ordered clip list (see
+    :func:`_record_fields` for its segments, caption and instruction)."""
+    return _as_record(_record_fields(*_clip_columns(clips), n_frames))
 
 
 def pack_clips(
@@ -232,30 +253,39 @@ def pack_clips(
     clips of max_s or longer are skipped with a warning. An *n_frames*
     below 1 is rejected before any clip is packed or any warning logged.
     """
+    return list(map(_as_record,
+                    _packed_records(*_clip_columns(pool), min_s, max_s, seed, n_frames)))
+
+
+def _packed_records(ids: list[str], durations: list[float], captions: list[str],
+                    min_s: float, max_s: float, seed: int, n_frames: int) -> Iterator[tuple]:
+    """The :func:`_record_fields` of each record :func:`pack_clips` builds
+    from the clips of these columns, each yielded as its group closes."""
     if n_frames < 1:
         raise ParameterError(f"sample count must be >= 1, got {n_frames}")
-    return [build_record(group, n_frames=n_frames)
-            for group, _ in _pack_groups(pool, min_s, max_s, seed)]
+    for group, _ in _pack_groups(ids, durations, min_s, max_s, seed):
+        yield _record_fields([ids[i] for i in group], [durations[i] for i in group],
+                             [captions[i] for i in group], n_frames)
 
 
 def _pack_groups(
-    pool: list[ClipRecord], min_s: float, max_s: float, seed: int,
-) -> Iterator[tuple[list[ClipRecord], float]]:
-    """The groups :func:`pack_clips` keeps, each with its running total,
-    yielded as each one closes so that warnings and errors keep their order.
+    ids: list[str], durations: list[float], min_s: float, max_s: float, seed: int,
+) -> Iterator[tuple[list[int], float]]:
+    """The groups :func:`pack_clips` keeps, as clip indices, each with its
+    running total, yielded as each one closes so that warnings and errors
+    keep their order.
 
-    The running total is the same left fold from 0.0 as ``build_record``'s
-    record duration, so the two are bit-identical.
+    The running total is the same left fold from 0.0 as the record's
+    duration, so the two are bit-identical.
     """
-    if not pool:
+    if not durations:
         raise ParameterError("clip pool is empty")
     if not (MIN_DURATION_S <= min_s <= max_s <= MAX_DURATION_S):
         raise ParameterError(
             f"packing window [{min_s}, {max_s}] must lie within "
             f"[{MIN_DURATION_S:.0f}, {MAX_DURATION_S:.0f}]"
         )
-    rng = np.random.default_rng(seed)
-    shuffled = [pool[i] for i in rng.permutation(len(pool))]
+    order = np.random.default_rng(seed).permutation(len(durations)).tolist()
 
     def close(group, total):
         if total >= min_s:
@@ -266,19 +296,20 @@ def _pack_groups(
                 len(group), total, min_s,
             )
 
-    group: list[ClipRecord] = []
+    group: list[int] = []
     total = 0.0
-    for clip in shuffled:
-        if clip.duration_s >= max_s:
+    for i in order:
+        duration = durations[i]
+        if duration >= max_s:
             logger.warning("skipping clip %r: %.1fs is not below max %.1fs",
-                           clip.id, clip.duration_s, max_s)
+                           ids[i], duration, max_s)
             continue
-        if total + clip.duration_s > max_s:
+        if total + duration > max_s:
             yield from close(group, total)
             group = []
             total = 0.0
-        group.append(clip)
-        total += clip.duration_s
+        group.append(i)
+        total += duration
     yield from close(group, total)
 
 
@@ -291,8 +322,15 @@ def load_clip_manifest(path: str | Path) -> list[ClipRecord]:
     Entries are used as written or rejected with a FormatError naming the
     entry: each must be an object with exactly those keys, a string id and
     caption, and a duration that is a JSON number (not a bool). Ids must be
-    unique.
+    unique. Each clip must also pass :class:`ClipRecord`'s check
+    (ParameterError).
     """
+    return list(map(ClipRecord, *_read_manifest(path)))
+
+
+def _read_manifest(path: str | Path) -> tuple[list[str], list[float], list[str]]:
+    """The ids, durations and captions of the manifest at *path*, checked
+    entry by entry as :func:`load_clip_manifest` states, in entry order."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -302,7 +340,7 @@ def load_clip_manifest(path: str | Path) -> list[ClipRecord]:
         raise FormatError(f"{path}: {exc}") from exc
     if not isinstance(doc, list):
         raise FormatError(f"{path}: manifest must be a JSON array")
-    clips = []
+    ids, durations, captions = [], [], []
     first_seen: dict[str, int] = {}
     for i, entry in enumerate(doc):
         # json.loads builds exact types, so `type(...) is` is the isinstance
@@ -326,8 +364,11 @@ def load_clip_manifest(path: str | Path) -> list[ClipRecord]:
             raise FormatError(
                 f"{path}: manifest entry {i} is malformed: duration {duration} is out of range"
             ) from None
-        clips.append(ClipRecord(clip_id, duration, caption))
-    return clips
+        _check_clip(clip_id, duration, caption)
+        ids.append(clip_id)
+        durations.append(duration)
+        captions.append(caption)
+    return ids, durations, captions
 
 
 def _manifest_entry_problem(entry) -> str:
@@ -351,28 +392,32 @@ def dataset_stats(records: list[LongVideoRecord]) -> dict:
                       [len(r.merged_caption.split()) for r in records])
 
 
-def _packed_sizes(pool: list[ClipRecord], min_s: float, max_s: float,
-                  seed: int) -> tuple[list[float], list[int]]:
+def _word_count(text: str) -> int:
+    """``len(text.split())``; for ASCII text, without building the list."""
+    if not text.isascii():
+        return len(text.split())
+    marks = text.encode("ascii").translate(_WORD_BYTES)
+    return marks.count(b" x") + marks.startswith(b"x")
+
+
+def _packed_sizes(ids: list[str], durations: list[float], captions: list[str],
+                  min_s: float, max_s: float, seed: int) -> tuple[list[float], list[int]]:
     """The duration and merged-caption word count of each record
-    ``pack_clips(pool, min_s, max_s, seed)`` would build, without building it.
+    ``pack_clips`` would build from the clips of these columns, without
+    building it.
 
     A merged-caption line is ``"[MM:SS - MM:SS] caption"`` and the labels
     hold no whitespace, so each clip adds 3 words to its caption's own. A
     clip too short to move its group's running total raises the error its
     record would: an empty segment.
     """
-    durations, words = [], []
-    for group, total in _pack_groups(pool, min_s, max_s, seed):
-        start, n_words = 0.0, 3 * len(group)
-        for clip in group:
-            end = start + clip.duration_s
-            if end <= start:
-                raise ParameterError(f"segment [{start}, {end}) is empty")
-            start = end
-            n_words += len(clip.caption.split())
-        durations.append(total)
-        words.append(n_words)
-    return durations, words
+    sizes, words = [], []
+    for group, total in _pack_groups(ids, durations, min_s, max_s, seed):
+        _check_segments(list(accumulate([durations[i] for i in group], initial=0.0)))
+        sizes.append(total)
+        # a space between captions splits them as the merged caption's labels do
+        words.append(3 * len(group) + _word_count(" ".join([captions[i] for i in group])))
+    return sizes, words
 
 
 def _summarize(durations: list[float], words: list[int]) -> dict:

@@ -18,11 +18,11 @@ import numpy as np
 
 from .captions import (
     DEFAULT_RECORD_FRAMES,
+    _packed_records,
     _packed_sizes,
+    _read_manifest,
     _records_json_parts,
     _summarize,
-    load_clip_manifest,
-    pack_clips,
 )
 from .errors import FormatError, FrameFuseError
 from .features import (
@@ -31,10 +31,11 @@ from .features import (
     load_features,
     save_features,
     _atomic_write,
+    _check_file,
     _read_shape,
 )
 from .merge import STRATEGIES
-from .pipeline import SELECTIONS, CompressConfig, bench, compress
+from .pipeline import SELECTIONS, CompressConfig, _check_input_frames, bench, compress
 from .select import SUPPLEMENT_MODES, select_scenes_bsm, select_scenes_kmeans
 
 
@@ -111,10 +112,14 @@ def cmd_select(args) -> int:
 def cmd_compress(args) -> int:
     input_frames = args.frames if args.frames else args.k * (args.r + 1)
     # Keep only the frames compress samples. A count outside the file's
-    # frames loads it whole, so that the config and compress reject it.
+    # frames keeps none: the file is still read and checked, so that a
+    # corrupt file is reported before the config or the count is rejected.
     n_frames = _read_shape(args.input)[0]
-    sample = input_frames if 1 <= input_frames <= n_frames else None
-    features = load_features(args.input, sample=sample)
+    features = None
+    if 1 <= input_frames <= n_frames:
+        features = load_features(args.input, sample=input_frames)
+    else:
+        _check_file(args.input)
     cfg = CompressConfig(
         input_frames=input_frames,
         scenes_k=args.k,
@@ -126,6 +131,8 @@ def cmd_compress(args) -> int:
     weights = None
     if args.weights:
         weights = load_features(args.weights).data.astype(np.float64)
+    if features is None:  # a valid config here wants more frames than the file has
+        _check_input_frames(cfg, n_frames)
     out = compress(features, cfg, weights)
     save_features(out, args.output)
     print(f"wrote {args.output} shape={out.n_frames}x{out.n_patches}x{out.dim}")
@@ -167,19 +174,20 @@ def cmd_bench(args) -> int:
 def cmd_synth(args) -> int:
     if args.stats and args.frames is not None:
         raise _UsageError("--stats does not use --frames")
-    pool = load_clip_manifest(args.manifest)
+    # the manifest's ids, durations and captions: no per-clip objects
+    columns = _read_manifest(args.manifest)
     if args.stats:
         # the summary needs each record's duration and word count, not the record
-        durations, words = _packed_sizes(pool, args.min_s, args.max_s, args.seed)
+        durations, words = _packed_sizes(*columns, args.min_s, args.max_s, args.seed)
         if not durations:
             raise FrameFuseError("no records produced; nothing to summarize")
         _emit_json(_summarize(durations, words), args.output)
         return 0
     n_frames = DEFAULT_RECORD_FRAMES if args.frames is None else args.frames
-    records = pack_clips(pool, min_s=args.min_s, max_s=args.max_s, seed=args.seed,
-                         n_frames=n_frames)
+    # every record is built before the first byte is written
+    records = list(_packed_records(*columns, args.min_s, args.max_s, args.seed, n_frames))
     _emit_text(_records_json_parts(records), args.output)
-    print(f"packed {len(pool)} clips into {len(records)} records", file=sys.stderr)
+    print(f"packed {len(columns[0])} clips into {len(records)} records", file=sys.stderr)
     return 0
 
 

@@ -282,15 +282,30 @@ def load_features(path: str | Path, sample: int | None = None) -> FrameFeatures:
             outside [1, n_frames].
     """
     path = Path(path)
+    return FrameFeatures(*_read_checked(
+        path, lambda n: range(n) if sample is None else uniform_sample_indices(n, sample)))
+
+
+def _check_file(path: str | Path) -> None:
+    """Read and check an FVT1 file and its sidecar as :func:`load_features`
+    does, keeping no frame: memory stays at one READ_CHUNK_BYTES buffer."""
+    _read_checked(Path(path), lambda n: ())
+
+
+def _read_checked(path: Path, pick) -> tuple[np.ndarray, list[float] | None]:
+    """The frames ``pick(n_frames)`` keeps and their timestamps. Every value
+    of a skipped frame is checked here; a file whose frames are all kept is
+    left to FrameFeatures to check. The sidecar's timestamps are checked
+    over all frames before they are subset."""
     with open(path, "rb", buffering=0) as fh:
         dims = _read_header(fh, path)
-        keep = range(dims[0]) if sample is None else uniform_sample_indices(dims[0], sample)
+        keep = pick(dims[0])
         data = _read_frames(fh, path, dims, keep)
     timestamps = _read_timestamps(_meta_path(path))
-    if timestamps is not None and sample is not None:
+    if timestamps is not None and len(keep) < dims[0]:
         timestamps = _checked_timestamps(timestamps, dims[0])
         timestamps = [timestamps[i] for i in keep]
-    return FrameFeatures(data, timestamps)
+    return data, timestamps
 
 
 @dataclass(frozen=True)

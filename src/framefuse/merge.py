@@ -96,10 +96,11 @@ def fit_fusion_weights(
     is non-increasing and the best iterate is the last. Set
     *return_history* for the per-step losses.
 
-    The scenes are checked once and stacked into a (c, s, L, D) batch.
-    Each step takes every residual from one :func:`merge_scenes` pass and
-    the gradient from the formula :func:`fusion_gradient` uses, summed
-    over the scenes.
+    The scenes are checked once and copied into a (c, s, L, D) batch.
+    Each step takes every residual from :func:`merge_scenes` and the
+    gradient from the formula :func:`fusion_gradient` uses, both a scene at
+    a time, the gradient summed in scene order, so that no temporary of the
+    batch's size is built.
     """
     if not scenes or len(scenes) != len(targets):
         raise ParameterError("scenes and targets must be nonempty lists of equal length")
@@ -107,30 +108,42 @@ def fit_fusion_weights(
         raise ParameterError(f"learning rate must be > 0, got {lr}")
     if steps < 0:
         raise ParameterError(f"steps must be >= 0, got {steps}")
-    scenes = [_as_scene(sc) for sc in scenes]
-    shape = scenes[0].shape
-    targets = [np.asarray(t, dtype=np.float64) for t in targets]
-    for sc, t in zip(scenes, targets):
-        if sc.shape != shape:
-            raise ParameterError(f"scene shape {sc.shape} differs from {shape}")
-        if t.shape != shape[1:]:
-            raise ParameterError(f"target shape {t.shape} does not match {shape[1:]}")
+    # check every input, holding one float64 copy of one of them at a time
+    scene_shapes = [_as_scene(sc).shape for sc in scenes]
+    target_shapes = [np.asarray(t, dtype=np.float64).shape for t in targets]
+    shape = scene_shapes[0]
+    for sc_shape, t_shape in zip(scene_shapes, target_shapes):
+        if sc_shape != shape:
+            raise ParameterError(f"scene shape {sc_shape} differs from {shape}")
+        if t_shape != shape[1:]:
+            raise ParameterError(f"target shape {t_shape} does not match {shape[1:]}")
     n = len(scenes)
-    x, t = np.stack(scenes), np.stack(targets)
-    del scenes, targets  # the steps read only the stacks
+    x, t = np.empty((n, *shape)), np.empty((n, *shape[1:]))
+    for i in range(n):
+        x[i], t[i] = scenes[i], targets[i]
 
-    def residual_and_loss(w):
-        resid = merge_scenes(x, "fusion", w) - t
+    resid = np.empty_like(t)  # each step's residuals overwrite the last step's
+
+    def loss_at(w):
+        for i in range(n):
+            resid[i] = merge_scenes(x[i:i + 1], "fusion", w)[0]
+        np.subtract(resid, t, out=resid)
         # each scene's error is summed on its own, then added in scene order
-        return resid, sum(0.5 * float(r.sum()) for r in resid * resid) / n
+        return sum(0.5 * float((r * r).sum()) for r in resid) / n
+
+    def gradient():
+        grad = _weight_gradient(x[0], resid[0])
+        for i in range(1, n):
+            grad += _weight_gradient(x[i], resid[i])
+        return grad
 
     w = fusion_init(*shape)
-    resid, best_loss = residual_and_loss(w)
+    best_loss = loss_at(w)
     best_w = w
     history = [best_loss]
     for _ in range(steps):
-        w = w - (lr / n) * _weight_gradient(x, resid).sum(axis=0)
-        resid, loss = residual_and_loss(w)
+        w = w - (lr / n) * gradient()
+        loss = loss_at(w)
         history.append(loss)
         if loss < best_loss:
             best_loss = loss

@@ -138,6 +138,13 @@ def _select(features: FrameFeatures, idx: np.ndarray, cfg: CompressConfig) -> Sc
     return select_scenes_bsm(sub, cfg.scenes_k, cfg.supplements_r)
 
 
+def _check_input_frames(cfg: CompressConfig, n_frames: int) -> None:
+    if cfg.input_frames > n_frames:
+        raise ParameterError(
+            f"config wants {cfg.input_frames} input frames but tensor has {n_frames}"
+        )
+
+
 def compress(
     features: FrameFeatures,
     cfg: CompressConfig,
@@ -161,10 +168,7 @@ def compress(
     Each warning of the selection (a scene padded from outside its history
     window; frame numbers count the sampled frames) is logged at WARNING.
     """
-    if cfg.input_frames > features.n_frames:
-        raise ParameterError(
-            f"config wants {cfg.input_frames} input frames but tensor has {features.n_frames}"
-        )
+    _check_input_frames(cfg, features.n_frames)
     idx = np.asarray(uniform_sample_indices(features.n_frames, cfg.input_frames))
     scene_set = _select(features, idx, cfg)
     for warning in scene_set.warnings:

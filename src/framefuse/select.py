@@ -161,9 +161,11 @@ def _expanded_bounds(points: np.ndarray, pp: np.ndarray,
     return lo, hi
 
 
-def _nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, int]:
+def _nearest(points: np.ndarray, centers: np.ndarray,
+             pp: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """Each point's nearest center (ties to the lowest index), and how many
-    rows the bound left to the direct form.
+    rows the bound left to the direct form. *pp* holds the points' squared
+    norms, computed here when the caller does not pass them.
 
     A row is settled when one center alone satisfies ``lo <= min(hi)``.
     Every other row, including any whose bounds overflow or are NaN, is
@@ -173,7 +175,8 @@ def _nearest(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, int]:
     is strictly farther than that row's nearest center, so the argmin and
     its ties are those of the full direct-form matrix.
     """
-    pp = np.einsum("ij,ij->i", points, points)
+    if pp is None:
+        pp = np.einsum("ij,ij->i", points, points)
     lo, hi = _expanded_bounds(points, pp, centers)
     with np.errstate(invalid="ignore"):
         candidates = lo <= hi.min(axis=1, keepdims=True)
@@ -219,11 +222,12 @@ def nearest_centers(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray
     return assign, _own_sqdist(points, centers, assign)
 
 
-def _init_center_indices(reps: np.ndarray, m: int,
-                         rng: np.random.Generator) -> tuple[list[int], int]:
+def _init_center_indices(reps: np.ndarray, m: int, rng: np.random.Generator,
+                         pp: np.ndarray | None = None) -> tuple[list[int], int]:
     """k-means++ seeding over data rows (Arthur and Vassilvitskii, SODA
     2007): always m distinct rows. Also returns how many row-center pairs
-    were recomputed in the direct form.
+    were recomputed in the direct form. *pp* holds the rows' squared norms,
+    computed here when the caller does not pass them.
 
     Each row's d2 stays bit-identical to the minimum of its direct-form
     distances to the chosen rows, so the sampling probabilities are too: a
@@ -234,7 +238,8 @@ def _init_center_indices(reps: np.ndarray, m: int,
     n = reps.shape[0]
     chosen = [int(rng.integers(n))]
     d2 = ((reps - reps[chosen[0]]) ** 2).sum(axis=1)
-    pp = np.einsum("ij,ij->i", reps, reps)
+    if pp is None:
+        pp = np.einsum("ij,ij->i", reps, reps)
     rechecked = 0
     while len(chosen) < m:
         total = float(d2.sum())
@@ -286,13 +291,14 @@ def kmeans(
         raise ParameterError(f"tol must be >= 0, got {tol}")
 
     rng = np.random.default_rng(seed)
-    chosen, seed_rechecked = _init_center_indices(reps, m, rng)
+    pp = np.einsum("ij,ij->i", reps, reps)  # the rows' squared norms, for every search
+    chosen, seed_rechecked = _init_center_indices(reps, m, rng, pp)
     centers = reps[chosen].copy()
     iterations = 0
     converged = False
     search_rechecked = 0
     for _ in range(max_iters):
-        assign, rechecked = _nearest(reps, centers)
+        assign, rechecked = _nearest(reps, centers, pp)
         search_rechecked += rechecked
         new_centers = centers.copy()
         counts = np.bincount(assign, minlength=m)
@@ -313,7 +319,7 @@ def kmeans(
             converged = True
             break
 
-    assign, rechecked = _nearest(reps, centers)
+    assign, rechecked = _nearest(reps, centers, pp)
     search_rechecked += rechecked
     inertia = float(_own_sqdist(reps, centers, assign).sum())
     logger.debug(

@@ -7,21 +7,29 @@ every step; and Lloyd clustering with every distance in the direct
 form sum((p - c)**2). They are kept here, unoptimised, as the oracle for
 the batched merge engine, the batched fusion fitter, the chunked distance
 helper, the nearest-center search, the bounded k-means++ seeding and the
-choice of one distinct frame per center.
+choice of one distinct frame per center. The caption section keeps the
+object-based packer and record builder: every clip a ClipRecord, every
+boundary labelled by arithmetic, and every instruction validated.
 """
 
+import logging
 import math
+from itertools import accumulate
 
 import numpy as np
 
 from framefuse import (
+    ClipRecord,
     Clustering,
     FrameFeatures,
+    LongVideoRecord,
     ParameterError,
+    Segment,
     attn_projections,
     select_scenes_bsm,
     select_scenes_kmeans,
 )
+from framefuse.captions import MAX_DURATION_S, MIN_DURATION_S
 from framefuse.features import uniform_sample_indices
 from framefuse.pipeline import group_uniform_scenes
 
@@ -269,3 +277,112 @@ def distinct_representatives(reps, centers):
                 out.append(int(i))
                 break
     return sorted(out)
+
+
+# -- caption synthesis ----------------------------------------------------------
+
+logger = logging.getLogger("framefuse.captions")
+
+
+def _round_half_up(x):
+    return int(math.floor(x + 0.5))
+
+
+def format_mmss(seconds):
+    total = _round_half_up(seconds)
+    return f"{total // 60:02d}:{total % 60:02d}"
+
+
+def sample_timestamps(total_s, n):
+    """n evenly spaced timestamps starting at 0: t_j = j * total_s / n."""
+    if n < 1:
+        raise ParameterError(f"sample count must be >= 1, got {n}")
+    if not (math.isfinite(total_s) and total_s > 0):
+        raise ParameterError(f"total duration must be > 0, got {total_s}")
+    return [j * total_s / n for j in range(n)]
+
+
+def render_frame_instruction(n_frames, total_s, timestamps):
+    """The prompt sentence for these timestamps, after checking them."""
+    if n_frames < 1:
+        raise ParameterError(f"n_frames must be >= 1, got {n_frames}")
+    if len(timestamps) != n_frames:
+        raise ParameterError(f"expected {n_frames} timestamps, got {len(timestamps)}")
+    prev = None
+    for t in timestamps:
+        if not (math.isfinite(t) and 0 <= t <= total_s):
+            raise ParameterError(f"timestamp {t} outside [0, {total_s}]")
+        if prev is not None and t <= prev:
+            raise ParameterError("timestamps must be strictly increasing")
+        prev = t
+    listed = ", ".join(f"{t:.1f}" for t in timestamps)
+    return (
+        f"This video samples {n_frames} frames of a "
+        f"{_round_half_up(total_s)}-second video at {listed} seconds."
+    )
+
+
+def build_record(clips, n_frames=32):
+    if not clips:
+        raise ParameterError("cannot build a record from zero clips")
+    bounds = list(accumulate([c.duration_s for c in clips], initial=0.0))
+    total = bounds[-1]
+    if not MIN_DURATION_S <= total <= MAX_DURATION_S:
+        raise ParameterError(
+            f"total duration {total:.1f}s outside [{MIN_DURATION_S:.0f}, {MAX_DURATION_S:.0f}]"
+        )
+    labels = [format_mmss(b) for b in bounds]
+    captions = [c.caption for c in clips]
+    instruction = render_frame_instruction(n_frames, total, sample_timestamps(total, n_frames))
+    return LongVideoRecord(
+        clip_ids=tuple(c.id for c in clips),
+        total_duration_s=total,
+        segments=tuple(map(Segment, bounds, bounds[1:], captions)),
+        merged_caption="\n".join(
+            [f"[{a} - {b}] {cap}" for a, b, cap in zip(labels, labels[1:], captions)]
+        ),
+        instruction=instruction,
+    )
+
+
+def pack_clips(pool, min_s=MIN_DURATION_S, max_s=MAX_DURATION_S, seed=0, n_frames=32):
+    """Greedy packing of a seeded shuffle of ClipRecords, each record built
+    as its group closes."""
+    if n_frames < 1:
+        raise ParameterError(f"sample count must be >= 1, got {n_frames}")
+    if not pool:
+        raise ParameterError("clip pool is empty")
+    if not (MIN_DURATION_S <= min_s <= max_s <= MAX_DURATION_S):
+        raise ParameterError(
+            f"packing window [{min_s}, {max_s}] must lie within "
+            f"[{MIN_DURATION_S:.0f}, {MAX_DURATION_S:.0f}]"
+        )
+    rng = np.random.default_rng(seed)
+    shuffled = [pool[i] for i in rng.permutation(len(pool))]
+    records = []
+
+    def close(group, total):
+        if total >= min_s:
+            records.append(build_record(group, n_frames=n_frames))
+        elif group:
+            logger.warning("dropping group of %d clips (%.1fs < %.0fs minimum)",
+                           len(group), total, min_s)
+
+    group, total = [], 0.0
+    for clip in shuffled:
+        if clip.duration_s >= max_s:
+            logger.warning("skipping clip %r: %.1fs is not below max %.1fs",
+                           clip.id, clip.duration_s, max_s)
+            continue
+        if total + clip.duration_s > max_s:
+            close(group, total)
+            group, total = [], 0.0
+        group.append(clip)
+        total += clip.duration_s
+    close(group, total)
+    return records
+
+
+def clip_pool(manifest_entries):
+    """The ClipRecords of parsed manifest entries."""
+    return [ClipRecord(e["id"], float(e["duration"]), e["caption"]) for e in manifest_entries]

@@ -1,17 +1,24 @@
 """Caption-synthesis tests: packing, record building, instruction strings,
 and dataset statistics."""
 
+import contextlib
 import copy
+import io
 import json
+import logging
 import pickle
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from framefuse import (
     ClipRecord,
     FormatError,
+    FrameFuseError,
     LongVideoRecord,
     ParameterError,
     Segment,
@@ -19,13 +26,9 @@ from framefuse import (
     load_clip_manifest,
     pack_clips,
 )
-from framefuse.captions import (
-    _records_json_parts,
-    build_record,
-    format_mmss,
-    render_frame_instruction,
-    sample_timestamps,
-)
+from framefuse.captions import _records_json_parts, _word_count, build_record, format_mmss
+from framefuse.cli import main
+from reference import render_frame_instruction, sample_timestamps
 
 
 def make_pool(n, duration=60.0):
@@ -268,7 +271,10 @@ _duration = st.one_of(
 
 
 def _records_json(records):
-    return "".join(_records_json_parts(records))
+    return "".join(_records_json_parts(
+        [(r.clip_ids, r.total_duration_s, [s.start_s for s in r.segments],
+          [s.end_s for s in r.segments], [s.caption for s in r.segments],
+          r.merged_caption, r.instruction) for r in records]))
 
 
 def _oracle(records):
@@ -340,7 +346,7 @@ def test_clip_records_and_segments_keep_value_semantics():
 _GOOD = {"id": "a", "duration": 30.5, "caption": "hello"}
 
 
-@pytest.mark.parametrize("entry, message", [
+_COERCED_ENTRIES = [
     ({"id": 1, "duration": 60.0, "caption": "x"}, "id must be a string"),
     ({"id": "b", "duration": 60.0, "caption": 5}, "caption must be a string"),
     ({"id": "b", "duration": True, "caption": "x"}, "duration must be a number"),
@@ -350,7 +356,10 @@ _GOOD = {"id": "a", "duration": 30.5, "caption": "hello"}
     ({"id": "b", "caption": "x"}, r"has keys \['caption', 'id'\]"),
     (["b", 60.0, "x"], "expected an object"),
     ({"id": "b", "duration": 10**400, "caption": "x"}, r"duration \d+ is out of range"),
-])
+]
+
+
+@pytest.mark.parametrize("entry, message", _COERCED_ENTRIES)
 def test_manifest_rejects_entries_it_would_coerce(tmp_path, entry, message):
     path = tmp_path / "clips.json"
     path.write_text(json.dumps([_GOOD, entry]))
@@ -385,3 +394,148 @@ def test_manifest_integer_duration_is_a_float(tmp_path):
     path.write_text(json.dumps([dict(_GOOD, duration=60)]))
     (clip,) = load_clip_manifest(path)
     assert type(clip.duration_s) is float and clip.duration_s == 60.0
+
+
+# -- synth on manifest columns against the object-based oracle -------------------
+
+_MALFORMED_MANIFESTS = [
+    '[{"id": "a", "duration": }]',
+    '[{"id": "a", "caption": "x"}]',
+    *(json.dumps([_GOOD, entry]) for entry, _ in _COERCED_ENTRIES),
+    '[{"id": "a", "duration": ' + "1" * 5000 + ', "caption": "x"}]',
+    json.dumps([_GOOD, dict(_GOOD, id="b"), dict(_GOOD, duration=9.0)]),
+    '[{"id": 1, "duration": true, "caption": 5}, {"id": "1", "duration": "60", "caption": "x"}]',
+    json.dumps(_GOOD),  # not an array
+    # ClipRecord's rule
+    json.dumps([_GOOD, dict(_GOOD, id="b", duration=0)]),
+    json.dumps([_GOOD, dict(_GOOD, id="b", duration=-2.5)]),
+    json.dumps([_GOOD, dict(_GOOD, id="b", caption="")]),
+]
+
+
+def _with_warnings(fn, *args):
+    """(result, stdout, stderr, framefuse.captions warnings) of fn(*args)."""
+    out, err, warnings = io.StringIO(), io.StringIO(), []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: warnings.append(record.getMessage())
+    log = logging.getLogger("framefuse.captions")
+    log.addHandler(handler)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            result = fn(*args)
+    finally:
+        log.removeHandler(handler)
+    return result, out.getvalue(), err.getvalue(), warnings
+
+
+@pytest.mark.parametrize("text", _MALFORMED_MANIFESTS,
+                         ids=[f"manifest{i}" for i in range(len(_MALFORMED_MANIFESTS))])
+def test_synth_rejects_a_malformed_manifest_as_load_clip_manifest_does(tmp_path, text):
+    path = tmp_path / "clips.json"
+    path.write_text(text)
+    with pytest.raises(FrameFuseError) as exc:
+        load_clip_manifest(path)
+    for extra in ([], ["--stats"]):
+        got = _with_warnings(main, ["synth", str(path), *extra])
+        assert got == (1, "", f"error: {exc.value}\n", [])
+
+
+def _oracle_outputs(entries, min_s, max_s, seed, n_frames):
+    """(code, stdout, stderr) of synth and of synth --stats, from the
+    object-based packer, and the warnings it logs."""
+
+    def pack():
+        return reference.pack_clips(reference.clip_pool(entries), min_s, max_s, seed, n_frames)
+
+    try:
+        records, _, _, warnings = _with_warnings(pack)
+    except ParameterError as exc:
+        failed = (1, "", f"error: {exc}\n")
+        return failed, failed, None
+    synth = (0, json.dumps([r.to_dict() for r in records], indent=2, sort_keys=True) + "\n",
+             f"packed {len(entries)} clips into {len(records)} records\n")
+    if not records:
+        return synth, (1, "", "error: no records produced; nothing to summarize\n"), warnings
+    stats = (0, json.dumps(dataset_stats(records), indent=2, sort_keys=True) + "\n", "")
+    return synth, stats, warnings
+
+
+_ASCII_TEXT = st.text(alphabet=st.sampled_from("ab \t\n\x0b\x0c\r\x1c\x1f\"\\/\x00\x7f"),
+                      min_size=1, max_size=16)
+_ANY_TEXT = st.text(alphabet=st.one_of(st.sampled_from(_TRICKY + ["\x85", "\xa0", "\u2003"]),
+                                       st.characters()), min_size=1, max_size=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    clips=st.lists(st.tuples(
+        # 450 and 650 s clips can make one-clip records; clips of max_s or
+        # longer are skipped; a third of a second never sums exactly
+        st.one_of(st.floats(5.0, 400.0), st.integers(5, 400),
+                  st.sampled_from([20 + 1 / 3, 450.0, 650.0, 600.0, 1800.0, 2500.0])),
+        st.one_of(_ASCII_TEXT, _ANY_TEXT),
+    ), min_size=1, max_size=50),
+    id_prefix=st.sampled_from(["c", 'c"\\é', "😀\n"]),
+    # a clip too short to move a running total: its record has an empty segment
+    tiny=st.booleans(),
+    window=st.sampled_from([(300.0, 1800.0), (300.0, 600.0), (450.5, 700.25)]),
+    seed=st.integers(0, 2**16),
+    n_frames=st.sampled_from([1, 32]),
+)
+def test_synth_outputs_equal_the_object_based_oracle(clips, id_prefix, tiny, window, seed,
+                                                      n_frames):
+    if tiny:
+        clips = clips + [(1e-300, "tiny")]
+    entries = [{"id": f"{id_prefix}{i}", "duration": duration, "caption": caption}
+               for i, (duration, caption) in enumerate(clips)]
+    min_s, max_s = window
+    want_synth, want_stats, want_warnings = _oracle_outputs(entries, min_s, max_s, seed,
+                                                            n_frames)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clips.json"
+        path.write_text(json.dumps(entries))
+        argv = ["synth", str(path), "--seed", str(seed), "--min-s", repr(min_s),
+                "--max-s", repr(max_s)]
+        *synth, warnings = _with_warnings(main, argv + ["--frames", str(n_frames)])
+        *stats, stats_warnings = _with_warnings(main, argv + ["--stats"])
+    assert tuple(synth) == want_synth
+    assert tuple(stats) == want_stats
+    if want_warnings is not None:
+        assert warnings == stats_warnings == want_warnings
+
+
+def test_synth_builds_no_clip_records(tmp_path, monkeypatch):
+    made = []
+    check = ClipRecord.__post_init__
+
+    def counting(self):
+        made.append(self.id)
+        check(self)
+
+    monkeypatch.setattr(ClipRecord, "__post_init__", counting)
+    ClipRecord("probe", 1.0, "x")
+    assert made == ["probe"]  # the patch sees every construction
+    made.clear()
+    path = tmp_path / "clips.json"
+    path.write_text(json.dumps([{"id": f"c{i}", "duration": 47.0, "caption": f"text {i}"}
+                                for i in range(200)]))
+    for extra in ([], ["--stats"]):
+        code, out, _, _ = _with_warnings(main, ["synth", str(path), *extra])
+        assert code == 0 and json.loads(out)
+    assert made == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet=st.sampled_from([chr(i) for i in range(128)] + ["\x85", "\xa0", "\u2003"]),
+               max_size=40))
+def test_word_count_equals_str_split(text):
+    assert _word_count(text) == len(text.split())
+    ascii_only = text.encode("ascii", "ignore").decode()
+    assert _word_count(ascii_only) == len(ascii_only.split())
+
+
+def test_format_mmss_table_equals_arithmetic():
+    seconds = [s / 4 for s in range(-8, 4 * 1800 + 12)]
+    seconds += [1799.4999999999998, 1799.5, 1800.4999999999998, 1800.5, 3600.0, 5e3]
+    for x in seconds:
+        assert format_mmss(x) == reference.format_mmss(x), x

@@ -356,6 +356,36 @@ def test_compress_of_a_long_file_holds_its_sample_not_the_file(tmp_path, capsys)
     assert set(ts) <= {float(i) for i in uniform_sample_indices(n_frames, sample)}
 
 
+@pytest.mark.parametrize("config, message", [
+    (["--frames", "5000"], "config wants 5000 input frames but tensor has 3000"),
+    (["--frames", "-3"], "input_frames must be >= 1, got -3"),
+    (["--k", "0"], "input_frames must be >= 1, got 0"),
+])
+def test_compress_out_of_range_frames_holds_no_frames(tmp_path, capsys, config, message):
+    import tracemalloc
+
+    from framefuse import FrameFeatures, save_features
+    from framefuse.features import READ_CHUNK_BYTES
+
+    n_frames, n_patches, dim = 3000, 16, 256
+    data = np.random.default_rng(10).standard_normal((n_frames, n_patches, dim),
+                                                     dtype=np.float32)
+    src = tmp_path / "long.fvt"
+    save_features(FrameFeatures(data, tuple(float(i) for i in range(n_frames))), src)
+    del data
+    argv = ["compress", str(src), "--k", "32", "--r", "2", "-o", str(tmp_path / "c.fvt")]
+    tracemalloc.start()
+    try:
+        code = main(argv + config)  # the later flag wins
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr()) == (1, ("", f"error: {message}\n"))
+    bound = READ_CHUNK_BYTES + 4 * 2**20
+    assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+    assert n_frames * n_patches * dim * 4 > 4 * bound  # a full load would break it
+
+
 def test_compress_more_frames_than_the_file_keeps_its_message(tmp_path, capsys):
     src = tmp_path / "f.fvt"
     run(gen_args(src, frames=48), capsys)

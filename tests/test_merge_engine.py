@@ -219,6 +219,31 @@ def test_fit_fusion_weights_validates_each_scene_once(monkeypatch):
     assert calls == [(2, 3, 4)] * 4
 
 
+def test_fit_fusion_weights_builds_no_batch_sized_temporary():
+    import tracemalloc
+
+    c, s, n_patches, dim = 12, 3, 32, 256
+    rng = np.random.default_rng(13)
+    scenes = [rng.standard_normal((s, n_patches, dim), dtype=np.float32) for _ in range(c)]
+    targets = [sc[1] for sc in scenes]
+    tracemalloc.start()
+    try:
+        w, history = fit_fusion_weights(scenes, targets, lr=1e-3, steps=3, return_history=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scene_bytes = s * n_patches * dim * 8
+    batch, target_stack = c * scene_bytes, c * n_patches * dim * 8
+    # the float64 batch, the targets and the residuals, plus a few
+    # scene-sized arrays (weights, best weights, gradient, its terms); one
+    # (c, s, L, D) temporary more would break it
+    bound = batch + 2 * target_stack + 6 * scene_bytes
+    assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+    assert batch > bound - peak
+    want_w, want_history = reference.fit_fusion_weights(scenes, targets, 1e-3, 3)
+    assert np.array_equal(w, want_w) and history == want_history
+
+
 def test_compress_validates_once_and_builds_no_sampled_copy(monkeypatch):
     # the input FrameFeatures is already validated, so no scene is checked
     # again; uniform selection needs no FrameFeatures of the sampled frames,

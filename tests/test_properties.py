@@ -20,7 +20,7 @@ from framefuse import (
     select_scenes_kmeans,
     temporal_average,
 )
-from framefuse.captions import render_frame_instruction
+from reference import render_frame_instruction
 
 finite32 = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False, width=32

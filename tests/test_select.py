@@ -632,8 +632,8 @@ def test_kmeans_debug_line_search_rechecked(caplog, monkeypatch):
     counts = []
     original = select._nearest
 
-    def recording(points, centers):
-        assign, rechecked = original(points, centers)
+    def recording(points, centers, *norms):
+        assign, rechecked = original(points, centers, *norms)
         counts.append(rechecked)
         return assign, rechecked
 
