@@ -23,59 +23,32 @@ from .select import (
     select_scenes_bsm,
     select_scenes_kmeans,
 )
-from .merge import (
-    attention_pool,
-    attention_weights,
-    attn_projections,
-    bsm_merge,
-    fit_fusion_weights,
-    fusion,
-    fusion_gradient,
-    fusion_init,
-    merge_scene,
-    temporal_average,
-)
+from .merge import attn_projections, fit_fusion_weights, merge_scene
 from .pipeline import (
     CompressConfig,
     bench,
     compress,
     reconstruction_proxy,
 )
-from .captions import (
-    ClipRecord,
-    LongVideoRecord,
-    Segment,
-    dataset_stats,
-    load_clip_manifest,
-    pack_clips,
-)
+from .captions import dataset_stats, load_clip_manifest, pack_clips
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClipRecord",
     "Clustering",
     "CompressConfig",
     "FormatError",
     "FrameFeatures",
     "FrameFuseError",
-    "LongVideoRecord",
     "ParameterError",
     "Scene",
     "SceneSet",
-    "Segment",
     "SyntheticSpec",
-    "attention_pool",
-    "attention_weights",
     "attn_projections",
     "bench",
-    "bsm_merge",
     "compress",
     "dataset_stats",
     "fit_fusion_weights",
-    "fusion",
-    "fusion_gradient",
-    "fusion_init",
     "generate_synthetic",
     "kmeans",
     "load_clip_manifest",
@@ -88,5 +61,4 @@ __all__ = [
     "save_features",
     "select_scenes_bsm",
     "select_scenes_kmeans",
-    "temporal_average",
 ]

@@ -4,11 +4,10 @@ Clips are packed into composite records of 5 to 30 minutes; each clip
 becomes one timestamped segment of the merged caption, and every record
 carries the frame-sampling instruction string used for training prompts.
 
-The work runs on manifest columns: parallel lists of clip ids, durations
-and captions, with a group of clips given as a list of indices into them.
-``synth`` and ``synth --stats`` use the columns alone. The object API
-(:func:`load_clip_manifest`, :func:`pack_clips`, :func:`build_record`)
-wraps the same code.
+The work runs on manifest columns: the parallel lists of clip ids,
+durations and captions that :func:`load_clip_manifest` returns. A group of
+clips is a list of indices into them. :func:`pack_clips` builds the records
+``synth`` writes and :func:`dataset_stats` the summary of ``synth --stats``.
 """
 
 from __future__ import annotations
@@ -17,11 +16,11 @@ import json
 import logging
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from operator import lt
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,91 +41,26 @@ _MMSS = [f"{s // 60:02d}:{s % 60:02d}" for s in range(int(MAX_DURATION_S) + 1)]
 _WORD_BYTES = bytes(32 if chr(b).isspace() else 120 for b in range(256))
 
 
-def _check_clip(clip_id: str, duration_s: float, caption: str) -> None:
-    """A clip's rule: a finite duration above 0 and a nonempty caption."""
-    if not (math.isfinite(duration_s) and duration_s > 0):
-        raise ParameterError(f"clip {clip_id!r}: duration must be > 0, got {duration_s}")
-    if not caption:
-        raise ParameterError(f"clip {clip_id!r}: caption must be nonempty")
+class LongVideoRecord(NamedTuple):
+    """A synthesized long video: clip i of *clip_ids* is segment i of the
+    merged caption, spanning [starts[i], ends[i]) with captions[i]; the
+    instruction is the frame-sampling prompt."""
 
-
-@dataclass(frozen=True, slots=True)
-class ClipRecord:
-    """A short annotated clip: id, duration in seconds, caption text."""
-
-    id: str
-    duration_s: float
-    caption: str
-
-    def __post_init__(self):
-        _check_clip(self.id, self.duration_s, self.caption)
-
-
-@dataclass(frozen=True, slots=True)
-class Segment:
-    """One clip's span inside a composite record: [start_s, end_s)."""
-
-    start_s: float
-    end_s: float
-    caption: str
-
-
-@dataclass(frozen=True)
-class LongVideoRecord:
-    """A synthesized long video: ordered clips, timestamped segments,
-    merged caption, and the frame-sampling instruction string."""
-
-    clip_ids: tuple[str, ...]
+    clip_ids: list[str]
     total_duration_s: float
-    segments: tuple[Segment, ...]
+    starts: list[float]
+    ends: list[float]
+    captions: list[str]
     merged_caption: str
     instruction: str
 
-    def __post_init__(self):
-        if not MIN_DURATION_S <= self.total_duration_s <= MAX_DURATION_S:
-            raise ParameterError(
-                f"record duration {self.total_duration_s:.1f}s outside "
-                f"[{MIN_DURATION_S:.0f}, {MAX_DURATION_S:.0f}]"
-            )
-        segments = tuple(self.segments)
-        if not segments or len(segments) != len(self.clip_ids):
-            raise ParameterError("need one segment per clip")
-        cursor = 0.0
-        for seg in segments:
-            if abs(seg.start_s - cursor) > 1e-6:
-                raise ParameterError(
-                    f"segment starting at {seg.start_s} leaves a gap after {cursor}"
-                )
-            if seg.end_s <= seg.start_s:
-                raise ParameterError(f"segment [{seg.start_s}, {seg.end_s}) is empty")
-            cursor = seg.end_s
-        if abs(cursor - self.total_duration_s) > 1e-6:
-            raise ParameterError(
-                f"segments end at {cursor}, record duration is {self.total_duration_s}"
-            )
-        object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "clip_ids", tuple(self.clip_ids))
 
-    def to_dict(self) -> dict:
-        return {
-            "clip_ids": list(self.clip_ids),
-            "total_duration_s": self.total_duration_s,
-            "segments": [
-                {"start_s": s.start_s, "end_s": s.end_s, "caption": s.caption}
-                for s in self.segments
-            ],
-            "merged_caption": self.merged_caption,
-            "instruction": self.instruction,
-        }
-
-
-def _records_json_parts(records: list[tuple]) -> Iterator[str]:
-    """The text of ``json.dumps([r.to_dict() for r in records], indent=2,
-    sort_keys=True)``, one record at a time, written for this one schema.
-
-    Each record is given as the tuple :func:`_record_fields` returns,
-    ``(clip_ids, total_duration_s, starts, ends, captions, merged_caption,
-    instruction)``: segment i spans [starts[i], ends[i]) with captions[i].
+def _records_json_parts(records: list[LongVideoRecord]) -> Iterator[str]:
+    """The text of ``json.dumps(docs, indent=2, sort_keys=True)``, one
+    record at a time, written for this one schema. The doc of a record has
+    its ``clip_ids``, ``total_duration_s``, ``merged_caption`` and
+    ``instruction``, and ``segments``: a list of ``{"start_s", "end_s",
+    "caption"}`` objects, one per clip.
 
     json's C encoder runs only without ``indent``; with it, json falls back
     to its pure-Python encoder, which took about three times as long as
@@ -187,14 +121,14 @@ def _check_segments(bounds: list[float]) -> None:
         raise ParameterError(f"segment [{start}, {end}) is empty")
 
 
-def _record_fields(clip_ids: list[str], durations: list[float], captions: list[str],
-                   n_frames: int) -> tuple:
-    """The fields of the record of these clips, in order, as
-    :func:`_records_json_parts` takes them.
+def build_record(clip_ids: list[str], durations: list[float], captions: list[str],
+                 n_frames: int = DEFAULT_RECORD_FRAMES) -> LongVideoRecord:
+    """The record of these clips, in this order.
 
     Segment i spans the cumulative durations [sum(dur[:i]), sum(dur[:i+1]));
     the merged caption joins "[MM:SS - MM:SS] <caption>" blocks with
-    newlines. The total duration must land in the 5 to 30 minute window.
+    newlines. The total duration must land in the 5 to 30 minute window,
+    and no segment may be empty.
     The instruction lists the n_frames timestamps j * total / n_frames at
     one decimal, and the total rounded half-up to whole seconds.
     """
@@ -219,61 +153,42 @@ def _record_fields(clip_ids: list[str], durations: list[float], captions: list[s
         f"This video samples {n_frames} frames of a "
         f"{_round_half_up(total)}-second video at {listed} seconds."
     )
-    return clip_ids, total, bounds[:-1], bounds[1:], captions, merged, instruction
-
-
-def _as_record(fields: tuple) -> LongVideoRecord:
-    clip_ids, total, starts, ends, captions, merged, instruction = fields
-    return LongVideoRecord(tuple(clip_ids), total, tuple(map(Segment, starts, ends, captions)),
-                           merged, instruction)
-
-
-def _clip_columns(clips: list[ClipRecord]) -> tuple[list[str], list[float], list[str]]:
-    return [c.id for c in clips], [c.duration_s for c in clips], [c.caption for c in clips]
-
-
-def build_record(clips: list[ClipRecord], n_frames: int = DEFAULT_RECORD_FRAMES) -> LongVideoRecord:
-    """Assemble one composite record from an ordered clip list (see
-    :func:`_record_fields` for its segments, caption and instruction)."""
-    return _as_record(_record_fields(*_clip_columns(clips), n_frames))
+    return LongVideoRecord(clip_ids, total, bounds[:-1], bounds[1:], captions, merged,
+                           instruction)
 
 
 def pack_clips(
-    pool: list[ClipRecord],
+    ids: list[str],
+    durations: list[float],
+    captions: list[str],
     min_s: float = MIN_DURATION_S,
     max_s: float = MAX_DURATION_S,
     seed: int = 0,
     n_frames: int = DEFAULT_RECORD_FRAMES,
 ) -> list[LongVideoRecord]:
-    """Pack clips into composite records of min_s to max_s seconds.
+    """Pack the clips of these columns into composite records of min_s to
+    max_s seconds, each built by :func:`build_record`.
 
     Greedy single pass over a seeded shuffle: a group accumulates clips
     while the next clip still fits under max_s, closes when it would not,
     and is kept only if it reached min_s. Clips are used at most once;
-    clips of max_s or longer are skipped with a warning. An *n_frames*
-    below 1 is rejected before any clip is packed or any warning logged.
+    clips of max_s or longer are skipped with a warning. Each record is
+    built as its group closes, so warnings and errors keep their order. An
+    *n_frames* below 1 is rejected before any clip is packed or any
+    warning logged.
     """
-    return list(map(_as_record,
-                    _packed_records(*_clip_columns(pool), min_s, max_s, seed, n_frames)))
-
-
-def _packed_records(ids: list[str], durations: list[float], captions: list[str],
-                    min_s: float, max_s: float, seed: int, n_frames: int) -> Iterator[tuple]:
-    """The :func:`_record_fields` of each record :func:`pack_clips` builds
-    from the clips of these columns, each yielded as its group closes."""
     if n_frames < 1:
         raise ParameterError(f"sample count must be >= 1, got {n_frames}")
-    for group, _ in _pack_groups(ids, durations, min_s, max_s, seed):
-        yield _record_fields([ids[i] for i in group], [durations[i] for i in group],
-                             [captions[i] for i in group], n_frames)
+    return [build_record([ids[i] for i in group], [durations[i] for i in group],
+                         [captions[i] for i in group], n_frames)
+            for group, _ in _pack_groups(ids, durations, min_s, max_s, seed)]
 
 
 def _pack_groups(
     ids: list[str], durations: list[float], min_s: float, max_s: float, seed: int,
 ) -> Iterator[tuple[list[int], float]]:
     """The groups :func:`pack_clips` keeps, as clip indices, each with its
-    running total, yielded as each one closes so that warnings and errors
-    keep their order.
+    running total, yielded as each one closes.
 
     The running total is the same left fold from 0.0 as the record's
     duration, so the two are bit-identical.
@@ -316,21 +231,16 @@ def _pack_groups(
 _MANIFEST_KEYS = frozenset(("id", "duration", "caption"))
 
 
-def load_clip_manifest(path: str | Path) -> list[ClipRecord]:
-    """Parse a manifest: a JSON array of {"id", "duration", "caption"}.
+def load_clip_manifest(path: str | Path) -> tuple[list[str], list[float], list[str]]:
+    """The ids, durations and captions of the manifest at *path*, in entry
+    order. A manifest is a JSON array of {"id", "duration", "caption"}.
 
     Entries are used as written or rejected with a FormatError naming the
     entry: each must be an object with exactly those keys, a string id and
     caption, and a duration that is a JSON number (not a bool). Ids must be
-    unique. Each clip must also pass :class:`ClipRecord`'s check
-    (ParameterError).
+    unique. A clip must also have a finite duration above 0 and a nonempty
+    caption (ParameterError).
     """
-    return list(map(ClipRecord, *_read_manifest(path)))
-
-
-def _read_manifest(path: str | Path) -> tuple[list[str], list[float], list[str]]:
-    """The ids, durations and captions of the manifest at *path*, checked
-    entry by entry as :func:`load_clip_manifest` states, in entry order."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -364,7 +274,10 @@ def _read_manifest(path: str | Path) -> tuple[list[str], list[float], list[str]]
             raise FormatError(
                 f"{path}: manifest entry {i} is malformed: duration {duration} is out of range"
             ) from None
-        _check_clip(clip_id, duration, caption)
+        if not (math.isfinite(duration) and duration > 0):
+            raise ParameterError(f"clip {clip_id!r}: duration must be > 0, got {duration}")
+        if not caption:
+            raise ParameterError(f"clip {clip_id!r}: caption must be nonempty")
         ids.append(clip_id)
         durations.append(duration)
         captions.append(caption)
@@ -383,15 +296,6 @@ def _manifest_entry_problem(entry) -> str:
     return f"duration must be a number, got {entry['duration']!r}"
 
 
-def dataset_stats(records: list[LongVideoRecord]) -> dict:
-    """Histograms of record durations (60 s bins over the 5 to 30 minute
-    window) and merged-caption word counts, plus simple means."""
-    if not records:
-        raise ParameterError("no records to summarize")
-    return _summarize([r.total_duration_s for r in records],
-                      [len(r.merged_caption.split()) for r in records])
-
-
 def _word_count(text: str) -> int:
     """``len(text.split())``; for ASCII text, without building the list."""
     if not text.isascii():
@@ -400,11 +304,13 @@ def _word_count(text: str) -> int:
     return marks.count(b" x") + marks.startswith(b"x")
 
 
-def _packed_sizes(ids: list[str], durations: list[float], captions: list[str],
-                  min_s: float, max_s: float, seed: int) -> tuple[list[float], list[int]]:
-    """The duration and merged-caption word count of each record
-    ``pack_clips`` would build from the clips of these columns, without
-    building it.
+def dataset_stats(ids: list[str], durations: list[float], captions: list[str],
+                  min_s: float = MIN_DURATION_S, max_s: float = MAX_DURATION_S,
+                  seed: int = 0) -> dict:
+    """Histograms of the durations (60 s bins over the 5 to 30 minute
+    window) and merged-caption word counts of the records
+    :func:`pack_clips` would build from the clips of these columns, plus
+    simple means, computed without building the records.
 
     A merged-caption line is ``"[MM:SS - MM:SS] caption"`` and the labels
     hold no whitespace, so each clip adds 3 words to its caption's own. A
@@ -417,11 +323,14 @@ def _packed_sizes(ids: list[str], durations: list[float], captions: list[str],
         sizes.append(total)
         # a space between captions splits them as the merged caption's labels do
         words.append(3 * len(group) + _word_count(" ".join([captions[i] for i in group])))
-    return sizes, words
+    if not sizes:
+        raise ParameterError("no records produced; nothing to summarize")
+    return _summarize(sizes, words)
 
 
 def _summarize(durations: list[float], words: list[int]) -> dict:
-    """:func:`dataset_stats` of records with these durations and word counts."""
+    """The :func:`dataset_stats` summary of records with these durations
+    and word counts; each list holds one entry per record, at least one."""
     duration_hist = []
     lo = MIN_DURATION_S
     while lo < MAX_DURATION_S:

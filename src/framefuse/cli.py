@@ -18,11 +18,10 @@ import numpy as np
 
 from .captions import (
     DEFAULT_RECORD_FRAMES,
-    _packed_records,
-    _packed_sizes,
-    _read_manifest,
     _records_json_parts,
-    _summarize,
+    dataset_stats,
+    load_clip_manifest,
+    pack_clips,
 )
 from .errors import FormatError, FrameFuseError
 from .features import (
@@ -110,6 +109,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_compress(args) -> int:
+    if args.weights is not None and args.merge != "fusion":
+        raise _UsageError(f"--merge {args.merge} does not use --weights")
     input_frames = args.frames if args.frames else args.k * (args.r + 1)
     # Keep only the frames compress samples. A count outside the file's
     # frames keeps none: the file is still read and checked, so that a
@@ -129,7 +130,7 @@ def cmd_compress(args) -> int:
         seed=args.seed,
     )
     weights = None
-    if args.weights:
+    if args.weights is not None:
         weights = load_features(args.weights).data.astype(np.float64)
     if features is None:  # a valid config here wants more frames than the file has
         _check_input_frames(cfg, n_frames)
@@ -174,18 +175,13 @@ def cmd_bench(args) -> int:
 def cmd_synth(args) -> int:
     if args.stats and args.frames is not None:
         raise _UsageError("--stats does not use --frames")
-    # the manifest's ids, durations and captions: no per-clip objects
-    columns = _read_manifest(args.manifest)
+    columns = load_clip_manifest(args.manifest)
     if args.stats:
-        # the summary needs each record's duration and word count, not the record
-        durations, words = _packed_sizes(*columns, args.min_s, args.max_s, args.seed)
-        if not durations:
-            raise FrameFuseError("no records produced; nothing to summarize")
-        _emit_json(_summarize(durations, words), args.output)
+        _emit_json(dataset_stats(*columns, args.min_s, args.max_s, args.seed), args.output)
         return 0
     n_frames = DEFAULT_RECORD_FRAMES if args.frames is None else args.frames
     # every record is built before the first byte is written
-    records = list(_packed_records(*columns, args.min_s, args.max_s, args.seed, n_frames))
+    records = pack_clips(*columns, args.min_s, args.max_s, args.seed, n_frames)
     _emit_text(_records_json_parts(records), args.output)
     print(f"packed {len(columns[0])} clips into {len(records)} records", file=sys.stderr)
     return 0

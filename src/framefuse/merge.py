@@ -5,8 +5,8 @@ one scene's s frames. Every strategy returns an (n_patches, dim) map.
 
 Each strategy has one implementation, :func:`merge_scenes`, which runs over
 a batch of scenes of shape (c, s, n_patches, dim) and trusts its input to be
-finite. The per-scene functions validate their outside input and call it on
-a batch of one.
+finite. :func:`merge_scene` checks one scene from outside and calls it on a
+batch of one.
 """
 
 from __future__ import annotations
@@ -33,8 +33,15 @@ def _as_scene(scene: np.ndarray) -> np.ndarray:
     return scene
 
 
-def fusion_weights_for(weights: np.ndarray, scene_shape: tuple[int, ...]) -> np.ndarray:
-    """*weights* as float64, checked against the (s, n_patches, dim) scene shape."""
+def fusion_weights_for(strategy: str, weights: np.ndarray | None,
+                       scene_shape: tuple[int, ...]) -> np.ndarray | None:
+    """*weights* as float64 for merging (s, n_patches, dim) scenes with
+    *strategy*, or None. Only fusion reads weights, so weights given for
+    another strategy are rejected rather than ignored."""
+    if weights is None:
+        return None
+    if strategy != "fusion":
+        raise ParameterError(f"weights apply only to fusion merging, not {strategy!r}")
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != tuple(scene_shape):
         raise ParameterError(
@@ -43,40 +50,10 @@ def fusion_weights_for(weights: np.ndarray, scene_shape: tuple[int, ...]) -> np.
     return weights
 
 
-def temporal_average(scene: np.ndarray) -> np.ndarray:
-    """Unweighted mean over the scene's frames."""
-    return merge_scenes(_as_scene(scene)[None], "tavg")[0]
-
-
-def fusion_init(s: int, n_patches: int, dim: int) -> np.ndarray:
-    """Uniform fusion weights 1/s, so fusion starts as temporal averaging."""
-    if min(s, n_patches, dim) < 1:
-        raise ParameterError(f"fusion dims must be >= 1, got {(s, n_patches, dim)}")
-    return np.full((s, n_patches, dim), 1.0 / s, dtype=np.float64)
-
-
-def fusion(scene: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per-frame, per-patch, per-dim weighted sum over the scene's frames."""
-    scene = _as_scene(scene)
-    return merge_scenes(scene[None], "fusion", fusion_weights_for(weights, scene.shape))[0]
-
-
-def fusion_gradient(scene: np.ndarray, weights: np.ndarray,
-                    upstream: np.ndarray) -> np.ndarray:
-    """Gradient of the fused output w.r.t. the weights, contracted with
-    *upstream* (the loss gradient at the output): grad[i] = upstream * F_i."""
-    scene = _as_scene(scene)
-    fusion_weights_for(weights, scene.shape)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != scene.shape[1:]:
-        raise ParameterError(
-            f"upstream shape {upstream.shape} does not match output shape {scene.shape[1:]}"
-        )
-    return _weight_gradient(scene, upstream)
-
-
 def _weight_gradient(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    # x (..., s, L, D) and upstream (..., L, D): upstream times every frame
+    # the gradient of the fused output w.r.t. the weights, contracted with
+    # the loss gradient at the output: x (..., s, L, D) and upstream
+    # (..., L, D) give upstream times every frame
     return upstream[..., None, :, :] * x
 
 
@@ -85,22 +62,21 @@ def fit_fusion_weights(
     targets: list[np.ndarray],
     lr: float,
     steps: int,
-    return_history: bool = False,
-):
+) -> tuple[np.ndarray, list[float]]:
     """Fit fusion weights to (scene, target) pairs by gradient descent.
 
     The loss is the mean over scenes of the half squared error
-    0.5 * ||fusion(scene, w) - target||^2. Starts from the uniform init and
-    returns the best iterate seen; with a stable learning rate (at most 1
-    over the largest per-coordinate sum of squared frame values) the loss
-    is non-increasing and the best iterate is the last. Set
-    *return_history* for the per-step losses.
+    0.5 * ||merge_scene(scene, "fusion", w) - target||^2. Starts from the
+    uniform weights 1/s, at which fusion is temporal averaging, and returns
+    the best iterate seen with the loss before the first step and after
+    each one; with a stable learning rate (at most 1 over the largest
+    per-coordinate sum of squared frame values) the loss is non-increasing
+    and the best iterate is the last.
 
     The scenes are checked once and copied into a (c, s, L, D) batch.
     Each step takes every residual from :func:`merge_scenes` and the
-    gradient from the formula :func:`fusion_gradient` uses, both a scene at
-    a time, the gradient summed in scene order, so that no temporary of the
-    batch's size is built.
+    gradient upstream * frame, both a scene at a time, the gradient summed
+    in scene order, so that no temporary of the batch's size is built.
     """
     if not scenes or len(scenes) != len(targets):
         raise ParameterError("scenes and targets must be nonempty lists of equal length")
@@ -137,7 +113,7 @@ def fit_fusion_weights(
             grad += _weight_gradient(x[i], resid[i])
         return grad
 
-    w = fusion_init(*shape)
+    w = np.full(shape, 1.0 / shape[0])
     best_loss = loss_at(w)
     best_w = w
     history = [best_loss]
@@ -148,9 +124,7 @@ def fit_fusion_weights(
         if loss < best_loss:
             best_loss = loss
             best_w = w
-    if return_history:
-        return best_w, history
-    return best_w
+    return best_w, history
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,31 +179,8 @@ def _attention_weights(x: np.ndarray, qk: np.ndarray) -> np.ndarray:
     return w
 
 
-def attention_weights(scene: np.ndarray, proj: AttnProjections) -> np.ndarray:
-    """Per-patch softmax weights over frames, shape (s, n_patches).
-
-    The middle frame's projected features act as the query; each frame's
-    projected features as keys. Scores are scaled per-patch dot products,
-    normalized over the frame axis so each patch gets a convex combination.
-    """
-    return _attention_weights(_as_scene(scene)[None], proj.qk)[0]
-
-
-def attention_pool(scene: np.ndarray, proj: AttnProjections) -> np.ndarray:
-    """Merge a scene as the per-patch attention-weighted sum of its frames."""
-    return merge_scenes(_as_scene(scene)[None], "attnpool", proj=proj)[0]
-
-
-@dataclass(frozen=True, eq=False)
-class SizedTokens:
-    """Token matrix plus per-token merge multiplicities."""
-
-    tokens: np.ndarray
-    sizes: np.ndarray
-
-
 def _pair_merge(tok: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray]:
-    # bsm_merge on trusted float64 input; returns (tokens, sizes)
+    # bsm rounds on trusted float64 tokens; returns (tokens, sizes)
     t0 = tok.shape[0]
     sizes = np.ones(t0, dtype=np.int64)
     first = np.arange(t0)  # earliest original index absorbed by each token
@@ -282,29 +233,6 @@ def _pair_merge(tok: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray]:
     return tok[order], sizes[order]
 
 
-def bsm_merge(tokens: np.ndarray, target: int) -> SizedTokens:
-    """Reduce a token matrix to *target* rows by iterative pair merging.
-
-    Each round splits the current tokens alternately into partitions A and
-    B, matches every A token to its most similar B token (cosine on
-    normalized tokens), and merges the highest-scoring matches as
-    size-weighted averages, summing the sizes. At most half the current
-    tokens merge per round. The result keeps exactly *target* tokens whose
-    sizes sum to the original count, ordered by the earliest original index
-    each token absorbed.
-    """
-    tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim != 2 or min(tokens.shape) < 1:
-        raise ParameterError(f"tokens must be a nonempty matrix, got shape {tokens.shape}")
-    if not np.all(np.isfinite(tokens)):
-        raise ParameterError("tokens contain non-finite values")
-    t0 = tokens.shape[0]
-    if not 1 <= target <= t0:
-        raise ParameterError(f"target token count {target} outside [1, {t0}]")
-    tok, sizes = _pair_merge(tokens, target)
-    return SizedTokens(tokens=tok, sizes=sizes)
-
-
 def merge_scenes(
     batch: np.ndarray,
     strategy: str,
@@ -318,12 +246,21 @@ def merge_scenes(
     - ``tavg``: the unweighted mean over the scene's frames.
     - ``fusion``: the per-frame, per-patch, per-dim weighted sum over the
       frames, with *weights* or the uniform init 1/s.
-    - ``attnpool``: the per-patch attention-weighted sum of the frames (see
-      :func:`attention_weights`), with *proj* or seed-derived projections.
-    - ``bsm``: the scene is flattened patch-major, so each patch's
-      temporal copies land in alternating partitions; its s*n_patches
-      tokens are pair-merged down to n_patches (see :func:`bsm_merge`) and
-      reshaped.
+    - ``attnpool``: the per-patch attention-weighted sum of the frames,
+      with *proj* or seed-derived projections. The middle frame's projected
+      features act as the query and each frame's projected features as
+      keys; the scaled per-patch scores are softmax-normalized over the
+      frame axis, so each patch gets a convex combination.
+    - ``bsm``: bipartite soft matching, after ToMe (Bolya et al., "Token
+      Merging: Your ViT But Faster", ICLR 2023). The scene is flattened
+      patch-major, so each patch's temporal copies land in alternating
+      partitions, and its s*n_patches tokens are pair-merged down to
+      n_patches. Each round splits the current tokens alternately into
+      partitions A and B, matches every A token to its most similar B
+      token (cosine on normalized tokens), and merges the highest-scoring
+      matches as size-weighted averages, summing the sizes; at most half
+      the current tokens merge per round. The tokens left are ordered by
+      the earliest original index each absorbed and reshaped.
 
     Trusts its input: finite values of any float dtype and, for
     ``fusion``, float64 *weights* of shape (s, n_patches, dim) or None.
@@ -358,10 +295,16 @@ def merge_scene(
     proj: AttnProjections | None = None,
     seed: int = 0,
 ) -> np.ndarray:
-    """Collapse a scene (s, n_patches, dim) to one (n_patches, dim) map
-    with a strategy of :func:`merge_scenes`, after checking the scene and
-    any fusion *weights*."""
+    """Collapse a scene (s, n_patches, dim) to one (n_patches, dim) float64
+    map with a strategy of :func:`merge_scenes`.
+
+    The scene is checked once: rank 3, every dim at least 1, every value
+    finite. *weights* apply only to ``fusion`` and must have the scene's
+    shape; *proj* applies only to ``attnpool``. Either one given for
+    another strategy would be ignored, so it is rejected.
+    """
     scene = _as_scene(scene)
-    if strategy == "fusion" and weights is not None:
-        weights = fusion_weights_for(weights, scene.shape)
+    weights = fusion_weights_for(strategy, weights, scene.shape)
+    if proj is not None and strategy != "attnpool":
+        raise ParameterError(f"proj applies only to attnpool merging, not {strategy!r}")
     return merge_scenes(scene[None], strategy, weights, proj, seed)[0]

@@ -165,6 +165,9 @@ def compress(
     MERGE_CHUNK_BYTES of float64 scene data, so memory does not grow with
     cfg.scenes_k.
 
+    *weights* are the fusion weights, of shape (supplements_r + 1,
+    n_patches, dim); they are rejected with any other cfg.merging.
+
     Each warning of the selection (a scene padded from outside its history
     window; frame numbers count the sampled frames) is logged at WARNING.
     """
@@ -176,8 +179,7 @@ def compress(
     members = idx[np.array([scene.members for scene in scene_set.scenes])]  # (k, s)
     k, s = members.shape
     _, n_patches, dim = features.data.shape
-    if cfg.merging == "fusion" and weights is not None:
-        weights = fusion_weights_for(weights, (s, n_patches, dim))
+    weights = fusion_weights_for(cfg.merging, weights, (s, n_patches, dim))
     proj = attn_projections(dim, cfg.seed) if cfg.merging == "attnpool" else None
 
     out = np.empty((k, n_patches, dim), dtype=np.float32)
@@ -202,18 +204,14 @@ def _proxy(original_reps: np.ndarray, compressed: FrameFeatures) -> float:
     return float(nearest_centers(original_reps, representative_features(compressed))[1].mean())
 
 
-def bench(
-    features: FrameFeatures,
-    configs: list[CompressConfig],
-    weights: np.ndarray | None = None,
-) -> list[dict]:
+def bench(features: FrameFeatures, configs: list[CompressConfig]) -> list[dict]:
     """Run each config and report token count, wall time, and the
     reconstruction proxy. Configs run sequentially for stable timing."""
     results = []
     reps = representative_features(features)
     for cfg in configs:
         start = time.perf_counter()
-        out = compress(features, cfg, weights)
+        out = compress(features, cfg)
         wall_ms = (time.perf_counter() - start) * 1000.0
         results.append(
             {

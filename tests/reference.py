@@ -8,8 +8,9 @@ form sum((p - c)**2). They are kept here, unoptimised, as the oracle for
 the batched merge engine, the batched fusion fitter, the chunked distance
 helper, the nearest-center search, the bounded k-means++ seeding and the
 choice of one distinct frame per center. The caption section keeps the
-object-based packer and record builder: every clip a ClipRecord, every
-boundary labelled by arithmetic, and every instruction validated.
+clip-by-clip packer and record builder: every clip an (id, duration_s,
+caption) tuple, every record a dict of the written schema, every boundary
+labelled by arithmetic, and every instruction and segment validated.
 """
 
 import logging
@@ -19,17 +20,14 @@ from itertools import accumulate
 import numpy as np
 
 from framefuse import (
-    ClipRecord,
     Clustering,
     FrameFeatures,
-    LongVideoRecord,
     ParameterError,
-    Segment,
     attn_projections,
     select_scenes_bsm,
     select_scenes_kmeans,
 )
-from framefuse.captions import MAX_DURATION_S, MIN_DURATION_S
+from framefuse.captions import MAX_DURATION_S, MIN_DURATION_S, _summarize
 from framefuse.features import uniform_sample_indices
 from framefuse.pipeline import group_uniform_scenes
 
@@ -59,6 +57,12 @@ def fusion(scene, weights):
     return (scene * weights).sum(axis=0)
 
 
+def fusion_gradient(scene, upstream):
+    """Gradient of the fused output w.r.t. the weights, contracted with
+    *upstream* (the loss gradient at the output): grad[i] = upstream * F_i."""
+    return np.asarray(upstream, dtype=np.float64)[None, :, :] * as_scene(scene)
+
+
 def fusion_loss(scenes, targets, weights):
     """Mean over scenes of the half squared error of fusion vs target."""
     total = 0.0
@@ -82,7 +86,7 @@ def fit_fusion_weights(scenes, targets, lr, steps):
     for _ in range(steps):
         grad = np.zeros_like(w)
         for scene, target in zip(scenes, targets):
-            grad += (fusion(scene, w) - target)[None, :, :] * scene
+            grad += fusion_gradient(scene, fusion(scene, w) - target)
         w = w - (lr / n) * grad
         loss = fusion_loss(scenes, targets, w)
         history.append(loss)
@@ -323,31 +327,37 @@ def render_frame_instruction(n_frames, total_s, timestamps):
 
 
 def build_record(clips, n_frames=32):
+    """The record dict of (id, duration_s, caption) clips, in order."""
     if not clips:
         raise ParameterError("cannot build a record from zero clips")
-    bounds = list(accumulate([c.duration_s for c in clips], initial=0.0))
+    bounds = list(accumulate([duration for _, duration, _ in clips], initial=0.0))
     total = bounds[-1]
     if not MIN_DURATION_S <= total <= MAX_DURATION_S:
         raise ParameterError(
             f"total duration {total:.1f}s outside [{MIN_DURATION_S:.0f}, {MAX_DURATION_S:.0f}]"
         )
     labels = [format_mmss(b) for b in bounds]
-    captions = [c.caption for c in clips]
+    captions = [caption for _, _, caption in clips]
     instruction = render_frame_instruction(n_frames, total, sample_timestamps(total, n_frames))
-    return LongVideoRecord(
-        clip_ids=tuple(c.id for c in clips),
-        total_duration_s=total,
-        segments=tuple(map(Segment, bounds, bounds[1:], captions)),
-        merged_caption="\n".join(
+    segments = []
+    for start, end, caption in zip(bounds, bounds[1:], captions):
+        if end <= start:
+            raise ParameterError(f"segment [{start}, {end}) is empty")
+        segments.append({"start_s": start, "end_s": end, "caption": caption})
+    return {
+        "clip_ids": [clip_id for clip_id, _, _ in clips],
+        "total_duration_s": total,
+        "segments": segments,
+        "merged_caption": "\n".join(
             [f"[{a} - {b}] {cap}" for a, b, cap in zip(labels, labels[1:], captions)]
         ),
-        instruction=instruction,
-    )
+        "instruction": instruction,
+    }
 
 
 def pack_clips(pool, min_s=MIN_DURATION_S, max_s=MAX_DURATION_S, seed=0, n_frames=32):
-    """Greedy packing of a seeded shuffle of ClipRecords, each record built
-    as its group closes."""
+    """Greedy packing of a seeded shuffle of (id, duration_s, caption)
+    clips, each record built as its group closes."""
     if n_frames < 1:
         raise ParameterError(f"sample count must be >= 1, got {n_frames}")
     if not pool:
@@ -370,19 +380,29 @@ def pack_clips(pool, min_s=MIN_DURATION_S, max_s=MAX_DURATION_S, seed=0, n_frame
 
     group, total = [], 0.0
     for clip in shuffled:
-        if clip.duration_s >= max_s:
+        clip_id, duration, _ = clip
+        if duration >= max_s:
             logger.warning("skipping clip %r: %.1fs is not below max %.1fs",
-                           clip.id, clip.duration_s, max_s)
+                           clip_id, duration, max_s)
             continue
-        if total + clip.duration_s > max_s:
+        if total + duration > max_s:
             close(group, total)
             group, total = [], 0.0
         group.append(clip)
-        total += clip.duration_s
+        total += duration
     close(group, total)
     return records
 
 
+def dataset_stats(records):
+    """The summary of record dicts, each word count taken by str.split()."""
+    if not records:
+        raise ParameterError("no records produced; nothing to summarize")
+    return _summarize([r["total_duration_s"] for r in records],
+                      [len(r["merged_caption"].split()) for r in records])
+
+
 def clip_pool(manifest_entries):
-    """The ClipRecords of parsed manifest entries."""
-    return [ClipRecord(e["id"], float(e["duration"]), e["caption"]) for e in manifest_entries]
+    """The (id, duration_s, caption) clips of parsed manifest entries."""
+    return [(e["id"], float(e["duration"]), e["caption"]) for e in manifest_entries]
+

@@ -2,11 +2,9 @@
 and dataset statistics."""
 
 import contextlib
-import copy
 import io
 import json
 import logging
-import pickle
 import re
 import tempfile
 from pathlib import Path
@@ -16,59 +14,66 @@ from hypothesis import given, settings, strategies as st
 
 import reference
 from framefuse import (
-    ClipRecord,
     FormatError,
     FrameFuseError,
-    LongVideoRecord,
     ParameterError,
-    Segment,
     dataset_stats,
     load_clip_manifest,
     pack_clips,
 )
-from framefuse.captions import _records_json_parts, _word_count, build_record, format_mmss
+from framefuse.captions import (
+    LongVideoRecord,
+    _records_json_parts,
+    _word_count,
+    build_record,
+    format_mmss,
+)
 from framefuse.cli import main
 from reference import render_frame_instruction, sample_timestamps
 
 
 def make_pool(n, duration=60.0):
-    return [ClipRecord(f"clip-{i:04d}", duration, f"caption for clip {i}") for i in range(n)]
+    """The ids, durations and captions of n clips."""
+    return ([f"clip-{i:04d}" for i in range(n)], [duration] * n,
+            [f"caption for clip {i}" for i in range(n)])
 
 
-def test_clip_record_validation():
-    with pytest.raises(ParameterError):
-        ClipRecord("x", 0.0, "text")
-    with pytest.raises(ParameterError):
-        ClipRecord("x", 10.0, "")
+def test_clip_record_validation(tmp_path):
+    path = tmp_path / "clips.json"
+    for duration, caption in ((0.0, "text"), (10.0, "")):
+        path.write_text(json.dumps([{"id": "x", "duration": duration, "caption": caption}]))
+        with pytest.raises(ParameterError, match="clip 'x'"):
+            load_clip_manifest(path)
 
 
 def test_pack_ten_sixty_second_clips_single_record():
-    records = pack_clips(make_pool(10), min_s=300, max_s=1800, seed=0)
+    records = pack_clips(*make_pool(10), min_s=300, max_s=1800, seed=0)
     assert len(records) == 1
     rec = records[0]
     assert rec.total_duration_s == 600.0
-    assert len(rec.segments) == 10
+    assert len(rec.starts) == len(rec.ends) == len(rec.captions) == 10
     assert sorted(rec.clip_ids) == [f"clip-{i:04d}" for i in range(10)]
 
 
 def test_pack_single_short_clip_yields_nothing():
-    records = pack_clips([ClipRecord("only", 100.0, "too short")])
+    records = pack_clips(["only"], [100.0], ["too short"])
     assert records == []
 
 
 def test_pack_deterministic():
     pool = make_pool(50, duration=47.0)
-    a = pack_clips(pool, seed=7)
-    b = pack_clips(pool, seed=7)
-    assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
-    c = pack_clips(pool, seed=8)
+    a = pack_clips(*pool, seed=7)
+    b = pack_clips(*pool, seed=7)
+    assert a == b
+    c = pack_clips(*pool, seed=8)
     assert [r.clip_ids for r in a] != [r.clip_ids for r in c]
 
 
 def test_pack_skips_oversized_clip(caplog):
-    pool = make_pool(10) + [ClipRecord("huge", 1800.0, "a full half hour")]
+    ids, durations, captions = make_pool(10)
+    pool = ids + ["huge"], durations + [1800.0], captions + ["a full half hour"]
     with caplog.at_level("WARNING"):
-        records = pack_clips(pool, seed=1)
+        records = pack_clips(*pool, seed=1)
     ids = [cid for r in records for cid in r.clip_ids]
     assert "huge" not in ids
     assert any("huge" in m for m in caplog.messages)
@@ -76,7 +81,7 @@ def test_pack_skips_oversized_clip(caplog):
 
 def test_pack_clips_used_at_most_once():
     pool = make_pool(123, duration=61.0)
-    records = pack_clips(pool, seed=3)
+    records = pack_clips(*pool, seed=3)
     ids = [cid for r in records for cid in r.clip_ids]
     assert len(ids) == len(set(ids))
     assert all(300 <= r.total_duration_s <= 1800 for r in records)
@@ -84,29 +89,24 @@ def test_pack_clips_used_at_most_once():
 
 def test_pack_window_validation():
     with pytest.raises(ParameterError):
-        pack_clips(make_pool(2), min_s=100, max_s=1800)
+        pack_clips(*make_pool(2), min_s=100, max_s=1800)
     with pytest.raises(ParameterError):
-        pack_clips([])
+        pack_clips([], [], [])
 
 
 def test_pack_drops_undersized_group_on_overflow(caplog):
     # a 1750 s clip cannot join the 100 s group without passing max_s, so
     # the undersized group is dropped with a warning
-    pool = [ClipRecord("tiny", 100.0, "x"), ClipRecord("big", 1750.0, "y")]
     with caplog.at_level("WARNING"):
-        records = pack_clips(pool, seed=4)
-    assert [r.clip_ids for r in records] == [("big",)]
+        records = pack_clips(["tiny", "big"], [100.0, 1750.0], ["x", "y"], seed=4)
+    assert [r.clip_ids for r in records] == [["big"]]
     assert any("dropping group" in m for m in caplog.messages)
 
 
 def test_build_record_cumulative_spans():
-    clips = [
-        ClipRecord("a", 120.0, "first part"),
-        ClipRecord("b", 240.0, "second part"),
-        ClipRecord("c", 180.0, "third part"),
-    ]
-    rec = build_record(clips)
-    spans = [(s.start_s, s.end_s) for s in rec.segments]
+    rec = build_record(["a", "b", "c"], [120.0, 240.0, 180.0],
+                       ["first part", "second part", "third part"])
+    spans = list(zip(rec.starts, rec.ends))
     assert spans == [(0.0, 120.0), (120.0, 360.0), (360.0, 540.0)]
     assert rec.total_duration_s == 540.0
     assert rec.merged_caption.splitlines() == [
@@ -117,18 +117,17 @@ def test_build_record_cumulative_spans():
 
 
 def test_build_record_single_400s_clip():
-    rec = build_record([ClipRecord("solo", 400.0, "one long take")])
+    rec = build_record(["solo"], [400.0], ["one long take"])
     assert rec.merged_caption == "[00:00 - 06:40] one long take"
 
 
 def test_build_record_below_minimum():
     with pytest.raises(ParameterError):
-        build_record([ClipRecord("a", 200.0, "short")])
+        build_record(["a"], [200.0], ["short"])
 
 
 def test_build_record_rounding_half_up():
-    clips = [ClipRecord("a", 125.5, "x"), ClipRecord("b", 240.0, "y")]
-    rec = build_record(clips)
+    rec = build_record(["a", "b"], [125.5, 240.0], ["x", "y"])
     # 125.5 rounds half-up to 126 -> 02:06
     assert rec.merged_caption.splitlines()[0] == "[00:00 - 02:06] x"
 
@@ -176,33 +175,19 @@ def test_sample_timestamps():
         sample_timestamps(10.0, 0)
 
 
-def test_record_validation():
-    seg = Segment(0.0, 400.0, "x")
-    with pytest.raises(ParameterError):  # duration out of window
-        LongVideoRecord(("a",), 200.0, (Segment(0.0, 200.0, "x"),), "c", "i")
-    with pytest.raises(ParameterError):  # gap between segments
-        LongVideoRecord(
-            ("a", "b"), 800.0,
-            (seg, Segment(500.0, 800.0, "y")), "c", "i",
-        )
-    with pytest.raises(ParameterError):  # segments do not reach the total
-        LongVideoRecord(("a",), 500.0, (seg,), "c", "i")
-
-
 def test_segment_partition_invariant():
-    records = pack_clips(make_pool(200, duration=73.0), seed=11)
+    records = pack_clips(*make_pool(200, duration=73.0), seed=11)
     assert records
     for rec in records:
         cursor = 0.0
-        for seg in rec.segments:
-            assert seg.start_s == pytest.approx(cursor, abs=1e-9)
-            cursor = seg.end_s
+        for start, end in zip(rec.starts, rec.ends):
+            assert start == pytest.approx(cursor, abs=1e-9)
+            cursor = end
         assert cursor == pytest.approx(rec.total_duration_s, abs=1e-9)
 
 
 def test_dataset_stats_single_bucket():
-    rec = build_record([ClipRecord("a", 600.0, "six hundred seconds of video")])
-    stats = dataset_stats([rec])
+    stats = dataset_stats(["a"], [600.0], ["six hundred seconds of video"])
     hits = [b for b in stats["duration_hist"] if b["count"]]
     assert len(hits) == 1
     assert (hits[0]["lo"], hits[0]["hi"]) == (600.0, 660.0)
@@ -210,8 +195,9 @@ def test_dataset_stats_single_bucket():
 
 
 def test_dataset_stats_conservation():
-    records = pack_clips(make_pool(300, duration=91.0), seed=13)
-    stats = dataset_stats(records)
+    pool = make_pool(300, duration=91.0)
+    records = pack_clips(*pool, seed=13)
+    stats = dataset_stats(*pool, seed=13)
     assert sum(b["count"] for b in stats["duration_hist"]) == len(records)
     assert sum(b["count"] for b in stats["caption_words_hist"]) == len(records)
     assert 300 <= stats["mean_duration_s"] <= 1800
@@ -219,8 +205,9 @@ def test_dataset_stats_conservation():
 
 
 def test_dataset_stats_empty():
-    with pytest.raises(ParameterError):
-        dataset_stats([])
+    # two 60 s clips pack into no record
+    with pytest.raises(ParameterError, match="no records produced"):
+        dataset_stats(*make_pool(2))
 
 
 def test_manifest_roundtrip(tmp_path):
@@ -229,9 +216,10 @@ def test_manifest_roundtrip(tmp_path):
         {"id": "a", "duration": 30.5, "caption": "hello"},
         {"id": "b", "duration": 61.0, "caption": "world"},
     ]))
-    clips = load_clip_manifest(path)
-    assert [c.id for c in clips] == ["a", "b"]
-    assert clips[0].duration_s == 30.5
+    ids, durations, captions = load_clip_manifest(path)
+    assert ids == ["a", "b"]
+    assert durations == [30.5, 61.0]
+    assert captions == ["hello", "world"]
 
 
 def test_manifest_malformed_json_names_offset(tmp_path):
@@ -249,8 +237,8 @@ def test_manifest_missing_field(tmp_path):
 
 
 def test_record_to_dict_schema():
-    rec = build_record([ClipRecord("a", 400.0, "text")], n_frames=4)
-    doc = rec.to_dict()
+    rec = build_record(["a"], [400.0], ["text"], n_frames=4)
+    (doc,) = json.loads("".join(_records_json_parts([rec])))
     assert set(doc) == {
         "clip_ids", "total_duration_s", "segments", "merged_caption", "instruction",
     }
@@ -271,43 +259,53 @@ _duration = st.one_of(
 
 
 def _records_json(records):
-    return "".join(_records_json_parts(
-        [(r.clip_ids, r.total_duration_s, [s.start_s for s in r.segments],
-          [s.end_s for s in r.segments], [s.caption for s in r.segments],
-          r.merged_caption, r.instruction) for r in records]))
+    return "".join(_records_json_parts(records))
+
+
+def _record_dict(record):
+    """The written schema of a LongVideoRecord."""
+    return {
+        "clip_ids": list(record.clip_ids),
+        "total_duration_s": record.total_duration_s,
+        "segments": [{"start_s": a, "end_s": b, "caption": c}
+                     for a, b, c in zip(record.starts, record.ends, record.captions)],
+        "merged_caption": record.merged_caption,
+        "instruction": record.instruction,
+    }
 
 
 def _oracle(records):
-    return json.dumps([r.to_dict() for r in records], indent=2, sort_keys=True)
+    return json.dumps([_record_dict(r) for r in records], indent=2, sort_keys=True)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    pool=st.lists(st.builds(ClipRecord, _text, _duration, _text), min_size=1, max_size=40),
+    pool=st.lists(st.tuples(_text, _duration, _text), min_size=1, max_size=40),
     seed=st.integers(0, 2**16),
     n_frames=st.integers(1, 6),
 )
 def test_records_json_equals_json_dumps(pool, seed, n_frames):
-    records = pack_clips(pool, seed=seed, n_frames=n_frames)
+    records = pack_clips(*map(list, zip(*pool)), seed=seed, n_frames=n_frames)
     assert _records_json(records) == _oracle(records)
 
 
 def test_records_json_long_reprs_and_empty():
     assert _records_json([]) == _oracle([]) == "[]"
-    clips = [ClipRecord(f'c"{i}\\😀', 1 / 3 + 20, f"line\n{i}\t\ud800é") for i in range(20)]
-    records = [build_record(clips), build_record(clips[:15], n_frames=3)]
-    assert repr(records[0].segments[1].end_s) == "40.666666666666664"
+    ids = [f'c"{i}\\😀' for i in range(20)]
+    captions = [f"line\n{i}\t\ud800é" for i in range(20)]
+    durations = [1 / 3 + 20] * 20
+    records = [build_record(ids, durations, captions),
+               build_record(ids[:15], durations[:15], captions[:15], n_frames=3)]
+    assert repr(records[0].ends[1]) == "40.666666666666664"
     assert _records_json(records) == _oracle(records)
 
 
 def test_records_json_boundaries_that_are_close_but_not_equal():
-    # the validator allows a gap of up to 1e-6 between segments, so the
-    # writer may reuse a boundary's text only where the floats are equal;
-    # 0.0 == -0.0, but their reprs differ
-    segments = (Segment(-5e-7, 0.0, "a"), Segment(-0.0, 100.0, "b"),
-                Segment(100.0 + 5e-7, 250.0, "c"), Segment(250.0 - 3e-7, 250.5, "d"),
-                Segment(250.5, 400.0, "e"))
-    rec = LongVideoRecord(clip_ids=tuple("abcde"), total_duration_s=400.0, segments=segments,
+    # the writer may reuse a boundary's text only where the floats are
+    # equal; 0.0 == -0.0, but their reprs differ
+    rec = LongVideoRecord(clip_ids=list("abcde"), total_duration_s=400.0,
+                          starts=[-5e-7, -0.0, 100.0 + 5e-7, 250.0 - 3e-7, 250.5],
+                          ends=[0.0, 100.0, 250.0, 250.5, 400.0], captions=list("abcde"),
                           merged_caption="abcde", instruction="i")
     text = _records_json([rec])
     assert text == _oracle([rec])
@@ -326,19 +324,9 @@ def test_build_record_labels_each_boundary_once(monkeypatch):
     monkeypatch.setattr(captions, "format_mmss", counting_format_mmss)
     for n in (1, 2, 7, 30):
         labelled.clear()
-        rec = build_record(make_pool(n, duration=600.0 / n))
+        rec = build_record(*make_pool(n, duration=600.0 / n))
         assert len(labelled) == n + 1
         assert rec.merged_caption.count("\n") == n - 1
-
-
-def test_clip_records_and_segments_keep_value_semantics():
-    clip, seg = ClipRecord("a", 1 / 3, "x"), Segment(0.0, 1 / 3, "x")
-    for obj in (clip, seg):
-        assert not hasattr(obj, "__dict__")
-        assert pickle.loads(pickle.dumps(obj)) == obj == copy.deepcopy(obj)
-        assert hash(obj) == hash(copy.copy(obj))
-        with pytest.raises(AttributeError):
-            obj.caption = "y"
 
 
 # -- strict manifests -----------------------------------------------------------
@@ -392,11 +380,11 @@ def test_manifest_rejects_mixed_types_that_used_to_collide(tmp_path):
 def test_manifest_integer_duration_is_a_float(tmp_path):
     path = tmp_path / "clips.json"
     path.write_text(json.dumps([dict(_GOOD, duration=60)]))
-    (clip,) = load_clip_manifest(path)
-    assert type(clip.duration_s) is float and clip.duration_s == 60.0
+    _, (duration,), _ = load_clip_manifest(path)
+    assert type(duration) is float and duration == 60.0
 
 
-# -- synth on manifest columns against the object-based oracle -------------------
+# -- synth against the clip-by-clip oracle ----------------------------------------
 
 _MALFORMED_MANIFESTS = [
     '[{"id": "a", "duration": }]',
@@ -406,7 +394,7 @@ _MALFORMED_MANIFESTS = [
     json.dumps([_GOOD, dict(_GOOD, id="b"), dict(_GOOD, duration=9.0)]),
     '[{"id": 1, "duration": true, "caption": 5}, {"id": "1", "duration": "60", "caption": "x"}]',
     json.dumps(_GOOD),  # not an array
-    # ClipRecord's rule
+    # the clip rule: a finite duration above 0 and a nonempty caption
     json.dumps([_GOOD, dict(_GOOD, id="b", duration=0)]),
     json.dumps([_GOOD, dict(_GOOD, id="b", duration=-2.5)]),
     json.dumps([_GOOD, dict(_GOOD, id="b", caption="")]),
@@ -442,7 +430,7 @@ def test_synth_rejects_a_malformed_manifest_as_load_clip_manifest_does(tmp_path,
 
 def _oracle_outputs(entries, min_s, max_s, seed, n_frames):
     """(code, stdout, stderr) of synth and of synth --stats, from the
-    object-based packer, and the warnings it logs."""
+    clip-by-clip packer, and the warnings it logs."""
 
     def pack():
         return reference.pack_clips(reference.clip_pool(entries), min_s, max_s, seed, n_frames)
@@ -452,11 +440,12 @@ def _oracle_outputs(entries, min_s, max_s, seed, n_frames):
     except ParameterError as exc:
         failed = (1, "", f"error: {exc}\n")
         return failed, failed, None
-    synth = (0, json.dumps([r.to_dict() for r in records], indent=2, sort_keys=True) + "\n",
+    synth = (0, json.dumps(records, indent=2, sort_keys=True) + "\n",
              f"packed {len(entries)} clips into {len(records)} records\n")
     if not records:
         return synth, (1, "", "error: no records produced; nothing to summarize\n"), warnings
-    stats = (0, json.dumps(dataset_stats(records), indent=2, sort_keys=True) + "\n", "")
+    stats = (0, json.dumps(reference.dataset_stats(records), indent=2, sort_keys=True) + "\n",
+             "")
     return synth, stats, warnings
 
 
@@ -502,27 +491,6 @@ def test_synth_outputs_equal_the_object_based_oracle(clips, id_prefix, tiny, win
     assert tuple(stats) == want_stats
     if want_warnings is not None:
         assert warnings == stats_warnings == want_warnings
-
-
-def test_synth_builds_no_clip_records(tmp_path, monkeypatch):
-    made = []
-    check = ClipRecord.__post_init__
-
-    def counting(self):
-        made.append(self.id)
-        check(self)
-
-    monkeypatch.setattr(ClipRecord, "__post_init__", counting)
-    ClipRecord("probe", 1.0, "x")
-    assert made == ["probe"]  # the patch sees every construction
-    made.clear()
-    path = tmp_path / "clips.json"
-    path.write_text(json.dumps([{"id": f"c{i}", "duration": 47.0, "caption": f"text {i}"}
-                                for i in range(200)]))
-    for extra in ([], ["--stats"]):
-        code, out, _, _ = _with_warnings(main, ["synth", str(path), *extra])
-        assert code == 0 and json.loads(out)
-    assert made == []
 
 
 @settings(max_examples=200, deadline=None)

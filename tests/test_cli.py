@@ -1,14 +1,17 @@
 """CLI tests: subcommands, exit codes, determinism, output schemas."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from framefuse import ParameterError, load_features
+import reference
+from framefuse import CompressConfig, ParameterError, compress, load_features
 from framefuse.cli import main
 
 
@@ -120,6 +123,72 @@ def test_compress_bad_merge_name_exits_2(tmp_path, capsys):
         main(["compress", str(src), "--k", "4", "--r", "2",
               "--merge", "maxpool", "-o", str(tmp_path / "x.fvt")])
     assert exc.value.code == 2
+
+
+def test_compress_uses_a_fusion_weights_file(tmp_path, capsys):
+    src, weights = tmp_path / "f.fvt", tmp_path / "w.fvt"
+    run(gen_args(src, frames=24), capsys)
+    run(["gen", "--frames", "3", "--patches", "8", "--dim", "16", "--scenes", "1",
+         "--seed", "5", "-o", str(weights)], capsys)
+    out = tmp_path / "c.fvt"
+    argv = ["compress", str(src), "--k", "8", "--r", "2", "--merge", "fusion", "-o", str(out)]
+    assert run(argv + ["--weights", str(weights)], capsys)[0] == 0
+    w = load_features(weights).data.astype(np.float64)
+    want = compress(load_features(src), CompressConfig(24, 8, 2, merging="fusion"), w)
+    assert load_features(out).data.tobytes() == want.data.tobytes()
+    # a weights file of the wrong shape is rejected, not ignored
+    code, stdout, stderr = run(argv[:-1] + [str(tmp_path / "bad.fvt"), "--weights", str(src)],
+                               capsys)
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: weights shape (24, 8, 16) does not match scene shape (3, 8, 16)\n"
+    assert not (tmp_path / "bad.fvt").exists()
+
+
+@pytest.mark.parametrize("merge", ["tavg", "attnpool", "bsm"])
+def test_compress_weights_without_fusion_exit_2_before_reading(tmp_path, capsys, merge):
+    # neither file exists: the flags are rejected before any file is read
+    out = tmp_path / "c.fvt"
+    extra = [] if merge == "tavg" else ["--merge", merge]
+    code, stdout, stderr = run(["compress", str(tmp_path / "missing.fvt"), "--k", "8", "--r",
+                                "2", *extra, "--weights", str(tmp_path / "w.fvt"),
+                                "-o", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"usage error: --merge {merge} does not use --weights\n"
+    assert not out.exists()
+
+
+_BLAS_PROBE = """
+import contextlib, hashlib, io, sys
+from framefuse.cli import main
+out = sys.argv[1] + "/c.fvt"
+for path, frames in (("small.fvt", "48"), ("large.fvt", "96")):
+    for select in ("uniform", "kmeans", "bsm"):
+        for merge in ("tavg", "fusion", "attnpool", "bsm"):
+            sample = [] if select == "uniform" else ["--frames", frames]
+            argv = ["compress", sys.argv[1] + "/" + path, "--k", "8", "--r", "2",
+                    "--select", select, "--merge", merge, "--seed", "3", *sample, "-o", out]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+            print(path, select, merge, hashlib.sha256(open(out, "rb").read()).hexdigest())
+"""
+
+
+def test_compress_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
+    for name, shape in (("small.fvt", ("96", "16", "32")), ("large.fvt", ("120", "36", "256"))):
+        frames, patches, dim = shape
+        assert run(["gen", "--frames", frames, "--patches", patches, "--dim", dim,
+                    "--seed", "11", "-o", str(tmp_path / name)], capsys)[0] == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.splitlines())
+    assert len(digests[0]) == 24
+    assert digests[0] == digests[1]
 
 
 def test_compress_deterministic(tmp_path, capsys):
@@ -263,10 +332,8 @@ def test_missing_input_file_exits_1(tmp_path, capsys):
 
 
 def _synth_oracle(manifest, seed):
-    from framefuse import load_clip_manifest, pack_clips
-
-    records = pack_clips(load_clip_manifest(manifest), seed=seed)
-    return json.dumps([r.to_dict() for r in records], indent=2, sort_keys=True) + "\n"
+    pool = reference.clip_pool(json.loads(manifest.read_text()))
+    return json.dumps(reference.pack_clips(pool, seed=seed), indent=2, sort_keys=True) + "\n"
 
 
 def test_synth_records_equal_json_dumps_oracle(tmp_path, capsys):
@@ -494,16 +561,14 @@ def test_select_explicit_kmeans_defaults_match_omitted_flags(tmp_path, capsys):
 # -- synth --stats summarizes the packed groups without building records ------
 
 def _stats_oracle(manifest, min_s, max_s, seed):
-    """(exit code, stdout, stderr) of `synth --stats`, from the records."""
-    from framefuse import dataset_stats, load_clip_manifest, pack_clips
-
+    """(exit code, stdout, stderr) of `synth --stats`, from the records of
+    the clip-by-clip oracle."""
+    pool = reference.clip_pool(json.loads(manifest.read_text()))
     try:
-        records = pack_clips(load_clip_manifest(manifest), min_s, max_s, seed)
+        stats = reference.dataset_stats(reference.pack_clips(pool, min_s, max_s, seed))
     except ParameterError as exc:
         return 1, "", f"error: {exc}\n"
-    if not records:
-        return 1, "", "error: no records produced; nothing to summarize\n"
-    return 0, json.dumps(dataset_stats(records), indent=2, sort_keys=True) + "\n", ""
+    return 0, json.dumps(stats, indent=2, sort_keys=True) + "\n", ""
 
 
 # str.split() whitespace that is neither the space nor the newline the merged

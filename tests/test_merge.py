@@ -1,22 +1,14 @@
 """Merge-strategy tests: averaging, weighted fusion and its gradient,
-attention pooling, and bipartite token merging."""
+attention pooling, and bipartite token merging, through ``merge_scene``.
+Properties the merged map does not show (attention weights, bsm token
+sizes, the gradient formula) are checked on the oracle in ``reference.py``,
+which ``test_merge_engine.py`` holds the engine to."""
 
 import numpy as np
 import pytest
 
-from framefuse import (
-    ParameterError,
-    attention_pool,
-    attention_weights,
-    attn_projections,
-    bsm_merge,
-    fit_fusion_weights,
-    fusion,
-    fusion_gradient,
-    fusion_init,
-    merge_scene,
-    temporal_average,
-)
+import reference
+from framefuse import ParameterError, attn_projections, fit_fusion_weights, merge_scene
 from framefuse.merge import STRATEGIES
 
 
@@ -24,21 +16,35 @@ def random_scene(rng, s=3, n_patches=4, dim=6):
     return rng.standard_normal((s, n_patches, dim))
 
 
+def fusion(scene, weights):
+    return merge_scene(scene, "fusion", weights=weights)
+
+
+def uniform_weights(s, n_patches, dim):
+    return np.full((s, n_patches, dim), 1.0 / s)
+
+
+def scene_of_tokens(tokens, n_patches):
+    """The scene whose bsm token order, patch-major, is *tokens*."""
+    t0, dim = tokens.shape
+    return tokens.reshape(n_patches, t0 // n_patches, dim).transpose(1, 0, 2)
+
+
 def test_temporal_average_identical_frames():
     frame = np.random.default_rng(0).standard_normal((5, 7))
     scene = np.stack([frame] * 4)
-    assert np.allclose(temporal_average(scene), frame)
+    assert np.allclose(merge_scene(scene, "tavg"), frame)
 
 
 def test_temporal_average_midpoint():
     scene = np.stack([np.zeros((3, 3)), np.full((3, 3), 2.0)])
-    assert np.array_equal(temporal_average(scene), np.ones((3, 3)))
+    assert np.array_equal(merge_scene(scene, "tavg"), np.ones((3, 3)))
 
 
 def test_temporal_average_float64_oracle():
     rng = np.random.default_rng(1)
     scene = rng.standard_normal((4, 8, 16)).astype(np.float32)
-    got = temporal_average(scene)
+    got = merge_scene(scene, "tavg")
     acc = np.zeros((8, 16), dtype=np.float64)
     for i in range(4):
         acc += scene[i].astype(np.float64)
@@ -46,17 +52,19 @@ def test_temporal_average_float64_oracle():
 
 
 def test_fusion_init_values():
-    w = fusion_init(4, 2, 3)
-    assert np.all(w == 0.25)
-    assert np.all(fusion_init(1, 2, 2) == 1.0)
+    # the fitter starts from the uniform weights 1/s; zero steps return them
+    for s, want in ((4, 0.25), (1, 1.0)):
+        w, _ = fit_fusion_weights([np.zeros((s, 2, 3))], [np.zeros((2, 3))], lr=0.1, steps=0)
+        assert w.shape == (s, 2, 3) and np.all(w == want)
 
 
 def test_fusion_init_equals_temporal_average():
     rng = np.random.default_rng(2)
     for _ in range(10):
         scene = random_scene(rng, s=int(rng.integers(2, 5)))
-        w = fusion_init(*scene.shape)
-        assert np.max(np.abs(fusion(scene, w) - temporal_average(scene))) <= 1e-6
+        tavg = merge_scene(scene, "tavg")
+        assert np.max(np.abs(fusion(scene, uniform_weights(*scene.shape)) - tavg)) <= 1e-6
+        assert np.max(np.abs(merge_scene(scene, "fusion") - tavg)) <= 1e-6
 
 
 def test_fusion_one_hot_selects_frame():
@@ -88,8 +96,8 @@ def test_fusion_shape_mismatch():
 
 def test_fusion_gradient_trivials():
     ones = np.ones((2, 3, 4))
-    assert np.all(fusion_gradient(ones, ones / 2, np.ones((3, 4))) == 1.0)
-    assert np.all(fusion_gradient(ones, ones / 2, np.zeros((3, 4))) == 0.0)
+    assert np.all(reference.fusion_gradient(ones, np.ones((3, 4))) == 1.0)
+    assert np.all(reference.fusion_gradient(ones, np.zeros((3, 4))) == 0.0)
 
 
 def test_fusion_gradient_matches_central_differences():
@@ -103,7 +111,7 @@ def test_fusion_gradient_matches_central_differences():
             resid = fusion(scene, weights) - target
             return 0.5 * float((resid * resid).sum())
 
-        analytic = fusion_gradient(scene, w, fusion(scene, w) - target)
+        analytic = reference.fusion_gradient(scene, fusion(scene, w) - target)
         h = 1e-3
         numeric = np.zeros_like(w)
         for idx in np.ndindex(w.shape):
@@ -118,17 +126,17 @@ def test_fusion_gradient_matches_central_differences():
 def test_fit_already_optimal_at_init():
     rng = np.random.default_rng(6)
     scenes = [random_scene(rng) for _ in range(3)]
-    targets = [temporal_average(sc) for sc in scenes]
-    w, hist = fit_fusion_weights(scenes, targets, lr=0.05, steps=20, return_history=True)
+    targets = [merge_scene(sc, "tavg") for sc in scenes]
+    w, hist = fit_fusion_weights(scenes, targets, lr=0.05, steps=20)
     assert hist[0] <= 1e-20
-    assert np.max(np.abs(w - fusion_init(*scenes[0].shape))) <= 1e-12
+    assert np.max(np.abs(w - uniform_weights(*scenes[0].shape))) <= 1e-12
 
 
 def test_fit_loss_decreases_90_percent():
     rng = np.random.default_rng(7)
     scenes = [random_scene(rng, s=3, n_patches=4, dim=5) for _ in range(32)]
     targets = [sc[0] for sc in scenes]
-    w, hist = fit_fusion_weights(scenes, targets, lr=0.01, steps=500, return_history=True)
+    w, hist = fit_fusion_weights(scenes, targets, lr=0.01, steps=500)
     assert hist[-1] <= 0.1 * hist[0]
     assert hist[-1] == min(hist)  # stable lr: best iterate is the last
 
@@ -138,8 +146,7 @@ def test_fit_loss_non_increasing_at_stable_lr():
     scenes = [random_scene(rng, s=2, n_patches=3, dim=3) for _ in range(4)]
     targets = [rng.standard_normal((3, 3)) for _ in range(4)]
     bound = max(float((sc * sc).sum(axis=0).max()) for sc in scenes)
-    _, hist = fit_fusion_weights(scenes, targets, lr=1.0 / bound, steps=100,
-                                 return_history=True)
+    _, hist = fit_fusion_weights(scenes, targets, lr=1.0 / bound, steps=100)
     assert all(b <= a + 1e-12 for a, b in zip(hist, hist[1:]))
 
 
@@ -149,7 +156,7 @@ def test_fit_single_coordinate_matches_closed_form():
     scene = f.reshape(4, 1, 1)
     target = np.array([[1.7]])
     lr = 0.5 / float(f @ f)
-    w = fit_fusion_weights([scene], [target], lr=lr, steps=1000)
+    w, _ = fit_fusion_weights([scene], [target], lr=lr, steps=1000)
     # gradient descent moves only along f, so the fixed point is the
     # projection of the init onto the solution hyperplane
     w0 = np.full(4, 0.25)
@@ -171,14 +178,14 @@ def test_attention_pool_identical_frames():
     frame = rng.standard_normal((5, 8))
     scene = np.stack([frame] * 3)
     proj = attn_projections(8, seed=11)
-    out = attention_pool(scene, proj)
+    out = merge_scene(scene, "attnpool", proj=proj)
     assert np.max(np.abs(out - frame)) <= 1e-12
 
 
 def test_attention_pool_single_frame():
     rng = np.random.default_rng(12)
     scene = rng.standard_normal((1, 4, 6))
-    out = attention_pool(scene, attn_projections(6, seed=13))
+    out = merge_scene(scene, "attnpool", proj=attn_projections(6, seed=13))
     assert np.array_equal(out, scene[0])
 
 
@@ -186,7 +193,7 @@ def test_attention_pool_loop_oracle():
     rng = np.random.default_rng(14)
     scene = rng.standard_normal((3, 4, 8))
     proj = attn_projections(8, seed=15)
-    got = attention_pool(scene, proj)
+    got = merge_scene(scene, "attnpool", proj=proj)
 
     q = scene[1] @ proj.wq  # middle frame of 3 is index 1
     want = np.zeros((4, 8))
@@ -206,10 +213,10 @@ def test_attention_weights_convex():
     rng = np.random.default_rng(16)
     for s in (2, 3, 4, 5):
         scene = rng.standard_normal((s, 6, 10))
-        w = attention_weights(scene, attn_projections(10, seed=s))
+        w = reference.attention_weights(scene, attn_projections(10, seed=s))
         assert np.all(w >= 0)
         assert np.max(np.abs(w.sum(axis=0) - 1.0)) <= 1e-6
-        out = attention_pool(scene, attn_projections(10, seed=s))
+        out = merge_scene(scene, "attnpool", proj=attn_projections(10, seed=s))
         assert np.all(out <= scene.max(axis=0) + 1e-9)
         assert np.all(out >= scene.min(axis=0) - 1e-9)
 
@@ -226,50 +233,52 @@ def test_attn_projections_xavier_bounds_and_determinism():
 
 
 def test_bsm_merge_identity():
+    # one frame a scene: its tokens are already down to n_patches
     rng = np.random.default_rng(17)
     tokens = rng.standard_normal((6, 4))
-    st = bsm_merge(tokens, 6)
-    assert np.array_equal(st.tokens, tokens)
-    assert np.all(st.sizes == 1)
+    assert np.array_equal(merge_scene(tokens[None], "bsm"), tokens)
+    want_tokens, want_sizes = reference.bsm_merge(tokens, 6)
+    assert np.array_equal(want_tokens, tokens) and np.all(want_sizes == 1)
 
 
 def test_bsm_merge_uuvv_hand_enumerated():
-    # round 1 splits to A=(u, v), B=(u, v); both best edges score 1.0 and
-    # both merge, leaving u and v with size 2 each
+    # the tokens u, u, v, v: round 1 splits to A=(u, v), B=(u, v); both best
+    # edges score 1.0 and both merge, leaving u and v with size 2 each
     u = np.array([1.0, 0.0, 2.0])
     v = np.array([0.0, 1.0, -1.0])
-    st = bsm_merge(np.stack([u, u, v, v]), 2)
-    assert np.allclose(st.tokens, np.stack([u, v]))
-    assert st.sizes.tolist() == [2, 2]
+    tokens = np.stack([u, u, v, v])
+    assert np.allclose(merge_scene(scene_of_tokens(tokens, 2), "bsm"), np.stack([u, v]))
+    assert reference.bsm_merge(tokens, 2)[1].tolist() == [2, 2]
 
 
 def test_bsm_merge_counts_and_mass():
     rng = np.random.default_rng(18)
     tokens = rng.standard_normal((64, 32))
-    st = bsm_merge(tokens, 16)
-    assert st.tokens.shape == (16, 32)
-    assert st.sizes.sum() == 64
+    out = merge_scene(scene_of_tokens(tokens, 16), "bsm")
+    want_tokens, sizes = reference.bsm_merge(tokens, 16)
+    assert out.shape == (16, 32) and out.tobytes() == want_tokens.tobytes()
+    assert sizes.sum() == 64
     mass_in = tokens.sum(axis=0)
-    mass_out = (st.tokens * st.sizes[:, None]).sum(axis=0)
+    mass_out = (out * sizes[:, None]).sum(axis=0)
     rel = np.abs(mass_out - mass_in) / np.maximum(np.abs(mass_in), 1e-12)
     assert rel.max() <= 1e-4
 
 
 def test_bsm_merge_parameter_errors():
-    tokens = np.zeros((4, 2))
-    with pytest.raises(ParameterError):
-        bsm_merge(tokens, 0)
-    with pytest.raises(ParameterError):
-        bsm_merge(tokens, 5)
+    # bsm merges a scene down to its patch count, so a scene with no
+    # patches, or no frames, is rejected
+    for shape in ((2, 0, 2), (0, 2, 2)):
+        with pytest.raises(ParameterError, match="scene dims"):
+            merge_scene(np.zeros(shape), "bsm")
 
 
 def test_bsm_merge_down_to_one():
     rng = np.random.default_rng(19)
     tokens = rng.standard_normal((5, 3))
-    st = bsm_merge(tokens, 1)
-    assert st.tokens.shape == (1, 3)
-    assert st.sizes.tolist() == [5]
-    assert np.allclose(st.tokens[0], tokens.mean(axis=0))
+    out = merge_scene(tokens[:, None, :], "bsm")
+    assert out.shape == (1, 3)
+    assert reference.bsm_merge(tokens, 1)[1].tolist() == [5]
+    assert np.allclose(out[0], tokens.mean(axis=0))
 
 
 def test_merge_scene_identical_frames_all_strategies():
@@ -293,6 +302,21 @@ def test_merge_scene_shapes_finite():
 def test_merge_scene_unknown_strategy():
     with pytest.raises(ParameterError):
         merge_scene(np.zeros((2, 2, 2)), "pool")
+
+
+def test_merge_scene_rejects_arguments_its_strategy_ignores():
+    scene = np.random.default_rng(28).standard_normal((3, 2, 4))
+    weights = uniform_weights(*scene.shape)
+    for strategy in ("tavg", "attnpool", "bsm"):
+        with pytest.raises(ParameterError, match="weights apply only to fusion"):
+            merge_scene(scene, strategy, weights=weights)
+    # wrongly shaped weights with tavg were ignored; they are rejected too
+    with pytest.raises(ParameterError, match="weights apply only to fusion"):
+        merge_scene(scene, "tavg", weights=np.ones((9, 9)))
+    proj = attn_projections(4, seed=0)
+    for strategy in ("tavg", "fusion", "bsm"):
+        with pytest.raises(ParameterError, match="proj applies only to attnpool"):
+            merge_scene(scene, strategy, proj=proj)
 
 
 def test_fusion_linearity_in_scene():
@@ -328,8 +352,8 @@ def test_merge_strategies_dim_permutation_equivariance():
     proj_p = AttnProjections(
         wq=proj.wq[perm][:, perm], wk=proj.wk[perm][:, perm], seed=proj.seed
     )
-    a = attention_pool(scene, proj)
-    b = attention_pool(scene[:, :, perm], proj_p)
+    a = merge_scene(scene, "attnpool", proj=proj)
+    b = merge_scene(scene[:, :, perm], "attnpool", proj=proj_p)
     assert np.allclose(b, a[:, perm], atol=1e-10)
 
 
@@ -339,10 +363,10 @@ def test_fit_history_matches_loss_definition():
     rng = np.random.default_rng(27)
     scenes = [random_scene(rng) for _ in range(2)]
     targets = [rng.standard_normal(scenes[0].shape[1:]) for _ in range(2)]
-    w0 = fusion_init(*scenes[0].shape)
+    w0 = uniform_weights(*scenes[0].shape)
     want = np.mean(
         [0.5 * float(((fusion(sc, w0) - t) ** 2).sum()) for sc, t in zip(scenes, targets)]
     )
-    w, hist = fit_fusion_weights(scenes, targets, lr=0.01, steps=0, return_history=True)
+    w, hist = fit_fusion_weights(scenes, targets, lr=0.01, steps=0)
     assert hist == [pytest.approx(want)]
     assert w.tobytes() == w0.tobytes()

@@ -1,6 +1,6 @@
 """The batched merge engine against the per-scene reference in
-``reference.py``: compress, every per-scene wrapper and the fusion fitter,
-on random and degenerate inputs. tavg, fusion and bsm must match exactly. attnpool
+``reference.py``: compress, merge_scene and the fusion fitter, on random
+and degenerate inputs. tavg, fusion and bsm must match exactly. attnpool
 regroups its scores as q.(wq.wk^T).x^T, which rounds differently, so it
 must match within ATTNPOOL_TOL."""
 
@@ -15,15 +15,10 @@ from framefuse import (
     CompressConfig,
     FrameFeatures,
     ParameterError,
-    attention_pool,
-    attention_weights,
     attn_projections,
-    bsm_merge,
     compress,
     fit_fusion_weights,
-    fusion,
     merge_scene,
-    temporal_average,
 )
 from framefuse import pipeline
 from framefuse.merge import STRATEGIES
@@ -141,19 +136,9 @@ def test_per_scene_wrappers_match_reference(seed, s, n_patches, dim, kind):
         assert merge_scene(scene, strategy).tobytes() == want.tobytes(), strategy
     assert merge_scene(scene, "fusion", weights=weights).tobytes() == \
         reference.fusion(scene, weights).tobytes()
-    assert temporal_average(scene).tobytes() == reference.temporal_average(scene).tobytes()
-    assert fusion(scene, weights).tobytes() == reference.fusion(scene, weights).tobytes()
-
-    tokens = scene.reshape(-1, dim)
-    target = int(rng.integers(1, tokens.shape[0] + 1))
-    got = bsm_merge(tokens, target)
-    want_tokens, want_sizes = reference.bsm_merge(tokens, target)
-    assert got.tokens.tobytes() == want_tokens.tobytes()
-    assert np.array_equal(got.sizes, want_sizes)
 
     for got, want in (
-        (attention_weights(scene, proj), reference.attention_weights(scene, proj)),
-        (attention_pool(scene, proj), reference.attention_pool(scene, proj)),
+        (merge_scene(scene, "attnpool", proj=proj), reference.attention_pool(scene, proj)),
         (merge_scene(scene, "attnpool", seed=seed % 7),
          reference.merge_scene(scene, "attnpool", seed=seed % 7)),
     ):
@@ -161,7 +146,7 @@ def test_per_scene_wrappers_match_reference(seed, s, n_patches, dim, kind):
 
 
 def _assert_same_fit(scenes, targets, lr, steps):
-    w, history = fit_fusion_weights(scenes, targets, lr=lr, steps=steps, return_history=True)
+    w, history = fit_fusion_weights(scenes, targets, lr=lr, steps=steps)
     want_w, want_history = reference.fit_fusion_weights(scenes, targets, lr, steps)
     assert w.tobytes() == want_w.tobytes()
     assert np.array(history).tobytes() == np.array(want_history).tobytes()
@@ -228,7 +213,7 @@ def test_fit_fusion_weights_builds_no_batch_sized_temporary():
     targets = [sc[1] for sc in scenes]
     tracemalloc.start()
     try:
-        w, history = fit_fusion_weights(scenes, targets, lr=1e-3, steps=3, return_history=True)
+        w, history = fit_fusion_weights(scenes, targets, lr=1e-3, steps=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -275,8 +260,11 @@ def test_compress_rejects_wrong_fusion_weights():
     cfg = CompressConfig(12, 4, 2, merging="fusion")
     with pytest.raises(ParameterError, match="weights shape"):
         compress(features, cfg, weights=np.ones((2, 2, 4)))
-    # other strategies ignore weights
-    compress(features, CompressConfig(12, 4, 2, merging="tavg"), weights=np.ones((2, 2, 4)))
+    # other strategies would ignore weights, so they reject them
+    for strategy in ("tavg", "attnpool", "bsm"):
+        with pytest.raises(ParameterError, match="weights apply only to fusion"):
+            compress(features, CompressConfig(12, 4, 2, merging=strategy),
+                     weights=np.ones((3, 2, 4)))
 
 
 def test_attn_projections_cached_read_only():

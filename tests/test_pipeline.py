@@ -10,7 +10,6 @@ from framefuse import (
     SyntheticSpec,
     bench,
     compress,
-    fusion_init,
     generate_synthetic,
     planted_block_labels,
     reconstruction_proxy,
@@ -224,9 +223,8 @@ def test_bench_kmeans_beats_uniform_on_planted_uneven_blocks():
 def test_fusion_weights_passed_through():
     f = generate_synthetic(SyntheticSpec(12, 3, 4, 2, 0.1, seed=19))
     cfg = CompressConfig(12, 4, 2, selection="uniform", merging="fusion")
-    w = fusion_init(3, 3, 4)
-    w[0] *= 3.0  # one-hot on the first frame of each scene
-    w[1:] = 0.0
+    w = np.zeros((3, 3, 4))
+    w[0] = 1.0  # one-hot on the first frame of each scene
     out = compress(f, cfg, weights=w)
     first_members = [0, 3, 6, 9]
     for produced, m in zip(out.data.astype(np.float64), first_members):

@@ -7,18 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import reference
 from framefuse import (
     CompressConfig,
     FrameFeatures,
-    bsm_merge,
     compress,
-    fusion,
-    fusion_init,
     load_features,
+    merge_scene,
     save_features,
     select_scenes_bsm,
     select_scenes_kmeans,
-    temporal_average,
 )
 from reference import render_frame_instruction
 
@@ -48,8 +46,9 @@ def test_fvt_roundtrip_bit_exact(tmp_path_factory, data, shape):
 def test_fusion_at_init_matches_average(seed, s):
     rng = np.random.default_rng(seed)
     scene = rng.standard_normal((s, 3, 4))
-    w = fusion_init(s, 3, 4)
-    assert np.max(np.abs(fusion(scene, w) - temporal_average(scene))) <= 1e-6
+    w = np.full((s, 3, 4), 1.0 / s)
+    fused = merge_scene(scene, "fusion", weights=w)
+    assert np.max(np.abs(fused - merge_scene(scene, "tavg"))) <= 1e-6
 
 
 @settings(max_examples=40, deadline=None)
@@ -62,11 +61,14 @@ def test_bsm_merge_count_and_mass(seed, t0, data):
     target = data.draw(st.integers(1, t0))
     rng = np.random.default_rng(seed)
     tokens = rng.standard_normal((t0, 6))
-    st_out = bsm_merge(tokens, target)
-    assert st_out.tokens.shape[0] == target
-    assert int(st_out.sizes.sum()) == t0
+    out, sizes = reference.bsm_merge(tokens, target)
+    assert out.shape[0] == target
+    assert int(sizes.sum()) == t0
+    if t0 % target == 0:  # the target of a scene of t0 / target frames
+        scene = tokens.reshape(target, t0 // target, 6).transpose(1, 0, 2)
+        assert merge_scene(scene, "bsm").tobytes() == out.tobytes()
     mass_in = tokens.sum(axis=0)
-    mass_out = (st_out.tokens * st_out.sizes[:, None]).sum(axis=0)
+    mass_out = (out * sizes[:, None]).sum(axis=0)
     assert np.max(np.abs(mass_out - mass_in)) <= 1e-6 * max(1.0, np.abs(mass_in).max())
 
 

@@ -1,40 +1,35 @@
-"""The public surface: the names framefuse exports, and the names the
-benchmark in ``perfbench/`` looks up in the package and its modules."""
+"""The public surface: the names framefuse exports, the names the
+benchmark in ``perfbench/`` looks up in the package and its modules, and
+the README's Python API example."""
 
 import importlib
 import importlib.util
 import inspect
+import json
 import re
 from pathlib import Path
 
 import framefuse
+from framefuse.cli import main
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 PUBLIC = [
-    "ClipRecord",
     "Clustering",
     "CompressConfig",
     "FormatError",
     "FrameFeatures",
     "FrameFuseError",
-    "LongVideoRecord",
     "ParameterError",
     "Scene",
     "SceneSet",
-    "Segment",
     "SyntheticSpec",
-    "attention_pool",
-    "attention_weights",
     "attn_projections",
     "bench",
-    "bsm_merge",
     "compress",
     "dataset_stats",
     "fit_fusion_weights",
-    "fusion",
-    "fusion_gradient",
-    "fusion_init",
     "generate_synthetic",
     "kmeans",
     "load_clip_manifest",
@@ -47,7 +42,6 @@ PUBLIC = [
     "save_features",
     "select_scenes_bsm",
     "select_scenes_kmeans",
-    "temporal_average",
 ]
 
 
@@ -81,3 +75,20 @@ def test_benchmark_package_lookups_are_exported():
     for name in sorted(used):
         value = getattr(framefuse, name, None)
         assert name in framefuse.__all__ or inspect.ismodule(value), name
+
+
+def test_readme_python_api_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme[readme.index("## Python API"):]
+    (block,) = re.findall(r"```python\n(.*?)```", section[:section.index("\n## ", 1)], re.S)
+    monkeypatch.chdir(tmp_path)
+    # the inputs of the README's CLI quick start
+    assert main(["gen", "--frames", "96", "--patches", "16", "--dim", "32", "--scenes", "4",
+                 "--seed", "7", "-o", "f.fvt"]) == 0
+    Path("clips.json").write_text(json.dumps([
+        {"id": f"clip-{i}", "duration": 20.0 + 7.5 * (i % 13), "caption": f"scene {i}"}
+        for i in range(60)
+    ]))
+    capsys.readouterr()
+    exec(compile(block, "README.md", "exec"), {})
+    assert "This video samples 32 frames" in capsys.readouterr().out
