@@ -3,10 +3,10 @@
 A scene tensor has shape (s, n_patches, dim): the stacked feature maps of
 one scene's s frames. Every strategy returns an (n_patches, dim) map.
 
-Each strategy has one implementation, :func:`merge_scenes`, which runs over
-a batch of scenes of shape (c, s, n_patches, dim) and trusts its input to be
-finite. :func:`merge_scene` checks one scene from outside and calls it on a
-batch of one.
+Each strategy has one implementation, called through :func:`merge_scenes`,
+which merges k scenes given as a frame tensor and a (k, s) table of member
+indices and trusts its input to be finite. :func:`merge_scene` checks one
+scene from outside and calls it with the members arange(s).
 """
 
 from __future__ import annotations
@@ -20,6 +20,12 @@ import numpy as np
 from .errors import ParameterError
 
 STRATEGIES = ("tavg", "fusion", "attnpool", "bsm")
+
+# Bytes of float64 middle frames that attnpool projects in one query GEMM.
+# One GEMM for a group of scenes is faster than one per scene; the bound
+# keeps the group's two (g, n_patches, dim) buffers from growing with the
+# scene count. No other strategy holds more than a scene's frames at once.
+MERGE_CHUNK_BYTES = 4 * 2**20
 
 
 def _as_scene(scene: np.ndarray) -> np.ndarray:
@@ -47,7 +53,16 @@ def fusion_weights_for(strategy: str, weights: np.ndarray | None,
         raise ParameterError(
             f"weights shape {weights.shape} does not match scene shape {tuple(scene_shape)}"
         )
+    if not np.all(np.isfinite(weights)):
+        raise ParameterError("weights contain non-finite values")
     return weights
+
+
+def _as_target(target) -> np.ndarray:
+    target = np.asarray(target, dtype=np.float64)
+    if not np.all(np.isfinite(target)):
+        raise ParameterError("target contains non-finite values")
+    return target
 
 
 def _weight_gradient(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
@@ -73,20 +88,21 @@ def fit_fusion_weights(
     per-coordinate sum of squared frame values) the loss is non-increasing
     and the best iterate is the last.
 
-    The scenes are checked once and copied into a (c, s, L, D) batch.
-    Each step takes every residual from :func:`merge_scenes` and the
-    gradient upstream * frame, both a scene at a time, the gradient summed
-    in scene order, so that no temporary of the batch's size is built.
+    The scenes and targets are checked once: finite, and the scenes all of
+    one shape. The scenes are copied into a (c, s, L, D) batch. Each step
+    takes every residual from one :func:`merge_scenes` call and the
+    gradient upstream * frame a scene at a time, summed in scene order, so
+    that no temporary of the batch's size is built.
     """
     if not scenes or len(scenes) != len(targets):
         raise ParameterError("scenes and targets must be nonempty lists of equal length")
-    if lr <= 0:
-        raise ParameterError(f"learning rate must be > 0, got {lr}")
+    if not (lr > 0 and math.isfinite(lr)):
+        raise ParameterError(f"learning rate must be finite and > 0, got {lr}")
     if steps < 0:
         raise ParameterError(f"steps must be >= 0, got {steps}")
     # check every input, holding one float64 copy of one of them at a time
     scene_shapes = [_as_scene(sc).shape for sc in scenes]
-    target_shapes = [np.asarray(t, dtype=np.float64).shape for t in targets]
+    target_shapes = [_as_target(t).shape for t in targets]
     shape = scene_shapes[0]
     for sc_shape, t_shape in zip(scene_shapes, target_shapes):
         if sc_shape != shape:
@@ -98,11 +114,11 @@ def fit_fusion_weights(
     for i in range(n):
         x[i], t[i] = scenes[i], targets[i]
 
+    frames, members = x.reshape(-1, *shape[1:]), np.arange(n * shape[0]).reshape(n, -1)
     resid = np.empty_like(t)  # each step's residuals overwrite the last step's
 
     def loss_at(w):
-        for i in range(n):
-            resid[i] = merge_scenes(x[i:i + 1], "fusion", w)[0]
+        merge_scenes(frames, members, "fusion", resid, w)
         np.subtract(resid, t, out=resid)
         # each scene's error is summed on its own, then added in scene order
         return sum(0.5 * float((r * r).sum()) for r in resid) / n
@@ -168,89 +184,164 @@ def attn_projections(dim: int, seed: int = 0) -> AttnProjections:
     return AttnProjections(wq=wq, wk=wk, seed=seed)
 
 
-def _attention_weights(x: np.ndarray, qk: np.ndarray) -> np.ndarray:
-    # x: (c, s, L, D) float64; returns (c, s, L) softmax weights over s
-    c, s, n_patches, dim = x.shape
-    z = np.ascontiguousarray(x[:, s // 2]).reshape(c * n_patches, dim) @ qk
-    logits = np.einsum("csld,cld->csl", x, z.reshape(c, n_patches, dim)) / math.sqrt(dim)
-    logits -= logits.max(axis=1, keepdims=True)
-    w = np.exp(logits)
-    w /= w.sum(axis=1, keepdims=True)
-    return w
+def _tavg(frames, members, out):
+    s = members.shape[1]
+    acc = np.empty(frames.shape[1:])
+    for i, scene in enumerate(members):
+        # the first frame plus +0.0, as numpy's mean starts from +0.0: a
+        # column of -0.0 frames averages to +0.0
+        np.add(frames[scene[0]], 0.0, out=acc)
+        for f in scene[1:]:
+            acc += frames[f]
+        np.divide(acc, s, out=out[i])
 
 
-def _pair_merge(tok: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray]:
-    # bsm rounds on trusted float64 tokens; returns (tokens, sizes)
-    t0 = tok.shape[0]
-    sizes = np.ones(t0, dtype=np.int64)
-    first = np.arange(t0)  # earliest original index absorbed by each token
-    remaining = t0 - target
-    while remaining > 0:
-        t_cur = tok.shape[0]
-        step = min(remaining, max(1, t_cur // 2))
-        a_idx = np.arange(0, t_cur, 2)
-        b_idx = np.arange(1, t_cur, 2)
-        # the same values as np.linalg.norm(tok, axis=1), without its copy
-        norms = np.sqrt((tok * tok).sum(axis=1, keepdims=True))
-        unit = tok / np.maximum(norms, 1e-12)
-        scores = unit[0::2] @ unit[1::2].T  # rows a_idx against rows b_idx
+def _fusion(frames, members, out, weights):
+    s = members.shape[1]
+    w = [np.float64(1.0 / s)] * s if weights is None else weights
+    acc, prod = np.empty((2, *frames.shape[1:]))
+    for i, scene in enumerate(members):
+        np.multiply(frames[scene[0]], w[0], out=acc)
+        acc += 0.0  # as numpy's sum adds to a +0.0 start
+        for f, w_f in zip(scene[1:], w[1:]):
+            np.multiply(frames[f], w_f, out=prod)
+            acc += prod
+        out[i] = acc
+
+
+def _attnpool(frames, members, out, qk):
+    # The middle frame's projected features score every frame of its scene;
+    # the query GEMM runs once for a group of scenes, the rest scene by scene.
+    k, s = members.shape
+    _, n_patches, dim = frames.shape
+    group = max(1, min(k, MERGE_CHUNK_BYTES // (n_patches * dim * 8)))
+    mids, z = np.empty((2, group, n_patches, dim))
+    x = np.empty((s, n_patches, dim))
+    scale = math.sqrt(dim)
+    for start in range(0, k, group):
+        scenes = members[start:start + group]
+        g = len(scenes)
+        for i, f in enumerate(scenes[:, s // 2]):
+            mids[i] = frames[f]
+        np.matmul(mids[:g].reshape(g * n_patches, dim), qk,
+                  out=z[:g].reshape(g * n_patches, dim))
+        for i, scene in enumerate(scenes):
+            for j, f in enumerate(scene):
+                x[j] = frames[f]
+            logits = np.einsum("sld,ld->sl", x, z[i]) / scale
+            logits -= logits.max(axis=0)
+            w = np.exp(logits)
+            w /= w.sum(axis=0)
+            out[start + i] = np.einsum("sl,sld->ld", w, x)
+
+
+def _bsm(frames, members, out):
+    s = members.shape[1]
+    _, n_patches, dim = frames.shape
+    tokens = np.empty((n_patches, s, dim))
+    unit, spare = np.empty((2, s * n_patches, dim))
+    for i, scene in enumerate(members):
+        # patch-major: each patch's temporal copies alternate partitions
+        for j, f in enumerate(scene):
+            tokens[:, j] = frames[f]
+        _pair_merge(tokens.reshape(s * n_patches, dim), out[i], unit, spare)
+
+
+def _pair_merge(tok: np.ndarray, out: np.ndarray, unit: np.ndarray,
+                spare: np.ndarray) -> None:
+    # bsm rounds on trusted float64 tokens (t0, dim), down to the rows of
+    # out, written in the order of the earliest original index each token
+    # absorbed. tok, unit and spare are (t0, dim) work buffers, all
+    # overwritten: each round reads its tokens from tok and writes the next
+    # round's into spare, then the two swap; unit holds the squares, then
+    # the unit rows, then the merged A tokens and the B tokens they touch.
+    t_cur = tok.shape[0]
+    sizes = np.ones(t_cur)
+    first = np.arange(t_cur)  # earliest original index absorbed by each token
+    sized = False  # every size is 1 until a round has merged
+    while t_cur > out.shape[0]:
+        step = min(t_cur - out.shape[0], max(1, t_cur // 2))
+        cur, u = tok[:t_cur], unit[:t_cur]
+        # the same values as cur / max(np.linalg.norm(cur, axis=1), 1e-12)
+        np.multiply(cur, cur, out=u)
+        norms = np.sqrt(u.sum(axis=1))
+        np.divide(cur, np.maximum(norms, 1e-12)[:, None], out=u)
+        scores = u[0::2] @ u[1::2].T  # A rows (even) against B rows (odd)
         best_b = scores.argmax(axis=1)  # ties break to the lowest B position
-        best_score = scores[np.arange(a_idx.size), best_b]
-        order = np.argsort(-best_score, kind="stable")
-        merged_a = order[:step]
-        kept_a = np.sort(order[step:])
+        order = np.argsort(-scores[np.arange(best_b.size), best_b], kind="stable")
+        merged, kept = order[:step], np.sort(order[step:])
 
         # Each touched B token becomes the size-weighted mean of itself and
         # the A tokens merged into it, summed in a fixed order: the B token,
-        # then its A tokens best score first. Pass j adds the j-th A token of
-        # every group at once, so no pass has a repeated destination.
-        by_dst = np.argsort(best_b[merged_a], kind="stable")
-        src = a_idx[merged_a[by_dst]]
-        dst = best_b[merged_a[by_dst]]
-        touched, starts = np.unique(dst, return_index=True)
-        group = np.searchsorted(touched, dst)
-        rank = np.arange(dst.size) - starts[group]
-        b_rows = b_idx[touched]
-        weighted = tok[b_rows] * sizes[b_rows, None]
-        contrib = tok[src] * sizes[src, None]
-        for j in range(int(rank.max()) + 1):
-            sel = rank == j
-            weighted[group[sel]] += contrib[sel]
-        new_sizes = sizes[b_idx]
-        np.add.at(new_sizes, dst, sizes[src])
-        new_first = first[b_idx]
-        np.minimum.at(new_first, dst, first[src])
-        new_tok = tok[b_idx]
-        new_tok[touched] = weighted / new_sizes[touched, None]
+        # then its A tokens best score first. The touched B tokens are
+        # gathered into acc, those with the most A tokens first, and the A
+        # tokens into contrib sorted by their rank within their B token, so
+        # pass j adds one contiguous slice of contrib, the j-th A token of
+        # every B token that has one, to a prefix of acc.
+        dst = best_b[merged]
+        counts = np.bincount(dst, minlength=t_cur // 2)
+        touched = np.flatnonzero(counts)
+        touched = touched[np.argsort(-counts[touched], kind="stable")]
+        slot = np.empty(t_cur // 2, dtype=np.intp)
+        slot[touched] = np.arange(touched.size)
+        by_dst = np.argsort(dst, kind="stable")
+        rank = np.empty(step, dtype=np.intp)
+        rank[by_dst] = np.arange(step) - (np.cumsum(counts) - counts)[dst[by_dst]]
+        src = 2 * merged[np.lexsort((slot[dst], rank))]
+        b_rows = 2 * touched + 1
+        # mode="clip" because every index is in range and the default mode
+        # buffers out
+        contrib = np.take(cur, src, axis=0, out=u[:step], mode="clip")
+        acc = np.take(cur, b_rows, axis=0, out=u[step:step + touched.size], mode="clip")
+        if sized:
+            acc *= sizes[b_rows, None]
+            contrib *= sizes[src, None]
+        lo = 0
+        for m in np.bincount(rank):
+            acc[:m] += contrib[lo:lo + m]
+            lo += m
+        new_sizes = sizes[1::2].copy()
+        np.add.at(new_sizes, dst, sizes[2 * merged])
+        acc /= new_sizes[touched, None]
+        new_first = first[1::2].copy()
+        np.minimum.at(new_first, dst, first[2 * merged])
 
-        keep = a_idx[kept_a]
-        tok = np.concatenate([tok[keep], new_tok])
-        sizes = np.concatenate([sizes[keep], new_sizes])
-        first = np.concatenate([first[keep], new_first])
-        remaining -= step
-
-    order = np.argsort(first, kind="stable")
-    return tok[order], sizes[order]
+        # the next round's tokens: the kept A tokens in order, then every B
+        nxt = spare[:kept.size + t_cur // 2]
+        np.take(cur, 2 * kept, axis=0, out=nxt[:kept.size], mode="clip")
+        new_b = nxt[kept.size:]
+        new_b[...] = cur[1::2]
+        new_b[touched] = acc
+        sizes = np.concatenate([sizes[2 * kept], new_sizes])
+        first = np.concatenate([first[2 * kept], new_first])
+        sized = True
+        tok, spare = spare, tok
+        t_cur = nxt.shape[0]
+    out[...] = tok[:t_cur][np.argsort(first, kind="stable")]
 
 
 def merge_scenes(
-    batch: np.ndarray,
+    frames: np.ndarray,
+    members: np.ndarray,
     strategy: str,
+    out: np.ndarray,
     weights: np.ndarray | None = None,
     proj: AttnProjections | None = None,
-    seed: int = 0,
 ) -> np.ndarray:
-    """Merge a batch of scenes, shape (c, s, n_patches, dim), to (c,
-    n_patches, dim) float64 with the named strategy.
+    """Merge scene i, the frames ``frames[members[i]]`` in member order,
+    into ``out[i]`` with the named strategy, and return *out*.
+
+    *frames* is (n, n_patches, dim), *members* a (k, s) table of frame
+    indices and *out* a (k, n_patches, dim) float array.
 
     - ``tavg``: the unweighted mean over the scene's frames.
     - ``fusion``: the per-frame, per-patch, per-dim weighted sum over the
       frames, with *weights* or the uniform init 1/s.
     - ``attnpool``: the per-patch attention-weighted sum of the frames,
-      with *proj* or seed-derived projections. The middle frame's projected
-      features act as the query and each frame's projected features as
-      keys; the scaled per-patch scores are softmax-normalized over the
-      frame axis, so each patch gets a convex combination.
+      with the projections *proj*. The middle frame's projected features
+      act as the query and each frame's projected features as keys; the
+      scaled per-patch scores are softmax-normalized over the frame axis,
+      so each patch gets a convex combination.
     - ``bsm``: bipartite soft matching, after ToMe (Bolya et al., "Token
       Merging: Your ViT But Faster", ICLR 2023). The scene is flattened
       patch-major, so each patch's temporal copies land in alternating
@@ -262,30 +353,24 @@ def merge_scenes(
       the current tokens merge per round. The tokens left are ordered by
       the earliest original index each absorbed and reshaped.
 
-    Trusts its input: finite values of any float dtype and, for
-    ``fusion``, float64 *weights* of shape (s, n_patches, dim) or None.
-    ``tavg``, ``fusion`` and ``attnpool`` each run as one vectorised pass
-    over the batch; ``bsm`` runs its matching rounds scene by scene.
+    Trusts its input: finite frames of any float dtype, indices in range,
+    and, for ``fusion``, float64 *weights* of shape (s, n_patches, dim) or
+    None; ``attnpool`` needs *proj*. Scene by scene, the member frames are
+    read by index into float64 work buffers allocated once per call, so
+    memory does not grow with k; ``attnpool`` runs its query GEMM for a
+    group of scenes whose middle frames fit in MERGE_CHUNK_BYTES.
     """
-    c, s, n_patches, dim = batch.shape
     if strategy == "tavg":
-        return batch.mean(axis=1, dtype=np.float64)
-    if strategy == "fusion":
-        w = np.float64(1.0 / s) if weights is None else weights
-        return np.multiply(batch, w, dtype=np.float64).sum(axis=1)
-    if strategy == "attnpool":
-        if proj is None:
-            proj = attn_projections(dim, seed)
-        x = batch.astype(np.float64, copy=False)
-        return np.einsum("csl,csld->cld", _attention_weights(x, proj.qk), x)
-    if strategy == "bsm":
-        out = np.empty((c, n_patches, dim))
-        for i in range(c):
-            # patch-major: each patch's temporal copies alternate partitions
-            tokens = batch[i].transpose(1, 0, 2).astype(np.float64, order="C")
-            out[i] = _pair_merge(tokens.reshape(s * n_patches, dim), n_patches)[0]
-        return out
-    raise ParameterError(f"unknown merge strategy {strategy!r}, expected one of {STRATEGIES}")
+        _tavg(frames, members, out)
+    elif strategy == "fusion":
+        _fusion(frames, members, out, weights)
+    elif strategy == "attnpool":
+        _attnpool(frames, members, out, proj.qk)
+    elif strategy == "bsm":
+        _bsm(frames, members, out)
+    else:
+        raise ParameterError(f"unknown merge strategy {strategy!r}, expected one of {STRATEGIES}")
+    return out
 
 
 def merge_scene(
@@ -299,12 +384,24 @@ def merge_scene(
     map with a strategy of :func:`merge_scenes`.
 
     The scene is checked once: rank 3, every dim at least 1, every value
-    finite. *weights* apply only to ``fusion`` and must have the scene's
-    shape; *proj* applies only to ``attnpool``. Either one given for
-    another strategy would be ignored, so it is rejected.
+    finite. *weights* apply only to ``fusion`` and must be finite, of the
+    scene's shape; *proj* applies only to ``attnpool`` and must hold
+    (dim, dim) matrices. Either one given for another strategy would be
+    ignored, so it is rejected. Without *proj*, attnpool uses
+    ``attn_projections(dim, seed)``.
     """
     scene = _as_scene(scene)
+    s, n_patches, dim = scene.shape
     weights = fusion_weights_for(strategy, weights, scene.shape)
-    if proj is not None and strategy != "attnpool":
-        raise ParameterError(f"proj applies only to attnpool merging, not {strategy!r}")
-    return merge_scenes(scene[None], strategy, weights, proj, seed)[0]
+    if proj is not None:
+        if strategy != "attnpool":
+            raise ParameterError(f"proj applies only to attnpool merging, not {strategy!r}")
+        if proj.wq.shape != (dim, dim) or proj.wk.shape != (dim, dim):
+            raise ParameterError(
+                f"proj matrices must be ({dim}, {dim}) for a scene of dim {dim}, "
+                f"got wq {proj.wq.shape} and wk {proj.wk.shape}"
+            )
+    elif strategy == "attnpool":
+        proj = attn_projections(dim, seed)
+    out = np.empty((1, n_patches, dim))
+    return merge_scenes(scene, np.arange(s)[None], strategy, out, weights, proj)[0]

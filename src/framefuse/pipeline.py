@@ -26,13 +26,6 @@ logger = logging.getLogger(__name__)
 
 SELECTIONS = ("uniform", "kmeans", "bsm")
 
-# Bytes of float64 scene data that compress merges in one batch, so that its
-# working memory does not grow with the scene count. Small batches are also
-# the fastest: at 3 x 144 x 1024 (3.4 MiB a scene), batches of one scene
-# merged faster than batches of 2 to 32 for every strategy, because a small
-# batch stays in the CPU cache.
-MERGE_CHUNK_BYTES = 4 * 2**20
-
 
 @dataclass(frozen=True)
 class CompressConfig:
@@ -160,10 +153,11 @@ def compress(
     sample=cfg.input_frames)`` returns, samples the identity, so it
     compresses to the same bytes as the whole tensor.
 
-    The scenes are gathered straight from *features*, which is already
-    validated, and merged a chunk at a time; a chunk holds at most
-    MERGE_CHUNK_BYTES of float64 scene data, so memory does not grow with
-    cfg.scenes_k.
+    Each scene's frames are read by index straight from *features*, which
+    is already validated, into float64 work buffers that the merge
+    allocates once per call, and each merged map is written into the
+    float32 output; no batch of scenes is gathered, so memory does not
+    grow with cfg.scenes_k (see :func:`merge.merge_scenes`).
 
     *weights* are the fusion weights, of shape (supplements_r + 1,
     n_patches, dim); they are rejected with any other cfg.merging.
@@ -182,11 +176,8 @@ def compress(
     weights = fusion_weights_for(cfg.merging, weights, (s, n_patches, dim))
     proj = attn_projections(dim, cfg.seed) if cfg.merging == "attnpool" else None
 
-    out = np.empty((k, n_patches, dim), dtype=np.float32)
-    chunk = max(1, MERGE_CHUNK_BYTES // (s * n_patches * dim * 8))
-    for start in range(0, k, chunk):
-        batch = features.data[members[start:start + chunk]]
-        out[start:start + chunk] = merge_scenes(batch, cfg.merging, weights, proj)
+    out = merge_scenes(features.data, members, cfg.merging,
+                       np.empty((k, n_patches, dim), dtype=np.float32), weights, proj)
     out_ts = None
     if features.frame_timestamps is not None:
         out_ts = tuple(features.frame_timestamps[idx[scene.representative]]

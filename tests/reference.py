@@ -5,7 +5,7 @@ upcast to float64 on its own, merged in its own call, and the merged maps
 are stacked; the fusion fitter that re-checks and merges every scene in
 every step; and Lloyd clustering with every distance in the direct
 form sum((p - c)**2). They are kept here, unoptimised, as the oracle for
-the batched merge engine, the batched fusion fitter, the chunked distance
+the merge engine, the batched fusion fitter, the chunked distance
 helper, the nearest-center search, the bounded k-means++ seeding and the
 choice of one distinct frame per center. The caption section keeps the
 clip-by-clip packer and record builder: every clip an (id, duration_s,

@@ -171,6 +171,15 @@ def test_fit_parameter_errors():
     sc = np.zeros((2, 2, 2))
     with pytest.raises(ParameterError):
         fit_fusion_weights([sc], [np.zeros((2, 2))], lr=-1.0, steps=1)
+    # nan fails lr <= 0 as well as lr > 0, and inf made every loss nan
+    for lr in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ParameterError, match="learning rate must be finite"):
+            fit_fusion_weights([sc], [np.zeros((2, 2))], lr=lr, steps=1)
+    for bad in (np.nan, np.inf):
+        target = np.zeros((2, 2))
+        target[1, 0] = bad
+        with pytest.raises(ParameterError, match="target contains non-finite values"):
+            fit_fusion_weights([sc, sc], [np.zeros((2, 2)), target], lr=0.1, steps=1)
 
 
 def test_attention_pool_identical_frames():
@@ -317,6 +326,24 @@ def test_merge_scene_rejects_arguments_its_strategy_ignores():
     for strategy in ("tavg", "fusion", "bsm"):
         with pytest.raises(ParameterError, match="proj applies only to attnpool"):
             merge_scene(scene, strategy, proj=proj)
+
+
+def test_merge_scene_rejects_proj_and_weights_it_cannot_use():
+    from framefuse.merge import AttnProjections
+
+    scene = np.random.default_rng(29).standard_normal((3, 2, 4))
+    # projections of another dim, or not square, do not fit a dim-4 scene
+    for proj in (attn_projections(5, seed=0),
+                 AttnProjections(wq=np.ones((4, 3)), wk=np.ones((4, 3)), seed=0)):
+        with pytest.raises(ParameterError, match=r"proj matrices must be \(4, 4\)"):
+            merge_scene(scene, "attnpool", proj=proj)
+    for bad in (np.nan, np.inf, -np.inf):
+        weights = uniform_weights(*scene.shape)
+        weights[2, 1, 3] = bad
+        with pytest.raises(ParameterError, match="weights contain non-finite values"):
+            merge_scene(scene, "fusion", weights=weights)
+    with pytest.raises(ParameterError, match="weights contain non-finite values"):
+        merge_scene(scene, "fusion", weights=np.full(scene.shape, np.nan))
 
 
 def test_fusion_linearity_in_scene():

@@ -1,4 +1,4 @@
-"""The batched merge engine against the per-scene reference in
+"""The merge engine against the per-scene reference in
 ``reference.py``: compress, merge_scene and the fusion fitter, on random
 and degenerate inputs. tavg, fusion and bsm must match exactly. attnpool
 regroups its scores as q.(wq.wk^T).x^T, which rounds differently, so it
@@ -20,7 +20,7 @@ from framefuse import (
     fit_fusion_weights,
     merge_scene,
 )
-from framefuse import pipeline
+from framefuse import merge
 from framefuse.merge import STRATEGIES
 from framefuse.pipeline import SELECTIONS
 
@@ -95,8 +95,9 @@ def test_compress_matches_per_scene_reference(case):
                          selection=case["selection"], merging=case["merging"],
                          seed=case["seed"] % 1000)
 
-    saved = pipeline.MERGE_CHUNK_BYTES
-    pipeline.MERGE_CHUNK_BYTES = case["chunk_scenes"] * s * shape[0] * shape[1] * 8
+    # attnpool runs its query GEMM for chunk_scenes scenes at a time
+    saved = merge.MERGE_CHUNK_BYTES
+    merge.MERGE_CHUNK_BYTES = case["chunk_scenes"] * shape[0] * shape[1] * 8
     try:
         try:
             want = reference.compress(features, cfg, weights)
@@ -106,7 +107,7 @@ def test_compress_matches_per_scene_reference(case):
             return
         got = compress(features, cfg, weights)
     finally:
-        pipeline.MERGE_CHUNK_BYTES = saved
+        merge.MERGE_CHUNK_BYTES = saved
 
     assert got.frame_timestamps == want.frame_timestamps
     assert got.data.dtype == np.float32 and got.data.shape == want.data.shape
@@ -187,8 +188,6 @@ def test_fit_fusion_weights_unstable_lr_equals_reference():
 
 
 def test_fit_fusion_weights_validates_each_scene_once(monkeypatch):
-    from framefuse import merge
-
     calls = []
     real = merge._as_scene
 
@@ -233,8 +232,6 @@ def test_compress_validates_once_and_builds_no_sampled_copy(monkeypatch):
     # the input FrameFeatures is already validated, so no scene is checked
     # again; uniform selection needs no FrameFeatures of the sampled frames,
     # so the only one built is the output
-    from framefuse import merge
-
     def no_recheck(scene):
         raise AssertionError("compress re-validated a scene")
 
@@ -260,6 +257,9 @@ def test_compress_rejects_wrong_fusion_weights():
     cfg = CompressConfig(12, 4, 2, merging="fusion")
     with pytest.raises(ParameterError, match="weights shape"):
         compress(features, cfg, weights=np.ones((2, 2, 4)))
+    # non-finite weights are rejected up front, not by the output's check
+    with pytest.raises(ParameterError, match="weights contain non-finite values"):
+        compress(features, cfg, weights=np.full((3, 2, 4), np.inf))
     # other strategies would ignore weights, so they reject them
     for strategy in ("tavg", "attnpool", "bsm"):
         with pytest.raises(ParameterError, match="weights apply only to fusion"):
@@ -278,3 +278,106 @@ def test_attn_projections_cached_read_only():
     b = attn_projections(6, seed=6)
     assert not np.array_equal(a.wq, b.wq)
     assert np.array_equal(attn_projections(6, seed=5).wq, a.wq)
+
+
+def _drifting(rng, s, n_patches, dim):
+    # the frames of one shot: a base pattern drifting along a direction, plus noise
+    base, drift = rng.standard_normal((2, n_patches, dim))
+    return (base + 0.2 * np.arange(s)[:, None, None] * drift
+            + 0.5 * rng.standard_normal((s, n_patches, dim)))
+
+
+def _with_signed_zeros(scene):
+    scene = scene.copy()
+    scene[:, :, 1] = -0.0  # a column that is -0.0 in every frame
+    scene[0, :, 2] = -0.0  # and one that is -0.0 in one frame only
+    return scene
+
+
+def _first_round_passes(scene):
+    # with s >= 2 and an even token count, bsm's first round merges every A
+    # token, so its scatter passes number the most A tokens one B token gets
+    s, n_patches, dim = scene.shape
+    tokens = scene.transpose(1, 0, 2).reshape(s * n_patches, dim)
+    unit = tokens / np.maximum(np.linalg.norm(tokens, axis=1, keepdims=True), 1e-12)
+    return int(np.bincount((unit[0::2] @ unit[1::2].T).argmax(axis=1)).max())
+
+
+_LARGE_SCENES = {
+    # 432 tokens: round 1 merges every A token in several scatter passes,
+    # round 2 merges 72 of 108 and keeps 36
+    "drifting 3x144x64": lambda rng: _drifting(rng, 3, 144, 64),
+    # six frames, five of them one frame: ties in every score
+    "mostly duplicates": lambda rng: _drifting(rng, 2, 48, 32)[[0, 0, 1, 0, 0, 0]],
+    "s = 1": lambda rng: _drifting(rng, 1, 144, 64),
+    "L = 1": lambda rng: _drifting(rng, 9, 1, 64),
+    "signed zeros": lambda rng: _with_signed_zeros(_drifting(rng, 3, 24, 16)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LARGE_SCENES))
+def test_merge_scene_matches_reference_on_large_and_degenerate_scenes(name):
+    rng = np.random.default_rng(31)
+    scene = _LARGE_SCENES[name](rng)
+    if name.startswith("drifting"):
+        assert _first_round_passes(scene) >= 2
+    for strategy in ("tavg", "fusion", "bsm"):
+        want = reference.merge_scene(scene, strategy)
+        assert merge_scene(scene, strategy).tobytes() == want.tobytes(), strategy
+    weights = -np.abs(rng.standard_normal(scene.shape))  # +0.0 times these is -0.0
+    assert merge_scene(scene, "fusion", weights=weights).tobytes() == \
+        reference.fusion(scene, weights).tobytes()
+    got = merge_scene(scene, "attnpool", seed=3)
+    assert np.abs(got - reference.merge_scene(scene, "attnpool", seed=3)).max() <= ATTNPOOL_TOL
+
+
+def test_compress_of_signed_zeros_matches_reference():
+    # numpy's mean and sum add to a +0.0 start, so a column of -0.0 frames
+    # merges to +0.0; starting from a copy of the first frame would keep -0.0
+    rng = np.random.default_rng(32)
+    data = _with_signed_zeros(rng.uniform(-4.0, 4.0, (12, 3, 5))).astype(np.float32)
+    features = FrameFeatures(data)
+    for strategy in ("tavg", "fusion"):
+        cfg = CompressConfig(12, 4, 2, merging=strategy)
+        got = compress(features, cfg).data
+        assert got.tobytes() == reference.compress(features, cfg).data.tobytes()
+        assert not np.signbit(got[:, :, 1]).any()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_compress_bytes_do_not_depend_on_merge_chunk_bytes(monkeypatch, strategy):
+    rng = np.random.default_rng(33)
+    k, s, n_patches, dim = 7, 3, 36, 64
+    features = FrameFeatures(_frames(rng, k * s, n_patches, dim, "random"))
+    cfg = CompressConfig(k * s, k, s - 1, merging=strategy, seed=2)
+    want = compress(features, cfg).data.tobytes()
+    frame_bytes = n_patches * dim * 8
+    for chunk in (1, frame_bytes, 3 * frame_bytes + 1, k * frame_bytes, 2**40):
+        monkeypatch.setattr(merge, "MERGE_CHUNK_BYTES", chunk)
+        assert compress(features, cfg).data.tobytes() == want, chunk
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_compress_merge_memory_does_not_grow_with_k(strategy):
+    import tracemalloc
+
+    s, n_patches, dim = 3, 144, 256
+    scene_bytes = s * n_patches * dim * 8
+    # a float64 scene, its tokens and bsm's two work buffers of that size,
+    # and attnpool's middle frames with their projections
+    allowance = 4 * scene_bytes + 2 * merge.MERGE_CHUNK_BYTES
+    rng = np.random.default_rng(34)
+    for k in (8, 32):
+        features = FrameFeatures(rng.standard_normal((k * s, n_patches, dim), dtype=np.float32))
+        cfg = CompressConfig(k * s, k, s - 1, merging=strategy)
+        tracemalloc.start()
+        try:
+            out = compress(features, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        used = peak - out.data.nbytes
+        assert used <= allowance, f"k={k}: {used / 2**20:.1f} MiB, allowance " \
+            f"{allowance / 2**20:.1f} MiB"
+    # the float32 scenes of k = 32 gathered at once would not fit
+    assert 32 * scene_bytes // 2 > allowance
