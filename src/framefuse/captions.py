@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, _check_seed
 
 logger = logging.getLogger(__name__)
 
@@ -129,19 +129,15 @@ def build_record(clip_ids: list[str], durations: list[float], captions: list[str
     the merged caption joins "[MM:SS - MM:SS] <caption>" blocks with
     newlines. The total duration must land in the 5 to 30 minute window,
     and no segment may be empty.
-    The instruction lists the n_frames timestamps j * total / n_frames at
+    The instruction lists the n_frames >= 1 timestamps j * total / n_frames at
     one decimal, and the total rounded half-up to whole seconds.
     """
-    if not durations:
-        raise ParameterError("cannot build a record from zero clips")
     bounds = list(accumulate(durations, initial=0.0))
     total = bounds[-1]
     if not MIN_DURATION_S <= total <= MAX_DURATION_S:
         raise ParameterError(
             f"total duration {total:.1f}s outside [{MIN_DURATION_S:.0f}, {MAX_DURATION_S:.0f}]"
         )
-    if n_frames < 1:
-        raise ParameterError(f"sample count must be >= 1, got {n_frames}")
     _check_segments(bounds)
     # each boundary ends one segment and starts the next: label it once
     labels = list(map(format_mmss, bounds))
@@ -174,8 +170,8 @@ def pack_clips(
     and is kept only if it reached min_s. Clips are used at most once;
     clips of max_s or longer are skipped with a warning. Each record is
     built as its group closes, so warnings and errors keep their order. An
-    *n_frames* below 1 is rejected before any clip is packed or any
-    warning logged.
+    *n_frames* below 1, or a *seed* that is not a non-negative integer, is
+    rejected before any clip is packed or any warning logged.
     """
     if n_frames < 1:
         raise ParameterError(f"sample count must be >= 1, got {n_frames}")
@@ -188,7 +184,8 @@ def _pack_groups(
     ids: list[str], durations: list[float], min_s: float, max_s: float, seed: int,
 ) -> Iterator[tuple[list[int], float]]:
     """The groups :func:`pack_clips` keeps, as clip indices, each with its
-    running total, yielded as each one closes.
+    running total, yielded as each one closes, after the pool, the window
+    and the seed are checked.
 
     The running total is the same left fold from 0.0 as the record's
     duration, so the two are bit-identical.
@@ -200,6 +197,7 @@ def _pack_groups(
             f"packing window [{min_s}, {max_s}] must lie within "
             f"[{MIN_DURATION_S:.0f}, {MAX_DURATION_S:.0f}]"
         )
+    _check_seed(seed)
     order = np.random.default_rng(seed).permutation(len(durations)).tolist()
 
     def close(group, total):

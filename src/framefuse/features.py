@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, _check_seed
 
 MAGIC = b"FVT1"
 FORMAT_VERSION = 1
@@ -130,27 +130,25 @@ def save_features(features: FrameFeatures, path: str | Path) -> None:
     Layout: magic b"FVT1", one version byte, the rank (always 3) as
     uint32-LE, three uint32-LE dims, then the float32-LE payload in
     row-major order. Identical tensors always produce identical bytes.
-    Timestamps, when present, go to a ``<path>.meta.json`` sidecar.
+    Timestamps, when present, go to a ``<path>.meta.json`` sidecar. Any old
+    sidecar is removed before the payload is replaced, so a failed save
+    leaves frames without timestamps, never with another tensor's.
     """
     path = Path(path)
     header = _HEADER.pack(MAGIC, FORMAT_VERSION, 3)
     dims = b"".join(_DIM.pack(d) for d in features.data.shape)
     # the array's own memory on a little-endian host, not a copy of it
     payload = np.ascontiguousarray(features.data, dtype="<f4")
-    _atomic_write(path, (header, dims, payload.data.cast("B")))
     meta = _meta_path(path)
+    meta.unlink(missing_ok=True)
+    _atomic_write(path, (header, dims, payload.data.cast("B")))
     if features.frame_timestamps is not None:
         doc = {"frame_timestamps": list(features.frame_timestamps)}
         _atomic_write(meta, [(json.dumps(doc, sort_keys=True) + "\n").encode()])
-    elif meta.exists():
-        # a stale sidecar would attach wrong timestamps on the next load
-        meta.unlink()
 
 
 def uniform_sample_indices(total: int, n: int) -> list[int]:
-    """Evenly spread n frame indices over [0, total): index j is floor(j*total/n)."""
-    if total < 1:
-        raise ParameterError(f"total must be >= 1, got {total}")
+    """Evenly spread n frame indices over [0, total), total >= 1: index j is floor(j*total/n)."""
     if not 1 <= n <= total:
         raise ParameterError(f"sample count {n} outside [1, {total}]")
     return [(j * total) // n for j in range(n)]
@@ -329,8 +327,7 @@ class SyntheticSpec:
             )
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be a non-negative integer, got {self.seed}")
+        _check_seed(self.seed)
 
 
 def planted_block_labels(spec: SyntheticSpec) -> np.ndarray:
@@ -362,15 +359,16 @@ def generate_synthetic(spec: SyntheticSpec) -> FrameFeatures:
     separated by at least ``10 * noise_sigma * sqrt(dim)`` and point in
     distinguishable directions. Frames are the base pattern plus i.i.d.
     Gaussian noise of std ``noise_sigma``. Pure function of the spec,
-    including the seed.
+    including the seed. Each float64 block is written straight into the
+    float32 tensor, which rounds as ``astype`` does.
     """
     rng = np.random.default_rng(spec.seed)
     scale = (10.0 * spec.noise_sigma + 1.0) * math.sqrt(spec.dim)
-    data = np.empty((spec.n_frames, spec.n_patches, spec.dim), dtype=np.float64)
+    data = np.empty((spec.n_frames, spec.n_patches, spec.dim), dtype=np.float32)
     for b, block in enumerate(np.array_split(np.arange(spec.n_frames), spec.n_scenes)):
         texture = rng.standard_normal((spec.n_patches, spec.dim))
         texture -= texture.mean(axis=0, keepdims=True)  # keeps block means exact
         base = texture + _block_offset(b, spec.dim, scale)
         noise = rng.standard_normal((len(block), spec.n_patches, spec.dim))
         data[block] = base + spec.noise_sigma * noise
-    return FrameFeatures(data.astype(np.float32))
+    return FrameFeatures(data)

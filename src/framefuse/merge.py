@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _check_seed
 
 STRATEGIES = ("tavg", "fusion", "attnpool", "bsm")
 
@@ -166,7 +166,8 @@ class AttnProjections:
 
 # Projections of one (dim, seed) are reused across calls; at dim 1024 one
 # set holds three 8 MiB matrices (wq, wk and qk), so keep only the last.
-@functools.lru_cache(maxsize=1)
+# Typed, so that a seed of True misses the entry of seed 1 and is rejected.
+@functools.lru_cache(maxsize=1, typed=True)
 def attn_projections(dim: int, seed: int = 0) -> AttnProjections:
     """Xavier-uniform (dim, dim) projections, deterministic given the seed.
 
@@ -175,6 +176,7 @@ def attn_projections(dim: int, seed: int = 0) -> AttnProjections:
     """
     if dim < 1:
         raise ParameterError(f"dim must be >= 1, got {dim}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     bound = math.sqrt(6.0 / (dim + dim))
     wq = rng.uniform(-bound, bound, size=(dim, dim))

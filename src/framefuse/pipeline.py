@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _check_seed
 from .features import FrameFeatures, uniform_sample_indices
 from .merge import STRATEGIES, attn_projections, fusion_weights_for, merge_scenes
 from .select import (
@@ -58,8 +58,7 @@ class CompressConfig:
             raise ParameterError(
                 f"unknown merging {self.merging!r}, expected one of {STRATEGIES}"
             )
-        if self.seed < 0:
-            raise ParameterError(f"seed must be a non-negative integer, got {self.seed}")
+        _check_seed(self.seed)
 
     def to_dict(self) -> dict:
         return {
@@ -101,9 +100,7 @@ class CompressConfig:
 
 
 def group_uniform_scenes(indices: list[int], scene_size: int) -> SceneSet:
-    """Chunk consecutive indices into scenes; the middle member represents."""
-    if scene_size < 1:
-        raise ParameterError(f"scene_size must be >= 1, got {scene_size}")
+    """Chunk consecutive indices into scenes of scene_size >= 1; the middle member represents."""
     if len(indices) % scene_size != 0:
         raise ParameterError(
             f"{len(indices)} frames do not divide into scenes of {scene_size}"

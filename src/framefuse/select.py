@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _check_seed
 from .features import FrameFeatures
 
 SUPPLEMENT_MODES = ("similar", "dissimilar")
@@ -287,8 +287,9 @@ def kmeans(
         raise ParameterError(f"cluster count {m} outside [1, {n}]")
     if max_iters < 1:
         raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
-    if tol < 0:
+    if not tol >= 0:  # NaN too
         raise ParameterError(f"tol must be >= 0, got {tol}")
+    _check_seed(seed)
 
     rng = np.random.default_rng(seed)
     pp = np.einsum("ij,ij->i", reps, reps)  # the rows' squared norms, for every search
@@ -385,23 +386,12 @@ def select_supplements(
     representative. When a window runs short the scene is padded, first
     from the span up to the next representative, then from any remaining
     unused frames; padded scenes are reported in the warnings.
-    """
-    reps = np.asarray(reps, dtype=np.float64)
-    n = reps.shape[0]
-    if r < 0:
-        raise ParameterError(f"supplement count r must be >= 0, got {r}")
-    if mode not in SUPPLEMENT_MODES:
-        raise ParameterError(f"unknown supplement mode {mode!r}, expected {SUPPLEMENT_MODES}")
-    rep_list = [int(i) for i in rep_indices]
-    if rep_list != sorted(set(rep_list)):
-        raise ParameterError("rep_indices must be sorted and unique")
-    if rep_list and not (0 <= rep_list[0] and rep_list[-1] < n):
-        raise ParameterError(f"rep_indices out of range [0, {n})")
-    if len(rep_list) * (r + 1) > n:
-        raise ParameterError(
-            f"cannot form {len(rep_list)} disjoint scenes of {r + 1} frames from {n} frames"
-        )
 
+    Trusts what :func:`select_scenes_kmeans` checks: float64 *reps*, sorted
+    unique *rep_indices* in range, room for their scenes, a known *mode*.
+    """
+    n = reps.shape[0]
+    rep_list = [int(i) for i in rep_indices]
     taken = set(rep_list)
     warnings: list[str] = []
     scenes = []
@@ -446,8 +436,11 @@ def select_scenes_kmeans(
     seed: int = 0,
     mode: str = "similar",
 ) -> SceneSet:
-    """Cluster representative features and grow each center into a scene."""
+    """Cluster representative features and grow each center into a scene.
+    *k*, *r* and *mode* are checked before any work, the rest by :func:`kmeans`."""
     _check_scene_budget(features.n_frames, k, r)
+    if mode not in SUPPLEMENT_MODES:
+        raise ParameterError(f"unknown supplement mode {mode!r}, expected {SUPPLEMENT_MODES}")
     reps = representative_features(features)
     clustering = kmeans(reps, k, max_iters=max_iters, tol=tol, seed=seed)
     rep_idx = _distinct_representatives(reps, clustering.centers)

@@ -204,6 +204,23 @@ def test_timestamp_sidecar_roundtrip(tmp_path):
     assert not sidecar.exists()
 
 
+def test_generate_synthetic_holds_no_float64_tensor():
+    import tracemalloc
+
+    spec = SyntheticSpec(n_frames=64, n_patches=32, dim=256, n_scenes=16, seed=2)
+    block_f64 = (64 // 16) * 32 * 256 * 8
+    generate_synthetic(SyntheticSpec(2, 1, 1, 1))  # numpy's one-time lazy set-up
+    tracemalloc.start()
+    try:
+        f = generate_synthetic(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float32 payload (2 MiB) plus a block's float64 draws and sums;
+    # a float64 tensor and its float32 copy would be 6 MiB
+    assert peak < f.data.nbytes + 4 * block_f64 + 2**18, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_synthetic_spec_validation():
     with pytest.raises(ParameterError):
         SyntheticSpec(n_frames=2, n_patches=1, dim=1, n_scenes=3)
@@ -425,6 +442,28 @@ def test_save_writes_the_array_without_copying_it(tmp_path):
         tracemalloc.stop()
     assert path.read_bytes()[HEADER_SIZE:] == data.tobytes()
     assert peak < 0.05 * data.nbytes, f"peak {peak / data.nbytes:.2f} payloads"
+
+
+@pytest.mark.parametrize("failing", ["sidecar", "payload"])
+def test_failed_save_never_pairs_frames_with_other_timestamps(tmp_path, monkeypatch, failing):
+    path = tmp_path / "ts.fvt"
+    old = FrameFeatures(np.zeros((3, 1, 1)), (0.0, 1.0, 2.0))
+    new = FrameFeatures(np.ones((3, 1, 1)), (10.0, 20.0, 30.0))
+    save_features(old, path)
+    write = features._atomic_write
+
+    def write_or_fail(target, chunks):
+        if target.name.endswith(".meta.json") == (failing == "sidecar"):
+            raise OSError(f"{failing} write failed")
+        write(target, chunks)
+
+    monkeypatch.setattr(features, "_atomic_write", write_or_fail)
+    with pytest.raises(OSError, match=f"{failing} write failed"):
+        save_features(new, path)
+    loaded = load_features(path)
+    kept = new if failing == "sidecar" else old
+    assert loaded.data.tobytes() == kept.data.tobytes()
+    assert loaded.frame_timestamps is None
 
 
 def test_atomic_write_leaves_nothing_when_a_chunk_fails(tmp_path):

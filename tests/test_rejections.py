@@ -1,0 +1,186 @@
+"""Rejections at the public entries: each parameter is checked once, where
+it enters, and one seed rule covers every entry that builds a random
+generator."""
+
+import json
+
+import numpy as np
+import pytest
+
+from framefuse import (
+    CompressConfig,
+    FrameFeatures,
+    ParameterError,
+    Scene,
+    SceneSet,
+    SyntheticSpec,
+    attn_projections,
+    compress,
+    dataset_stats,
+    fit_fusion_weights,
+    generate_synthetic,
+    kmeans,
+    merge_scene,
+    pack_clips,
+    select_scenes_bsm,
+    select_scenes_kmeans,
+)
+from framefuse import select
+from framefuse.cli import main
+
+RNG = np.random.default_rng(0)
+REPS = RNG.standard_normal((12, 4))
+FEATURES = FrameFeatures(RNG.standard_normal((12, 3, 4)).astype(np.float32))
+SCENE = RNG.standard_normal((3, 2, 4))
+POOL = ([f"c{i}" for i in range(40)], [60.0] * 40, [f"caption {i}" for i in range(40)])
+
+
+def _nan_scene():
+    scene = SCENE.copy()
+    scene[1, 0, 2] = np.nan
+    return scene
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FrameFeatures(np.zeros((2, 3, 0), dtype=np.float32)), "dims must be >= 1"),
+    (lambda: SyntheticSpec(4, 2, 3, 2, seed=-1), "seed must be a non-negative integer"),
+    (lambda: merge_scene(SCENE[0], "tavg"), "must be rank 3, got rank 2"),
+    (lambda: merge_scene(_nan_scene(), "tavg"), "non-finite"),
+    (lambda: fit_fusion_weights([SCENE], [SCENE[0]], lr=0.1, steps=-1), "steps must be >= 0"),
+    (lambda: fit_fusion_weights([SCENE, SCENE[:2]], [SCENE[0], SCENE[0]], lr=0.1, steps=1),
+     "scene shape .* differs"),
+    (lambda: fit_fusion_weights([SCENE], [SCENE[0, :1]], lr=0.1, steps=1),
+     "target shape .* does not match"),
+    (lambda: attn_projections(0), "dim must be >= 1"),
+    (lambda: CompressConfig(12, 0, 0), "scenes_k must be >= 1"),
+    (lambda: CompressConfig(12, 4, -1), "supplements_r must be >= 0"),
+    (lambda: CompressConfig(12, 4, 0, seed=-1), "seed must be a non-negative integer"),
+    (lambda: CompressConfig.from_dict({"input_frames": 12}), "missing fields"),
+    (lambda: SceneSet((Scene(5, (5,)), Scene(2, (2,))), r=0), "ordered by representative"),
+    (lambda: SceneSet((Scene(2, (1, 2)),), r=2), "has 2 members, expected 3"),
+    (lambda: kmeans(REPS[0], 2), "must be rank 2"),
+    (lambda: kmeans(REPS, 2, max_iters=0), "max_iters must be >= 1"),
+    (lambda: kmeans(REPS, 2, tol=-1), "tol must be >= 0"),
+    (lambda: kmeans(REPS, 2, tol=float("nan")), "tol must be >= 0"),
+    (lambda: select_scenes_kmeans(FEATURES, 0, 1), "k must be >= 1"),
+    (lambda: select_scenes_kmeans(FEATURES, 2, -1), "r must be >= 0"),
+    (lambda: select_scenes_kmeans(FEATURES, 2, 1, tol=float("nan")), "tol must be >= 0"),
+    (lambda: select_scenes_bsm(FEATURES, 0, 1), "k must be >= 1"),
+    (lambda: select_scenes_bsm(FEATURES, 2, -1), "r must be >= 0"),
+], ids=[
+    "features-zero-dim", "spec-seed", "merge-rank-2", "merge-nan", "fit-steps",
+    "fit-scene-shapes", "fit-target-shape", "attn-dim-0", "config-k-0", "config-r-neg",
+    "config-seed", "config-missing", "sceneset-order", "sceneset-members", "kmeans-rank-1",
+    "kmeans-max-iters", "kmeans-tol-neg", "kmeans-tol-nan", "select-kmeans-k-0",
+    "select-kmeans-r-neg", "select-kmeans-tol-nan", "select-bsm-k-0", "select-bsm-r-neg",
+])
+def test_public_entry_rejects(call, message):
+    with pytest.raises(ParameterError, match=message):
+        call()
+
+
+# Each entry that builds a random generator, called with a given seed.
+SEEDED = {
+    "kmeans": lambda seed: kmeans(REPS, 3, seed=seed),
+    "select_scenes_kmeans": lambda seed: select_scenes_kmeans(FEATURES, 3, 1, seed=seed),
+    "pack_clips": lambda seed: pack_clips(*POOL, seed=seed),
+    "dataset_stats": lambda seed: dataset_stats(*POOL, seed=seed),
+    "attn_projections": lambda seed: attn_projections(4, seed),
+    "merge_scene": lambda seed: merge_scene(SCENE, "attnpool", seed=seed),
+    "CompressConfig": lambda seed: compress(
+        FEATURES, CompressConfig(12, 3, 1, "kmeans", "attnpool", seed=seed)),
+    "SyntheticSpec": lambda seed: generate_synthetic(SyntheticSpec(8, 2, 3, 2, seed=seed)),
+}
+
+
+def _comparable(result):
+    # every field of the result as bytes or plain values
+    if isinstance(result, FrameFeatures):
+        return result.data.tobytes(), result.frame_timestamps
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    if isinstance(result, select.Clustering):
+        return (result.centers.tobytes(), result.assignments.tobytes(), result.inertia,
+                result.iterations_run)
+    if hasattr(result, "wq"):
+        return result.wq.tobytes(), result.wk.tobytes()
+    return result
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(3.0)],
+                         ids=["negative", "float", "bool", "numpy-float"])
+@pytest.mark.parametrize("entry", sorted(SEEDED))
+def test_seed_rule_rejects(entry, seed):
+    attn_projections(4, 1)  # a cached seed 1 must not admit True
+    with pytest.raises(ParameterError,
+                       match=f"^seed must be a non-negative integer, got {seed}$"):
+        SEEDED[entry](seed)
+
+
+@pytest.mark.parametrize("entry", sorted(SEEDED))
+def test_seed_rule_accepts_numpy_integers(entry):
+    assert _comparable(SEEDED[entry](np.int64(3))) == _comparable(SEEDED[entry](3))
+
+
+def test_seed_is_checked_before_packing_logs(caplog):
+    # the 2,000 s clip would be skipped with a warning
+    ids, durations, captions = POOL
+    pool = (ids + ["long"], durations + [2000.0], captions + ["too long"])
+    for entry in (pack_clips, dataset_stats):
+        with caplog.at_level("WARNING", logger="framefuse.captions"):
+            with pytest.raises(ParameterError, match="seed"):
+                entry(*pool, seed=-1)
+        assert caplog.records == []
+
+
+def test_unknown_mode_is_rejected_before_clustering(monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("work done before the mode was checked")
+
+    monkeypatch.setattr(select, "representative_features", not_reached)
+    monkeypatch.setattr(select, "kmeans", not_reached)
+    with pytest.raises(ParameterError, match="unknown supplement mode 'nearest'"):
+        select_scenes_kmeans(FEATURES, 3, 1, mode="nearest")
+
+
+def run(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def inputs(tmp_path, capsys):
+    video = tmp_path / "f.fvt"
+    assert main(["gen", "--frames", "24", "--patches", "2", "--dim", "4",
+                 "--scenes", "3", "-o", str(video)]) == 0
+    manifest = tmp_path / "clips.json"
+    manifest.write_text(json.dumps([
+        {"id": f"c{i}", "duration": 60.0, "caption": f"text {i}"} for i in range(40)]))
+    capsys.readouterr()
+    return video, manifest
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["select", "{video}", "--k", "3", "--r", "1", "--seed", "-1"],
+     "seed must be a non-negative integer, got -1"),
+    (["synth", "{manifest}", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    (["synth", "{manifest}", "--stats", "--seed", "-1"],
+     "seed must be a non-negative integer, got -1"),
+    (["select", "{video}", "--k", "3", "--r", "1", "--tol", "nan"], "tol must be >= 0, got nan"),
+], ids=["select-seed", "synth-seed", "synth-stats-seed", "select-tol-nan"])
+def test_cli_rejects_with_one_line(inputs, capsys, argv, message):
+    video, manifest = inputs
+    argv = [a.format(video=video, manifest=manifest) for a in argv]
+    assert run(argv, capsys) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text, code, message", [
+    ("[{", 1, "error: {configs}: invalid JSON at byte offset 2\n"),
+    ('{"input_frames": 12}', 2, "usage error: {configs}: expected a JSON array of configs\n"),
+], ids=["invalid-json", "not-an-array"])
+def test_bench_rejects_configs_file(inputs, tmp_path, capsys, text, code, message):
+    configs = tmp_path / "configs.json"
+    configs.write_text(text)
+    got = run(["bench", str(inputs[0]), "--configs", str(configs)], capsys)
+    assert got == (code, "", message.format(configs=configs))

@@ -9,6 +9,8 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
+
 import framefuse
 from framefuse.cli import main
 
@@ -65,6 +67,43 @@ def test_worker_hooks_resolve():
     assert callable(framefuse.pipeline.select_scenes_kmeans)
     assert callable(framefuse.pipeline.select_scenes_bsm)
     assert callable(framefuse.select.kmeans)
+
+
+def test_worker_hooks_see_every_compress(tmp_path, monkeypatch, capsys):
+    # perfbench/worker.py replaces these three module globals with wrappers
+    # that record each result, then checks the output against the records
+    captured = {}
+
+    def keep(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            captured[name] = result = fn(*args, **kwargs)
+            return result
+        monkeypatch.setattr(module, name, wrapper)
+
+    keep(framefuse.pipeline, "select_scenes_kmeans")
+    keep(framefuse.pipeline, "select_scenes_bsm")
+    keep(framefuse.select, "kmeans")
+    video = tmp_path / "video.fvt"
+    timestamps = [0.5 * i for i in range(40)]
+    data = np.random.default_rng(3).standard_normal((40, 2, 8)).astype(np.float32)
+    framefuse.save_features(framefuse.FrameFeatures(data, timestamps), video)
+    sampled = [timestamps[i] for i in range(0, 40, 2)]  # --frames 20 of 40
+    for select, hooked in (("kmeans", "select_scenes_kmeans"), ("bsm", "select_scenes_bsm")):
+        out = tmp_path / f"{select}.fvt"
+        captured.clear()
+        assert main(["compress", str(video), "--k", "5", "--r", "1", "--frames", "20",
+                     "--select", select, "--merge", "fusion", "--seed", "4",
+                     "-o", str(out)]) == 0
+        expected = {hooked, "kmeans"} if select == "kmeans" else {hooked}
+        assert set(captured) == expected
+        if select == "kmeans":
+            assert captured["kmeans"].assignments.shape == (20,)
+        scenes = captured[hooked].scenes
+        assert framefuse.load_features(out).frame_timestamps == tuple(
+            sampled[s.representative] for s in scenes)
+    capsys.readouterr()
 
 
 def test_benchmark_package_lookups_are_exported():
