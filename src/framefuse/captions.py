@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, _check_seed
+from .errors import FormatError, ParameterError, _check_count, _check_seed
 
 logger = logging.getLogger(__name__)
 
@@ -169,12 +169,11 @@ def pack_clips(
     while the next clip still fits under max_s, closes when it would not,
     and is kept only if it reached min_s. Clips are used at most once;
     clips of max_s or longer are skipped with a warning. Each record is
-    built as its group closes, so warnings and errors keep their order. An
-    *n_frames* below 1, or a *seed* that is not a non-negative integer, is
-    rejected before any clip is packed or any warning logged.
+    built as its group closes, so warnings and errors keep their order.
+    *n_frames* (an integer >= 1) and *seed* (a non-negative integer) are
+    checked before any clip is packed or any warning logged.
     """
-    if n_frames < 1:
-        raise ParameterError(f"sample count must be >= 1, got {n_frames}")
+    n_frames = _check_count("sample count", n_frames, 1)
     return [build_record([ids[i] for i in group], [durations[i] for i in group],
                          [captions[i] for i in group], n_frames)
             for group, _ in _pack_groups(ids, durations, min_s, max_s, seed)]

@@ -64,6 +64,11 @@ def _table(rows: list[dict], columns: list[str]) -> str:
     return "\n".join(lines)
 
 
+def _check_table_output(args) -> None:
+    if args.format == "table" and args.output:
+        raise _UsageError("--format table prints to stdout; it cannot be written with -o")
+
+
 def cmd_gen(args) -> int:
     spec = SyntheticSpec(
         n_frames=args.frames,
@@ -86,8 +91,7 @@ def cmd_select(args) -> int:
     if args.method == "bsm" and kmeans_opts:
         flags = ", ".join("--" + name.replace("_", "-") for name in kmeans_opts)
         raise _UsageError(f"--method bsm does not use {flags}")
-    if args.format == "table" and args.output:
-        raise _UsageError("--format table prints to stdout; it cannot be written with -o")
+    _check_table_output(args)
     features = load_features(args.input)
     if args.method == "kmeans":
         scene_set = select_scenes_kmeans(features, args.k, args.r, **kmeans_opts)
@@ -111,7 +115,7 @@ def cmd_select(args) -> int:
 def cmd_compress(args) -> int:
     if args.weights is not None and args.merge != "fusion":
         raise _UsageError(f"--merge {args.merge} does not use --weights")
-    input_frames = args.frames if args.frames else args.k * (args.r + 1)
+    input_frames = args.k * (args.r + 1) if args.frames is None else args.frames
     # Keep only the frames compress samples. A count outside the file's
     # frames keeps none: the file is still read and checked, so that a
     # corrupt file is reported before the config or the count is rejected.
@@ -141,6 +145,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_table_output(args)
     features = load_features(args.input)
     try:
         doc = json.loads(Path(args.configs).read_text())
@@ -154,9 +159,9 @@ def cmd_bench(args) -> int:
         raise _UsageError(f"{args.configs}: config list is empty")
     configs = [CompressConfig.from_dict(entry) for entry in doc]
     report = bench(features, configs)
-    if args.output or args.format == "json":
+    if args.format == "json":
         _emit_json(report, args.output)
-    if args.format == "table":
+    else:
         rows = [
             {
                 "selection": r["config"]["selection"],
@@ -231,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True, help="supplement frames per scene")
     p.add_argument("--select", choices=SELECTIONS, default="uniform")
     p.add_argument("--merge", choices=STRATEGIES, default="tavg")
-    p.add_argument("--frames", type=int, default=0,
+    p.add_argument("--frames", type=int,
                    help="frames to sample before grouping (default k*(r+1))")
     p.add_argument("--weights", help="FVT1 fusion-weight tensor for --merge fusion")
     common(p, output_required=True)

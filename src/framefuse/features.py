@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, _check_seed
+from .errors import FormatError, ParameterError, _check_count, _check_seed
 
 MAGIC = b"FVT1"
 FORMAT_VERSION = 1
@@ -277,8 +277,11 @@ def load_features(path: str | Path, sample: int | None = None) -> FrameFeatures:
             oversized payload; a sidecar that is not a JSON object with
             one field, ``frame_timestamps``, an array of numbers.
         ParameterError: non-finite values; invalid timestamps; a sample
-            outside [1, n_frames].
+            that is not an integer (checked before the file is opened) or
+            is outside [1, n_frames].
     """
+    if sample is not None:
+        sample = _check_count("sample count", sample)
     path = Path(path)
     return FrameFeatures(*_read_checked(
         path, lambda n: range(n) if sample is None else uniform_sample_indices(n, sample)))
@@ -319,15 +322,14 @@ class SyntheticSpec:
 
     def __post_init__(self):
         for name in ("n_frames", "n_patches", "dim", "n_scenes"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), 1))
         if self.n_scenes > self.n_frames:
             raise ParameterError(
                 f"n_scenes {self.n_scenes} exceeds n_frames {self.n_frames}"
             )
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ParameterError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 def planted_block_labels(spec: SyntheticSpec) -> np.ndarray:

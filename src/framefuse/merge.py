@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, _check_seed
+from .errors import ParameterError, _check_count, _check_seed
 
 STRATEGIES = ("tavg", "fusion", "attnpool", "bsm")
 
@@ -98,8 +98,7 @@ def fit_fusion_weights(
         raise ParameterError("scenes and targets must be nonempty lists of equal length")
     if not (lr > 0 and math.isfinite(lr)):
         raise ParameterError(f"learning rate must be finite and > 0, got {lr}")
-    if steps < 0:
-        raise ParameterError(f"steps must be >= 0, got {steps}")
+    steps = _check_count("steps", steps, 0)
     # check every input, holding one float64 copy of one of them at a time
     scene_shapes = [_as_scene(sc).shape for sc in scenes]
     target_shapes = [_as_target(t).shape for t in targets]
@@ -174,8 +173,7 @@ def attn_projections(dim: int, seed: int = 0) -> AttnProjections:
     Repeated calls with the same arguments return the same object, whose
     matrices are read-only.
     """
-    if dim < 1:
-        raise ParameterError(f"dim must be >= 1, got {dim}")
+    dim = _check_count("dim", dim, 1)
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     bound = math.sqrt(6.0 / (dim + dim))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ParameterError, _check_seed
+from .errors import ParameterError, _check_count, _check_seed
 from .features import FrameFeatures, uniform_sample_indices
 from .merge import STRATEGIES, attn_projections, fusion_weights_for, merge_scenes
 from .select import (
@@ -39,12 +39,8 @@ class CompressConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.input_frames < 1:
-            raise ParameterError(f"input_frames must be >= 1, got {self.input_frames}")
-        if self.scenes_k < 1:
-            raise ParameterError(f"scenes_k must be >= 1, got {self.scenes_k}")
-        if self.supplements_r < 0:
-            raise ParameterError(f"supplements_r must be >= 0, got {self.supplements_r}")
+        for name, minimum in (("input_frames", 1), ("scenes_k", 1), ("supplements_r", 0)):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), minimum))
         if self.scenes_k * (self.supplements_r + 1) > self.input_frames:
             raise ParameterError(
                 f"scenes_k*(supplements_r+1) = {self.scenes_k * (self.supplements_r + 1)} "
@@ -58,7 +54,7 @@ class CompressConfig:
             raise ParameterError(
                 f"unknown merging {self.merging!r}, expected one of {STRATEGIES}"
             )
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
     def to_dict(self) -> dict:
         return {
@@ -73,8 +69,9 @@ class CompressConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "CompressConfig":
         """Build a config from its :meth:`to_dict` form, rejecting what it
-        would otherwise have to guess: unknown keys, bools, non-integral
-        numbers, and names that are not strings."""
+        would otherwise have to guess: unknown or missing keys, and every
+        value the constructor rejects. Integral JSON floats (12.0) are
+        read as integers."""
         if not isinstance(doc, dict):
             raise ParameterError(f"config must be a JSON object, got {type(doc).__name__}")
         known = {f.name for f in fields(cls)}
@@ -84,19 +81,8 @@ class CompressConfig:
         missing = {"input_frames", "scenes_k", "supplements_r"} - set(doc)
         if missing:
             raise ParameterError(f"config missing fields: {sorted(missing)}")
-        values = {}
-        for key, value in doc.items():
-            if key in ("selection", "merging"):
-                if not isinstance(value, str):
-                    raise ParameterError(f"config field {key!r} must be a string, got {value!r}")
-                values[key] = value
-            elif isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ParameterError(f"config field {key!r} must be an integer, got {value!r}")
-            elif isinstance(value, float) and not value.is_integer():
-                raise ParameterError(f"config field {key!r} must be an integer, got {value!r}")
-            else:
-                values[key] = int(value)
-        return cls(**values)
+        return cls(**{key: int(value) if isinstance(value, float) and value.is_integer()
+                      else value for key, value in doc.items()})
 
 
 def group_uniform_scenes(indices: list[int], scene_size: int) -> SceneSet:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, _check_seed
+from .errors import ParameterError, _check_count, _check_seed
 from .features import FrameFeatures
 
 SUPPLEMENT_MODES = ("similar", "dissimilar")
@@ -29,15 +29,14 @@ class Scene:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        members = tuple(int(m) for m in self.members)
+        members = tuple(_check_count("scene member", m, 0) for m in self.members)
+        representative = _check_count("representative", self.representative, 0)
         if any(b <= a for a, b in zip(members, members[1:])):
             raise ParameterError(f"scene members must be strictly increasing: {members}")
-        if self.representative not in members:
-            raise ParameterError(
-                f"representative {self.representative} not among members {members}"
-            )
+        if representative not in members:
+            raise ParameterError(f"representative {representative} not among members {members}")
         object.__setattr__(self, "members", members)
-        object.__setattr__(self, "representative", int(self.representative))
+        object.__setattr__(self, "representative", representative)
 
 
 @dataclass(frozen=True)
@@ -49,6 +48,7 @@ class SceneSet:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        object.__setattr__(self, "r", _check_count("r", self.r, 0))
         scenes = tuple(self.scenes)
         reps = [s.representative for s in scenes]
         if any(b <= a for a, b in zip(reps, reps[1:])):
@@ -283,10 +283,10 @@ def kmeans(
     if reps.ndim != 2:
         raise ParameterError(f"representative features must be rank 2, got {reps.ndim}")
     n = reps.shape[0]
+    m = _check_count("cluster count", m)
     if not 1 <= m <= n:
         raise ParameterError(f"cluster count {m} outside [1, {n}]")
-    if max_iters < 1:
-        raise ParameterError(f"max_iters must be >= 1, got {max_iters}")
+    max_iters = _check_count("max_iters", max_iters, 1)
     if not tol >= 0:  # NaN too
         raise ParameterError(f"tol must be >= 0, got {tol}")
     _check_seed(seed)
@@ -417,10 +417,8 @@ def select_supplements(
 
 def _check_scene_budget(n: int, k: int, r: int) -> None:
     """Reject a k, r pair that cannot give k disjoint scenes of r+1 of n frames."""
-    if k < 1:
-        raise ParameterError(f"scene count k must be >= 1, got {k}")
-    if r < 0:
-        raise ParameterError(f"supplement count r must be >= 0, got {r}")
+    _check_count("scene count k", k, 1)
+    _check_count("supplement count r", r, 0)
     if k * (r + 1) > n:
         raise ParameterError(
             f"cannot form {k} disjoint scenes of {r + 1} frames from {n} frames"

@@ -427,6 +427,7 @@ def test_compress_of_a_long_file_holds_its_sample_not_the_file(tmp_path, capsys)
     (["--frames", "5000"], "config wants 5000 input frames but tensor has 3000"),
     (["--frames", "-3"], "input_frames must be >= 1, got -3"),
     (["--k", "0"], "input_frames must be >= 1, got 0"),
+    (["--frames", "0"], "input_frames must be >= 1, got 0"),
 ])
 def test_compress_out_of_range_frames_holds_no_frames(tmp_path, capsys, config, message):
     import tracemalloc
@@ -473,6 +474,7 @@ def test_compress_more_frames_than_the_file_keeps_its_message(tmp_path, capsys):
     ["--k", "0", "--r", "2"],                      # no input frames
     ["--k", "8", "--r", "2", "--frames", "5000"],  # more frames than the file
     ["--k", "8", "--r", "2", "--frames", "-3"],
+    ["--k", "8", "--r", "2", "--frames", "0"],
 ])
 def test_compress_reports_a_corrupt_file_before_a_bad_config(tmp_path, capsys, corrupt, message,
                                                              config):
@@ -540,6 +542,19 @@ def test_select_table_with_output_exits_2(tmp_path, capsys):
                                 "--format", "table", "-o", str(out)], capsys)
     assert code == 2
     assert stdout == "" and "--format table" in stderr
+    assert not out.exists()
+
+
+def test_bench_table_with_output_exits_2(tmp_path, capsys):
+    src = tmp_path / "f.fvt"
+    run(gen_args(src, frames=24), capsys)
+    configs = tmp_path / "configs.json"
+    configs.write_text(json.dumps([{"input_frames": 12, "scenes_k": 4, "supplements_r": 2}]))
+    out = tmp_path / "report.json"
+    code, stdout, stderr = run(["bench", str(src), "--configs", str(configs),
+                                "--format", "table", "-o", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr == "usage error: --format table prints to stdout; it cannot be written with -o\n"
     assert not out.exists()
 
 

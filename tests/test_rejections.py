@@ -1,8 +1,11 @@
 """Rejections at the public entries: each parameter is checked once, where
-it enters, and one seed rule covers every entry that builds a random
-generator."""
+it enters, one seed rule covers every entry that builds a random generator,
+and one count rule covers every count."""
 
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +23,10 @@ from framefuse import (
     fit_fusion_weights,
     generate_synthetic,
     kmeans,
+    load_features,
     merge_scene,
     pack_clips,
+    save_features,
     select_scenes_bsm,
     select_scenes_kmeans,
 )
@@ -104,7 +109,9 @@ def _comparable(result):
                 result.iterations_run)
     if hasattr(result, "wq"):
         return result.wq.tobytes(), result.wk.tobytes()
-    return result
+    if isinstance(result, tuple):
+        return tuple(_comparable(part) for part in result)
+    return repr(result)  # shows a numpy scalar stored as written
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(3.0)],
@@ -122,6 +129,69 @@ def test_seed_rule_accepts_numpy_integers(entry):
     assert _comparable(SEEDED[entry](np.int64(3))) == _comparable(SEEDED[entry](3))
 
 
+def _load_sampled(sample):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.fvt"
+        save_features(FEATURES, path)
+        return load_features(path, sample=sample)
+
+
+# Each count of a public entry, keyed by (entry, parameter): the name its
+# messages use, a valid value, and a call of the entry with a given value.
+# tests/test_surface.py checks that every count of the public surface is here.
+COUNTS = {
+    ("CompressConfig", "input_frames"): ("input_frames", 12, lambda n: CompressConfig(n, 3, 1)),
+    ("CompressConfig", "scenes_k"): ("scenes_k", 3, lambda n: CompressConfig(12, n, 1)),
+    ("CompressConfig", "supplements_r"): ("supplements_r", 1, lambda n: CompressConfig(12, 3, n)),
+    ("SyntheticSpec", "n_frames"): ("n_frames", 8, lambda n: SyntheticSpec(n, 2, 3, 2)),
+    ("SyntheticSpec", "n_patches"): ("n_patches", 2, lambda n: SyntheticSpec(8, n, 3, 2)),
+    ("SyntheticSpec", "dim"): ("dim", 3, lambda n: SyntheticSpec(8, 2, n, 2)),
+    ("SyntheticSpec", "n_scenes"): ("n_scenes", 2, lambda n: SyntheticSpec(8, 2, 3, n)),
+    ("Scene", "representative"): ("representative", 2, lambda n: Scene(n, (1, 2))),
+    ("Scene", "members"): ("scene member", 1, lambda n: Scene(2, (n, 2))),
+    ("SceneSet", "r"): ("r", 1, lambda n: SceneSet((Scene(2, (1, 2)),), n)),
+    ("kmeans", "m"): ("cluster count", 3, lambda n: kmeans(REPS, n)),
+    ("kmeans", "max_iters"): ("max_iters", 2, lambda n: kmeans(REPS, 3, max_iters=n)),
+    ("select_scenes_kmeans", "k"):
+        ("scene count k", 3, lambda n: select_scenes_kmeans(FEATURES, n, 1)),
+    ("select_scenes_kmeans", "r"):
+        ("supplement count r", 1, lambda n: select_scenes_kmeans(FEATURES, 3, n)),
+    ("select_scenes_kmeans", "max_iters"):
+        ("max_iters", 2, lambda n: select_scenes_kmeans(FEATURES, 3, 1, max_iters=n)),
+    ("select_scenes_bsm", "k"): ("scene count k", 3, lambda n: select_scenes_bsm(FEATURES, n, 1)),
+    ("select_scenes_bsm", "r"):
+        ("supplement count r", 1, lambda n: select_scenes_bsm(FEATURES, 3, n)),
+    ("attn_projections", "dim"): ("dim", 4, lambda n: attn_projections(n)),
+    ("fit_fusion_weights", "steps"):
+        ("steps", 2, lambda n: fit_fusion_weights([SCENE], [SCENE[0]], lr=0.1, steps=n)),
+    ("load_features", "sample"): ("sample count", 5, _load_sampled),
+    ("pack_clips", "n_frames"): ("sample count", 16, lambda n: pack_clips(*POOL, n_frames=n)),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, np.float64(2.0), True],
+                         ids=["float", "numpy-float", "bool"])
+@pytest.mark.parametrize("count", sorted(COUNTS), ids=".".join)
+def test_count_rule_rejects(count, value):
+    name, _, call = COUNTS[count]
+    with pytest.raises(ParameterError,
+                       match=f"^{re.escape(name)} must be an integer, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("count", sorted(COUNTS), ids=".".join)
+def test_count_rule_accepts_numpy_integers(count):
+    _, valid, call = COUNTS[count]
+    assert _comparable(call(np.int64(valid))) == _comparable(call(valid))
+
+
+def test_numpy_integer_counts_are_stored_as_int():
+    assert json.dumps(CompressConfig(np.int64(12), 4, 2, seed=np.int64(3)).to_dict()) == \
+        json.dumps(CompressConfig(12, 4, 2, seed=3).to_dict())
+    assert json.dumps(select_scenes_bsm(FEATURES, np.int64(2), np.int64(1)).to_dict()) == \
+        json.dumps(select_scenes_bsm(FEATURES, 2, 1).to_dict())
+
+
 def test_seed_is_checked_before_packing_logs(caplog):
     # the 2,000 s clip would be skipped with a warning
     ids, durations, captions = POOL
@@ -133,14 +203,42 @@ def test_seed_is_checked_before_packing_logs(caplog):
         assert caplog.records == []
 
 
-def test_unknown_mode_is_rejected_before_clustering(monkeypatch):
-    def not_reached(*args, **kwargs):
-        raise AssertionError("work done before the mode was checked")
+def test_count_is_checked_before_packing_logs(caplog):
+    ids, durations, captions = POOL
+    pool = (ids + ["long"], durations + [2000.0], captions + ["too long"])
+    with caplog.at_level("WARNING", logger="framefuse.captions"):
+        with pytest.raises(ParameterError, match="sample count must be an integer"):
+            pack_clips(*pool, n_frames=2.5)
+    assert caplog.records == []
 
-    monkeypatch.setattr(select, "representative_features", not_reached)
-    monkeypatch.setattr(select, "kmeans", not_reached)
+
+def _not_reached(*args, **kwargs):
+    raise AssertionError("work done before the parameters were checked")
+
+
+def test_unknown_mode_is_rejected_before_clustering(monkeypatch):
+    monkeypatch.setattr(select, "representative_features", _not_reached)
+    monkeypatch.setattr(select, "kmeans", _not_reached)
     with pytest.raises(ParameterError, match="unknown supplement mode 'nearest'"):
         select_scenes_kmeans(FEATURES, 3, 1, mode="nearest")
+
+
+@pytest.mark.parametrize("entry, k, r, message", [
+    (select_scenes_kmeans, 2.5, 1, "scene count k must be an integer"),
+    (select_scenes_kmeans, 3, True, "supplement count r must be an integer"),
+    (select_scenes_bsm, np.float64(3.0), 1, "scene count k must be an integer"),
+    (select_scenes_bsm, 3, 1.0, "supplement count r must be an integer"),
+], ids=["kmeans-k", "kmeans-r", "bsm-k", "bsm-r"])
+def test_counts_are_checked_before_selection_work(monkeypatch, entry, k, r, message):
+    monkeypatch.setattr(select, "representative_features", _not_reached)
+    monkeypatch.setattr(select, "kmeans", _not_reached)
+    with pytest.raises(ParameterError, match=message):
+        entry(FEATURES, k, r)
+
+
+def test_sample_is_checked_before_the_file_is_opened(tmp_path):
+    with pytest.raises(ParameterError, match="^sample count must be an integer, got 2.5$"):
+        load_features(tmp_path / "missing.fvt", sample=2.5)
 
 
 def run(argv, capsys):

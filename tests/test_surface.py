@@ -1,7 +1,8 @@
-"""The public surface: the names framefuse exports, the names the
-benchmark in ``perfbench/`` looks up in the package and its modules, and
-the README's Python API example."""
+"""The public surface: the names framefuse exports, the counts among their
+parameters, the names the benchmark in ``perfbench/`` looks up in the
+package and its modules, and the README's Python API example."""
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -13,6 +14,7 @@ import numpy as np
 
 import framefuse
 from framefuse.cli import main
+from test_rejections import COUNTS
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -51,6 +53,22 @@ def test_public_names_are_pinned():
     assert sorted(framefuse.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(framefuse, name) is not None, name
+
+
+def test_every_public_count_has_a_count_rule_case():
+    # a parameter or field annotated int, or int | None, is a count; seeds
+    # have their own rule, and Clustering is a result record nothing passes in
+    counts = set()
+    for name in PUBLIC:
+        obj = getattr(framefuse, name)
+        if name == "Clustering" or not (
+                dataclasses.is_dataclass(obj) or inspect.isfunction(inspect.unwrap(obj))):
+            continue
+        for param in inspect.signature(obj, eval_str=True).parameters.values():
+            if param.name != "seed" and param.annotation in (int, int | None):
+                counts.add((name, param.name))
+    assert ("load_features", "sample") in counts and ("SceneSet", "r") in counts
+    assert counts <= set(COUNTS), sorted(counts - set(COUNTS))
 
 
 def test_tracing_targets_resolve():
