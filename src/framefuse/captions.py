@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, _check_count, _check_seed
+from .errors import FormatError, ParameterError, _check_count, _check_real, _check_seed
 
 logger = logging.getLogger(__name__)
 
@@ -170,8 +170,12 @@ def pack_clips(
     and is kept only if it reached min_s. Clips are used at most once;
     clips of max_s or longer are skipped with a warning. Each record is
     built as its group closes, so warnings and errors keep their order.
-    *n_frames* (an integer >= 1) and *seed* (a non-negative integer) are
-    checked before any clip is packed or any warning logged.
+    *n_frames* (an integer >= 1), *seed* (a non-negative integer) and the
+    window (finite numbers, 300 <= min_s <= max_s <= 1800) are checked
+    before any clip is packed or any warning logged. The columns are
+    trusted as :func:`load_clip_manifest` returns them and not checked
+    again: a duration that is not a finite number above 0 is not an
+    error, and its group may be dropped or its record wrong.
     """
     n_frames = _check_count("sample count", n_frames, 1)
     return [build_record([ids[i] for i in group], [durations[i] for i in group],
@@ -191,6 +195,7 @@ def _pack_groups(
     """
     if not durations:
         raise ParameterError("clip pool is empty")
+    min_s, max_s = _check_real("min_s", min_s, -math.inf), _check_real("max_s", max_s, -math.inf)
     if not (MIN_DURATION_S <= min_s <= max_s <= MAX_DURATION_S):
         raise ParameterError(
             f"packing window [{min_s}, {max_s}] must lie within "
@@ -312,7 +317,8 @@ def dataset_stats(ids: list[str], durations: list[float], captions: list[str],
     A merged-caption line is ``"[MM:SS - MM:SS] caption"`` and the labels
     hold no whitespace, so each clip adds 3 words to its caption's own. A
     clip too short to move its group's running total raises the error its
-    record would: an empty segment.
+    record would: an empty segment. The window and seed are checked, and
+    the columns trusted, as :func:`pack_clips` does.
     """
     sizes, words = [], []
     for group, total in _pack_groups(ids, durations, min_s, max_s, seed):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, _check_count, _check_seed
+from .errors import ParameterError, _check_array, _check_count, _check_real, _check_seed
 
 STRATEGIES = ("tavg", "fusion", "attnpool", "bsm")
 
@@ -28,15 +28,8 @@ STRATEGIES = ("tavg", "fusion", "attnpool", "bsm")
 MERGE_CHUNK_BYTES = 4 * 2**20
 
 
-def _as_scene(scene: np.ndarray) -> np.ndarray:
-    scene = np.asarray(scene, dtype=np.float64)
-    if scene.ndim != 3:
-        raise ParameterError(f"scene tensor must be rank 3, got rank {scene.ndim}")
-    if min(scene.shape) < 1:
-        raise ParameterError(f"scene dims must be >= 1, got {scene.shape}")
-    if not np.all(np.isfinite(scene)):
-        raise ParameterError("scene tensor contains non-finite values")
-    return scene
+def _as_scene(scene) -> np.ndarray:
+    return _check_array("scene", scene, np.float64, 3)
 
 
 def fusion_weights_for(strategy: str, weights: np.ndarray | None,
@@ -48,21 +41,12 @@ def fusion_weights_for(strategy: str, weights: np.ndarray | None,
         return None
     if strategy != "fusion":
         raise ParameterError(f"weights apply only to fusion merging, not {strategy!r}")
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = _check_array("weights", weights, np.float64, len(scene_shape))
     if weights.shape != tuple(scene_shape):
         raise ParameterError(
             f"weights shape {weights.shape} does not match scene shape {tuple(scene_shape)}"
         )
-    if not np.all(np.isfinite(weights)):
-        raise ParameterError("weights contain non-finite values")
     return weights
-
-
-def _as_target(target) -> np.ndarray:
-    target = np.asarray(target, dtype=np.float64)
-    if not np.all(np.isfinite(target)):
-        raise ParameterError("target contains non-finite values")
-    return target
 
 
 def _weight_gradient(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
@@ -88,20 +72,20 @@ def fit_fusion_weights(
     per-coordinate sum of squared frame values) the loss is non-increasing
     and the best iterate is the last.
 
-    The scenes and targets are checked once: finite, and the scenes all of
-    one shape. The scenes are copied into a (c, s, L, D) batch. Each step
+    The scenes and targets are checked once, by the array rule (integer or
+    float values, every one finite), and the scenes must be all of one
+    shape. The scenes are copied into a (c, s, L, D) batch. Each step
     takes every residual from one :func:`merge_scenes` call and the
     gradient upstream * frame a scene at a time, summed in scene order, so
     that no temporary of the batch's size is built.
     """
     if not scenes or len(scenes) != len(targets):
         raise ParameterError("scenes and targets must be nonempty lists of equal length")
-    if not (lr > 0 and math.isfinite(lr)):
-        raise ParameterError(f"learning rate must be finite and > 0, got {lr}")
+    lr = _check_real("learning rate", lr, 0, strict=True)
     steps = _check_count("steps", steps, 0)
     # check every input, holding one float64 copy of one of them at a time
     scene_shapes = [_as_scene(sc).shape for sc in scenes]
-    target_shapes = [_as_target(t).shape for t in targets]
+    target_shapes = [_check_array("target", t, np.float64, 2).shape for t in targets]
     shape = scene_shapes[0]
     for sc_shape, t_shape in zip(scene_shapes, target_shapes):
         if sc_shape != shape:
@@ -383,12 +367,12 @@ def merge_scene(
     """Collapse a scene (s, n_patches, dim) to one (n_patches, dim) float64
     map with a strategy of :func:`merge_scenes`.
 
-    The scene is checked once: rank 3, every dim at least 1, every value
-    finite. *weights* apply only to ``fusion`` and must be finite, of the
-    scene's shape; *proj* applies only to ``attnpool`` and must hold
-    (dim, dim) matrices. Either one given for another strategy would be
-    ignored, so it is rejected. Without *proj*, attnpool uses
-    ``attn_projections(dim, seed)``.
+    The scene is checked once: integer or float values, rank 3, every dim
+    at least 1, every value finite. *weights* apply only to ``fusion``,
+    are checked the same way and must have the scene's shape; *proj*
+    applies only to ``attnpool`` and must hold (dim, dim) matrices. Either
+    one given for another strategy would be ignored, so it is rejected.
+    Without *proj*, attnpool uses ``attn_projections(dim, seed)``.
     """
     scene = _as_scene(scene)
     s, n_patches, dim = scene.shape

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -57,14 +57,7 @@ class CompressConfig:
         object.__setattr__(self, "seed", _check_seed(self.seed))
 
     def to_dict(self) -> dict:
-        return {
-            "input_frames": self.input_frames,
-            "scenes_k": self.scenes_k,
-            "supplements_r": self.supplements_r,
-            "selection": self.selection,
-            "merging": self.merging,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CompressConfig":

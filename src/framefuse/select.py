@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, _check_count, _check_seed
+from .errors import ParameterError, _check_array, _check_count, _check_real, _check_seed
 from .features import FrameFeatures
 
 SUPPLEMENT_MODES = ("similar", "dissimilar")
@@ -279,16 +279,13 @@ def kmeans(
     and the rows that seeding and the nearest-center searches recomputed
     in the direct form.
     """
-    reps = np.asarray(reps, dtype=np.float64)
-    if reps.ndim != 2:
-        raise ParameterError(f"representative features must be rank 2, got {reps.ndim}")
+    reps = _check_array("representative features", reps, np.float64, 2)
     n = reps.shape[0]
     m = _check_count("cluster count", m)
     if not 1 <= m <= n:
         raise ParameterError(f"cluster count {m} outside [1, {n}]")
     max_iters = _check_count("max_iters", max_iters, 1)
-    if not tol >= 0:  # NaN too
-        raise ParameterError(f"tol must be >= 0, got {tol}")
+    tol = _check_real("tol", tol, 0)
     _check_seed(seed)
 
     rng = np.random.default_rng(seed)

@@ -371,7 +371,7 @@ def test_sampled_load_checks_the_sidecar_over_every_frame(tmp_path):
     path = tmp_path / "t.fvt"
     # frames 1 and 2 are not sampled, but their timestamps still count
     for ts, message in (([0.0, 5.0, 4.0, 6.0, 7.0, 8.0], "strictly increasing"),
-                        ([0.0, -1.0, 2.0, 3.0, 4.0, 5.0], "non-negative"),
+                        ([0.0, -1.0, 2.0, 3.0, 4.0, 5.0], "timestamp 1 must be finite and >= 0"),
                         ([0.0, 1.0, 2.0, 3.0], "expected 6 timestamps, got 4")):
         _write_raw(path, data, ts)
         with pytest.raises(ParameterError, match=message):

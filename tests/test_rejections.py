@@ -1,6 +1,7 @@
 """Rejections at the public entries: each parameter is checked once, where
 it enters, one seed rule covers every entry that builds a random generator,
-and one count rule covers every count."""
+one count rule covers every count, one real rule every real number and one
+array rule every real array."""
 
 import json
 import re
@@ -65,11 +66,12 @@ def _nan_scene():
     (lambda: SceneSet((Scene(2, (1, 2)),), r=2), "has 2 members, expected 3"),
     (lambda: kmeans(REPS[0], 2), "must be rank 2"),
     (lambda: kmeans(REPS, 2, max_iters=0), "max_iters must be >= 1"),
-    (lambda: kmeans(REPS, 2, tol=-1), "tol must be >= 0"),
-    (lambda: kmeans(REPS, 2, tol=float("nan")), "tol must be >= 0"),
+    (lambda: kmeans(REPS, 2, tol=-1), "tol must be finite and >= 0"),
+    (lambda: kmeans(REPS, 2, tol=float("nan")), "tol must be finite and >= 0"),
     (lambda: select_scenes_kmeans(FEATURES, 0, 1), "k must be >= 1"),
     (lambda: select_scenes_kmeans(FEATURES, 2, -1), "r must be >= 0"),
-    (lambda: select_scenes_kmeans(FEATURES, 2, 1, tol=float("nan")), "tol must be >= 0"),
+    (lambda: select_scenes_kmeans(FEATURES, 2, 1, tol=float("nan")),
+     "tol must be finite and >= 0"),
     (lambda: select_scenes_bsm(FEATURES, 0, 1), "k must be >= 1"),
     (lambda: select_scenes_bsm(FEATURES, 2, -1), "r must be >= 0"),
 ], ids=[
@@ -101,7 +103,7 @@ SEEDED = {
 def _comparable(result):
     # every field of the result as bytes or plain values
     if isinstance(result, FrameFeatures):
-        return result.data.tobytes(), result.frame_timestamps
+        return result.data.tobytes(), repr(result.frame_timestamps)
     if isinstance(result, np.ndarray):
         return result.tobytes()
     if isinstance(result, select.Clustering):
@@ -185,6 +187,101 @@ def test_count_rule_accepts_numpy_integers(count):
     assert _comparable(call(np.int64(valid))) == _comparable(call(valid))
 
 
+# Each real of a public entry, keyed by (entry, parameter): the name its
+# messages use, the bound they state, a valid value, and a call of the entry
+# with a given value. The packing window's range check is its own, so the
+# real rule checks min_s and max_s for type and finiteness only.
+# tests/test_surface.py checks that every real of the public surface is here.
+REALS = {
+    ("FrameFeatures", "frame_timestamps"):
+        ("timestamp 1", ">= 0", 0.5, lambda t: FrameFeatures(np.zeros((2, 1, 1)), (0.0, t))),
+    ("SyntheticSpec", "noise_sigma"):
+        ("noise_sigma", ">= 0", 0.2, lambda s: SyntheticSpec(8, 2, 3, 2, noise_sigma=s)),
+    ("kmeans", "tol"): ("tol", ">= 0", 0.5, lambda t: kmeans(REPS, 3, tol=t)),
+    ("select_scenes_kmeans", "tol"):
+        ("tol", ">= 0", 0.5, lambda t: select_scenes_kmeans(FEATURES, 3, 1, tol=t)),
+    ("fit_fusion_weights", "lr"):
+        ("learning rate", "> 0", 0.1,
+         lambda lr: fit_fusion_weights([SCENE], [SCENE[0]], lr=lr, steps=2)),
+    ("pack_clips", "min_s"): ("min_s", ">= -inf", 400.0, lambda s: pack_clips(*POOL, min_s=s)),
+    ("pack_clips", "max_s"): ("max_s", ">= -inf", 900.0, lambda s: pack_clips(*POOL, max_s=s)),
+    ("dataset_stats", "min_s"):
+        ("min_s", ">= -inf", 400.0, lambda s: dataset_stats(*POOL, min_s=s)),
+    ("dataset_stats", "max_s"):
+        ("max_s", ">= -inf", 900.0, lambda s: dataset_stats(*POOL, max_s=s)),
+}
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "must be a number, got True"),
+    ("0.1", "must be a number, got '0.1'"),
+    (10**400, f"is out of range: {10**400}"),
+    (float("nan"), "must be finite and {bound}, got nan"),
+    (float("inf"), "must be finite and {bound}, got inf"),
+], ids=["bool", "string", "overflow", "nan", "inf"])
+@pytest.mark.parametrize("real", sorted(REALS), ids=".".join)
+def test_real_rule_rejects(real, value, message):
+    name, bound, _, call = REALS[real]
+    with pytest.raises(ParameterError,
+                       match=f"^{re.escape(name + ' ' + message.format(bound=bound))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("real", sorted(REALS), ids=".".join)
+def test_real_rule_accepts_numpy_floats(real):
+    # compared by repr, so a numpy scalar stored as written fails
+    _, _, valid, call = REALS[real]
+    assert _comparable(call(np.float64(valid))) == _comparable(call(valid))
+
+
+# Each real array of a public entry, keyed by (entry, parameter): the name
+# its messages use, a valid integer array, and a call of the entry with a
+# given array. tests/test_surface.py checks that every array of the public
+# surface is here.
+INTS = np.arange(48).reshape(12, 4) % 7
+ARRAYS = {
+    ("FrameFeatures", "data"): ("frame features", INTS.reshape(12, 1, 4), FrameFeatures),
+    ("kmeans", "reps"): ("representative features", INTS, lambda a: kmeans(a, 3)),
+    ("merge_scene", "scene"):
+        ("scene", INTS.reshape(3, 4, 4), lambda a: merge_scene(a, "attnpool")),
+    ("merge_scene", "weights"):
+        ("weights", INTS[:6].reshape(3, 2, 4), lambda a: merge_scene(SCENE, "fusion", a)),
+    ("compress", "weights"):
+        ("weights", INTS[:9].reshape(3, 3, 4),
+         lambda a: compress(FEATURES, CompressConfig(12, 4, 2, merging="fusion"), a)),
+    ("fit_fusion_weights", "scenes"):
+        ("scene", INTS[:6].reshape(3, 2, 4),
+         lambda a: fit_fusion_weights([a], [SCENE[0]], lr=0.01, steps=2)),
+    ("fit_fusion_weights", "targets"):
+        ("target", INTS[:2], lambda a: fit_fusion_weights([SCENE], [a], lr=0.01, steps=2)),
+}
+
+
+@pytest.mark.parametrize("dtype", [bool, str, complex, object])
+@pytest.mark.parametrize("array", sorted(ARRAYS), ids=".".join)
+def test_array_rule_rejects_non_real_dtypes(array, dtype):
+    name, valid, call = ARRAYS[array]
+    bad = valid.astype(dtype)
+    with pytest.raises(ParameterError, match=f"^{re.escape(name)} must hold real numbers, "
+                                             f"got dtype {re.escape(str(bad.dtype))}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("array", sorted(ARRAYS), ids=".".join)
+def test_array_rule_rejects_one_nan(array):
+    name, valid, call = ARRAYS[array]
+    bad = valid.astype(np.float64)
+    bad.flat[-1] = np.nan
+    with pytest.raises(ParameterError, match=f"^{re.escape(name)} contains? non-finite values$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("array", sorted(ARRAYS), ids=".".join)
+def test_array_rule_accepts_integer_arrays(array):
+    _, valid, call = ARRAYS[array]
+    assert _comparable(call(valid)) == _comparable(call(valid.astype(np.float64)))
+
+
 def test_numpy_integer_counts_are_stored_as_int():
     assert json.dumps(CompressConfig(np.int64(12), 4, 2, seed=np.int64(3)).to_dict()) == \
         json.dumps(CompressConfig(12, 4, 2, seed=3).to_dict())
@@ -265,8 +362,15 @@ def inputs(tmp_path, capsys):
     (["synth", "{manifest}", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
     (["synth", "{manifest}", "--stats", "--seed", "-1"],
      "seed must be a non-negative integer, got -1"),
-    (["select", "{video}", "--k", "3", "--r", "1", "--tol", "nan"], "tol must be >= 0, got nan"),
-], ids=["select-seed", "synth-seed", "synth-stats-seed", "select-tol-nan"])
+    (["select", "{video}", "--k", "3", "--r", "1", "--tol", "nan"],
+     "tol must be finite and >= 0, got nan"),
+    (["select", "{video}", "--k", "3", "--r", "1", "--tol", "inf"],
+     "tol must be finite and >= 0, got inf"),
+    (["gen", "--frames", "8", "--patches", "2", "--dim", "4", "--scenes", "2",
+      "--noise", "inf", "-o", "{video}"], "noise_sigma must be finite and >= 0, got inf"),
+    (["synth", "{manifest}", "--min-s", "nan"], "min_s must be finite and >= -inf, got nan"),
+], ids=["select-seed", "synth-seed", "synth-stats-seed", "select-tol-nan", "select-tol-inf",
+        "gen-noise-inf", "synth-min-s-nan"])
 def test_cli_rejects_with_one_line(inputs, capsys, argv, message):
     video, manifest = inputs
     argv = [a.format(video=video, manifest=manifest) for a in argv]

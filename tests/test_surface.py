@@ -1,6 +1,7 @@
-"""The public surface: the names framefuse exports, the counts among their
-parameters, the names the benchmark in ``perfbench/`` looks up in the
-package and its modules, and the README's Python API example."""
+"""The public surface: the names framefuse exports, the counts, reals and
+arrays among their parameters, the names the benchmark in ``perfbench/``
+looks up in the package and its modules, and the README's Python API
+example."""
 
 import dataclasses
 import importlib
@@ -11,10 +12,11 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import framefuse
 from framefuse.cli import main
-from test_rejections import COUNTS
+from test_rejections import ARRAYS, COUNTS, REALS
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -55,20 +57,39 @@ def test_public_names_are_pinned():
         assert getattr(framefuse, name) is not None, name
 
 
-def test_every_public_count_has_a_count_rule_case():
-    # a parameter or field annotated int, or int | None, is a count; seeds
-    # have their own rule, and Clustering is a result record nothing passes in
-    counts = set()
+def _public_parameters(annotations):
+    """(entry, parameter) of each parameter or dataclass field of the public
+    surface annotated as one of *annotations*; Clustering is a result
+    record nothing passes in."""
+    found = set()
     for name in PUBLIC:
         obj = getattr(framefuse, name)
         if name == "Clustering" or not (
                 dataclasses.is_dataclass(obj) or inspect.isfunction(inspect.unwrap(obj))):
             continue
         for param in inspect.signature(obj, eval_str=True).parameters.values():
-            if param.name != "seed" and param.annotation in (int, int | None):
-                counts.add((name, param.name))
+            if param.annotation in annotations:
+                found.add((name, param.name))
+    return found
+
+
+def test_every_public_count_has_a_count_rule_case():
+    # a parameter or field annotated int, or int | None, is a count; seeds
+    # have their own rule
+    counts = {(entry, name) for entry, name in _public_parameters((int, int | None))
+              if name != "seed"}
     assert ("load_features", "sample") in counts and ("SceneSet", "r") in counts
     assert counts <= set(COUNTS), sorted(counts - set(COUNTS))
+
+
+@pytest.mark.parametrize("annotations, table, known", [
+    ((float,), REALS, ("fit_fusion_weights", "lr")),
+    ((np.ndarray, np.ndarray | None, list[np.ndarray]), ARRAYS, ("compress", "weights")),
+], ids=["reals", "arrays"])
+def test_every_public_real_and_array_has_a_rule_case(annotations, table, known):
+    found = _public_parameters(annotations)
+    assert known in found
+    assert found <= set(table), sorted(found - set(table))
 
 
 def test_tracing_targets_resolve():
