@@ -11,7 +11,6 @@ from .features import (
     SyntheticSpec,
     generate_synthetic,
     load_features,
-    planted_block_labels,
     save_features,
 )
 from .select import (
@@ -24,12 +23,7 @@ from .select import (
     select_scenes_kmeans,
 )
 from .merge import attn_projections, fit_fusion_weights, merge_scene
-from .pipeline import (
-    CompressConfig,
-    bench,
-    compress,
-    reconstruction_proxy,
-)
+from .pipeline import CompressConfig, bench, compress
 from .captions import dataset_stats, load_clip_manifest, pack_clips
 
 __version__ = "0.1.0"
@@ -55,8 +49,6 @@ __all__ = [
     "load_features",
     "merge_scene",
     "pack_clips",
-    "planted_block_labels",
-    "reconstruction_proxy",
     "representative_features",
     "save_features",
     "select_scenes_bsm",

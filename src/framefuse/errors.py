@@ -65,12 +65,16 @@ def _all_finite(flat: np.ndarray) -> bool:
 
 
 def _check_array(name: str, value, dtype, ndim: int) -> np.ndarray:
-    """The one rule for every real array: integer or float values (not
-    bool, complex, string or object), rank *ndim*, every dim at least 1 and
-    every value finite. Returns a C-contiguous *dtype* array, *value* itself
-    when it already is one. Finiteness is checked FINITE_CHECK_VALUES
-    values at a time, so no mask of the whole array is built."""
-    array = np.asarray(value)
+    """The one rule for every real array: a regular (not ragged) shape,
+    integer or float values (not bool, complex, string or object), rank
+    *ndim*, every dim at least 1 and every value finite. Returns a
+    C-contiguous *dtype* array, *value* itself when it already is one.
+    Finiteness is checked FINITE_CHECK_VALUES values at a time, so no mask
+    of the whole array is built."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # numpy's "inhomogeneous shape" for nested sequences
+        raise ParameterError(f"{name} must have a regular shape, got a ragged sequence") from None
     if array.dtype.kind not in "iuf":
         raise ParameterError(f"{name} must hold real numbers, got dtype {array.dtype}")
     if array.ndim != ndim:

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (FINITE_CHECK_VALUES, FormatError, ParameterError, _all_finite,  # noqa: F401
-                     _check_array, _check_count, _check_real, _check_seed)
+from .errors import (FormatError, ParameterError, _all_finite, _check_array, _check_count,
+                     _check_real, _check_seed)
 
 MAGIC = b"FVT1"
 FORMAT_VERSION = 1
@@ -301,14 +301,6 @@ class SyntheticSpec:
             )
         object.__setattr__(self, "noise_sigma", _check_real("noise_sigma", self.noise_sigma, 0))
         object.__setattr__(self, "seed", _check_seed(self.seed))
-
-
-def planted_block_labels(spec: SyntheticSpec) -> np.ndarray:
-    """Ground-truth block label per frame for :func:`generate_synthetic`."""
-    labels = np.empty(spec.n_frames, dtype=np.int64)
-    for b, block in enumerate(np.array_split(np.arange(spec.n_frames), spec.n_scenes)):
-        labels[block] = b
-    return labels
 
 
 def _block_offset(b: int, dim: int, scale: float) -> np.ndarray:

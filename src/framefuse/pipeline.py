@@ -161,13 +161,9 @@ def compress(
     return FrameFeatures(out, out_ts)
 
 
-def reconstruction_proxy(original: FrameFeatures, compressed: FrameFeatures) -> float:
+def _proxy(original_reps: np.ndarray, compressed: FrameFeatures) -> float:
     """Mean squared distance from each original frame's representative
     feature to the nearest merged frame's representative feature."""
-    return _proxy(representative_features(original), compressed)
-
-
-def _proxy(original_reps: np.ndarray, compressed: FrameFeatures) -> float:
     return float(nearest_centers(original_reps, representative_features(compressed))[1].mean())
 
 

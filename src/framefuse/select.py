@@ -71,9 +71,6 @@ class SceneSet:
     def k(self) -> int:
         return len(self.scenes)
 
-    def retained_indices(self) -> list[int]:
-        return sorted(m for s in self.scenes for m in s.members)
-
     def to_dict(self) -> dict:
         return {
             "k": self.k,

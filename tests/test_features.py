@@ -13,12 +13,13 @@ from framefuse import (
     generate_synthetic,
     kmeans,
     load_features,
-    planted_block_labels,
     representative_features,
     save_features,
 )
 from framefuse import features
+from framefuse.errors import FINITE_CHECK_VALUES
 from framefuse.features import HEADER_SIZE
+from reference import planted_block_labels
 
 
 def test_frame_features_validation():
@@ -176,11 +177,10 @@ def test_load_peak_under_1_1_payloads(tmp_path):
     assert peak < 1.1 * data.nbytes, f"peak {peak / data.nbytes:.2f} payloads"
 
 
-@pytest.mark.parametrize("where", [0, features.FINITE_CHECK_VALUES - 1,
-                                   features.FINITE_CHECK_VALUES, -1])
+@pytest.mark.parametrize("where", [0, FINITE_CHECK_VALUES - 1, FINITE_CHECK_VALUES, -1])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_rejected_in_any_slice(where, bad):
-    data = np.zeros(2 * features.FINITE_CHECK_VALUES + 3, dtype=np.float32)
+    data = np.zeros(2 * FINITE_CHECK_VALUES + 3, dtype=np.float32)
     data[where] = bad
     with pytest.raises(ParameterError, match="non-finite"):
         FrameFeatures(data.reshape(1, 1, -1))

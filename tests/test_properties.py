@@ -88,7 +88,7 @@ def test_scene_sets_structurally_valid(seed, n, data):
         select_scenes_bsm(f, k, r),
     ):
         assert ss.k == k
-        members = ss.retained_indices()
+        members = reference.retained_indices(ss)
         assert len(members) == k * (r + 1)
         assert len(set(members)) == len(members)  # disjoint scenes
         for scene in ss.scenes:

@@ -277,6 +277,17 @@ def test_array_rule_rejects_one_nan(array):
 
 
 @pytest.mark.parametrize("array", sorted(ARRAYS), ids=".".join)
+def test_array_rule_rejects_a_ragged_list(array):
+    # the valid array as nested lists, its last entry one item short
+    name, valid, call = ARRAYS[array]
+    bad = valid.tolist()
+    bad[-1] = bad[-1][:-1]
+    with pytest.raises(ParameterError, match=f"^{re.escape(name)} must have a regular shape, "
+                                             "got a ragged sequence$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("array", sorted(ARRAYS), ids=".".join)
 def test_array_rule_accepts_integer_arrays(array):
     _, valid, call = ARRAYS[array]
     assert _comparable(call(valid)) == _comparable(call(valid.astype(np.float64)))

@@ -13,7 +13,6 @@ from framefuse import (
     SyntheticSpec,
     generate_synthetic,
     kmeans,
-    planted_block_labels,
     representative_features,
     select_scenes_bsm,
     select_scenes_kmeans,
@@ -134,7 +133,7 @@ def test_representative_indices_zero_noise_blocks():
     spec = SyntheticSpec(n_frames=10, n_patches=3, dim=6, n_scenes=2, noise_sigma=0.0, seed=2)
     f = generate_synthetic(spec)
     reps = representative_features(f)
-    labels = planted_block_labels(spec)
+    labels = reference.planted_block_labels(spec)
     idx = select._distinct_representatives(reps, kmeans(reps, 2, seed=3).centers)
     assert len(idx) == 2
     assert {labels[i] for i in idx} == {0, 1}
@@ -204,7 +203,7 @@ def test_supplements_padding_warns():
 def test_select_scenes_kmeans_planted_blocks():
     spec = SyntheticSpec(n_frames=30, n_patches=4, dim=8, n_scenes=3, noise_sigma=0.1, seed=23)
     f = generate_synthetic(spec)
-    labels = planted_block_labels(spec)
+    labels = reference.planted_block_labels(spec)
     ss = select_scenes_kmeans(f, 3, 1, seed=24)
     for scene in ss.scenes:
         assert len({labels[m] for m in scene.members}) == 1
@@ -231,7 +230,7 @@ def test_select_scenes_kmeans_96_8_3_counts():
     ss = select_scenes_kmeans(f, 8, 3, seed=29)
     assert ss.k == 8
     assert scene_sizes(ss) == [4] * 8
-    assert len(ss.retained_indices()) == 32
+    assert len(reference.retained_indices(ss)) == 32
 
 
 def test_bsm_identical_segment():
@@ -256,7 +255,7 @@ def test_bsm_96_8_3_counts():
     f = generate_synthetic(SyntheticSpec(96, 8, 16, 4, 0.1, seed=30))
     ss = select_scenes_bsm(f, 8, 3)
     assert ss.k == 8
-    assert len(ss.retained_indices()) == 32
+    assert len(reference.retained_indices(ss)) == 32
     # members stay inside their contiguous segment
     for i, scene in enumerate(ss.scenes):
         assert all(12 * i <= m < 12 * (i + 1) for m in scene.members)
@@ -266,7 +265,7 @@ def test_both_methods_retain_same_count():
     f = generate_synthetic(SyntheticSpec(60, 4, 8, 5, 0.1, seed=31))
     a = select_scenes_kmeans(f, 6, 4, seed=32)
     b = select_scenes_bsm(f, 6, 4)
-    assert len(a.retained_indices()) == len(b.retained_indices()) == 30
+    assert len(reference.retained_indices(a)) == len(reference.retained_indices(b)) == 30
 
 
 def test_scene_set_validation():

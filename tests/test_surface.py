@@ -1,7 +1,7 @@
 """The public surface: the names framefuse exports, the counts, reals and
 arrays among their parameters, the names the benchmark in ``perfbench/``
 looks up in the package and its modules, and the README's Python API
-example."""
+section, which names every export and whose example runs."""
 
 import dataclasses
 import importlib
@@ -42,8 +42,6 @@ PUBLIC = [
     "load_features",
     "merge_scene",
     "pack_clips",
-    "planted_block_labels",
-    "reconstruction_proxy",
     "representative_features",
     "save_features",
     "select_scenes_bsm",
@@ -155,10 +153,20 @@ def test_benchmark_package_lookups_are_exported():
         assert name in framefuse.__all__ or inspect.ismodule(value), name
 
 
-def test_readme_python_api_example_runs(tmp_path, monkeypatch, capsys):
+def _python_api_section():
     readme = (ROOT / "README.md").read_text()
     section = readme[readme.index("## Python API"):]
-    (block,) = re.findall(r"```python\n(.*?)```", section[:section.index("\n## ", 1)], re.S)
+    return section[:section.index("\n## ", 1)]
+
+
+def test_readme_python_api_names_every_public_name():
+    section = _python_api_section()
+    missing = [name for name in framefuse.__all__ if not re.search(rf"\b{name}\b", section)]
+    assert missing == []
+
+
+def test_readme_python_api_example_runs(tmp_path, monkeypatch, capsys):
+    (block,) = re.findall(r"```python\n(.*?)```", _python_api_section(), re.S)
     monkeypatch.chdir(tmp_path)
     # the inputs of the README's CLI quick start
     assert main(["gen", "--frames", "96", "--patches", "16", "--dim", "32", "--scenes", "4",
