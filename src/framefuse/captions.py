@@ -12,7 +12,6 @@ clips is a list of indices into them. :func:`pack_clips` builds the records
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from collections.abc import Iterator
@@ -24,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FormatError, ParameterError, _check_count, _check_real, _check_seed
+from .errors import FormatError, ParameterError, _check_count, _check_real, _check_seed, _read_json
 
 logger = logging.getLogger(__name__)
 
@@ -244,12 +243,7 @@ def load_clip_manifest(path: str | Path) -> tuple[list[str], list[float], list[s
     caption (ParameterError).
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON at byte offset {exc.pos}") from exc
-    except ValueError as exc:  # an integer literal past Python's digit limit
-        raise FormatError(f"{path}: {exc}") from exc
+    doc = _read_json(path)
     if not isinstance(doc, list):
         raise FormatError(f"{path}: manifest must be a JSON array")
     ids, durations, captions = [], [], []

@@ -23,7 +23,7 @@ from .captions import (
     load_clip_manifest,
     pack_clips,
 )
-from .errors import FormatError, FrameFuseError
+from .errors import FrameFuseError, _read_json
 from .features import (
     SyntheticSpec,
     generate_synthetic,
@@ -147,12 +147,7 @@ def cmd_compress(args) -> int:
 def cmd_bench(args) -> int:
     _check_table_output(args)
     features = load_features(args.input)
-    try:
-        doc = json.loads(Path(args.configs).read_text())
-    except json.JSONDecodeError as exc:
-        raise FrameFuseError(f"{args.configs}: invalid JSON at byte offset {exc.pos}") from exc
-    except ValueError as exc:  # an integer literal past Python's digit limit
-        raise FormatError(f"{args.configs}: {exc}") from exc
+    doc = _read_json(args.configs)
     if not isinstance(doc, list):
         raise _UsageError(f"{args.configs}: expected a JSON array of configs")
     if not doc:

@@ -1,8 +1,11 @@
-"""Exception types shared across the package, and the rules that every
-public entry checks its seeds, counts, real numbers and real arrays by."""
+"""Exception types shared across the package, the rules that every
+public entry checks its seeds, counts, real numbers and real arrays by, and
+the one reader of JSON input files."""
 
+import json
 import math
 import numbers
+from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +25,21 @@ class ParameterError(FrameFuseError, ValueError):
 
 class FormatError(FrameFuseError, ValueError):
     """Malformed or corrupt on-disk data."""
+
+
+def _read_json(path: str | Path):
+    """The JSON document in the file at *path*, decoded as UTF-8 (RFC 8259)
+    whatever the locale. A file that is not UTF-8 or not JSON is a
+    FormatError naming *path* as given; a syntax error names its byte
+    offset in the file."""
+    try:
+        # the file's bytes are freed once decoded, before the parse
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        offset = len(exc.doc[:exc.pos].encode())
+        raise FormatError(f"{path}: invalid JSON at byte offset {offset}") from exc
+    except ValueError as exc:  # not UTF-8, or an integer literal past Python's digit limit
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def _check_seed(seed) -> int:

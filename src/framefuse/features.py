@@ -11,7 +11,6 @@ import json
 import math
 import os
 import struct
-import tempfile
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (FormatError, ParameterError, _all_finite, _check_array, _check_count,
-                     _check_real, _check_seed)
+                     _check_real, _check_seed, _read_json)
 
 MAGIC = b"FVT1"
 FORMAT_VERSION = 1
@@ -83,9 +82,12 @@ def _meta_path(path: Path) -> Path:
 
 
 def _atomic_write(path: Path, chunks: Iterable[bytes]) -> None:
-    """Write *chunks* to *path* through a temporary file in its directory,
-    so that *path* never holds a partial write."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    """Write *chunks* to *path* through a new file of a random name in its
+    directory, so that *path* never holds a partial write. The file is
+    created with mode 0o666, which the umask narrows, as for any file
+    opened for writing."""
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
@@ -207,12 +209,7 @@ def _read_timestamps(meta: Path) -> list[float] | None:
     None without one. Anything else in it is a FormatError."""
     if not meta.exists():
         return None
-    try:
-        doc = json.loads(meta.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{meta}: invalid JSON at byte offset {exc.pos}") from exc
-    except ValueError as exc:  # an integer literal past Python's digit limit
-        raise FormatError(f"{meta}: {exc}") from exc
+    doc = _read_json(meta)
     if not isinstance(doc, dict) or "frame_timestamps" not in doc:
         raise FormatError(f"{meta}: missing frame_timestamps field")
     if len(doc) != 1:

@@ -147,15 +147,10 @@ class AttnProjections:
         return qk
 
 
-# Projections of one (dim, seed) are reused across calls; at dim 1024 one
-# set holds three 8 MiB matrices (wq, wk and qk), so keep only the last.
-# Typed, so that a seed of True misses the entry of seed 1 and is rejected.
-@functools.lru_cache(maxsize=1, typed=True)
 def attn_projections(dim: int, seed: int = 0) -> AttnProjections:
     """Xavier-uniform (dim, dim) projections, deterministic given the seed.
 
-    Repeated calls with the same arguments return the same object, whose
-    matrices are read-only.
+    Each call builds fresh matrices, read-only, and keeps none of them.
     """
     dim = _check_count("dim", dim, 1)
     _check_seed(seed)
@@ -166,6 +161,15 @@ def attn_projections(dim: int, seed: int = 0) -> AttnProjections:
     wq.flags.writeable = False
     wk.flags.writeable = False
     return AttnProjections(wq=wq, wk=wk, seed=seed)
+
+
+# The product of one (dim, seed) is reused across merges; at dim 1024 it is
+# 8 MiB, so keep only the last, and not the wq and wk it came from. Typed,
+# so that a seed of True misses the entry of seed 1 and is rejected.
+@functools.lru_cache(maxsize=1, typed=True)
+def _attn_qk(dim: int, seed: int) -> np.ndarray:
+    """The read-only wq @ wk.T of ``attn_projections(dim, seed)``."""
+    return attn_projections(dim, seed).qk
 
 
 def _tavg(frames, members, out):
@@ -310,7 +314,7 @@ def merge_scenes(
     strategy: str,
     out: np.ndarray,
     weights: np.ndarray | None = None,
-    proj: AttnProjections | None = None,
+    qk: np.ndarray | None = None,
 ) -> np.ndarray:
     """Merge scene i, the frames ``frames[members[i]]`` in member order,
     into ``out[i]`` with the named strategy, and return *out*.
@@ -322,7 +326,8 @@ def merge_scenes(
     - ``fusion``: the per-frame, per-patch, per-dim weighted sum over the
       frames, with *weights* or the uniform init 1/s.
     - ``attnpool``: the per-patch attention-weighted sum of the frames,
-      with the projections *proj*. The middle frame's projected features
+      scored through *qk*, the product wq @ wk.T of the projections
+      (see :class:`AttnProjections`). The middle frame's projected features
       act as the query and each frame's projected features as keys; the
       scaled per-patch scores are softmax-normalized over the frame axis,
       so each patch gets a convex combination.
@@ -339,17 +344,18 @@ def merge_scenes(
 
     Trusts its input: finite frames of any float dtype, indices in range,
     and, for ``fusion``, float64 *weights* of shape (s, n_patches, dim) or
-    None; ``attnpool`` needs *proj*. Scene by scene, the member frames are
-    read by index into float64 work buffers allocated once per call, so
-    memory does not grow with k; ``attnpool`` runs its query GEMM for a
-    group of scenes whose middle frames fit in MERGE_CHUNK_BYTES.
+    None; ``attnpool`` needs the (dim, dim) *qk*. Scene by scene, the
+    member frames are read by index into float64 work buffers allocated
+    once per call, so memory does not grow with k; ``attnpool`` runs its
+    query GEMM for a group of scenes whose middle frames fit in
+    MERGE_CHUNK_BYTES.
     """
     if strategy == "tavg":
         _tavg(frames, members, out)
     elif strategy == "fusion":
         _fusion(frames, members, out, weights)
     elif strategy == "attnpool":
-        _attnpool(frames, members, out, proj.qk)
+        _attnpool(frames, members, out, qk)
     elif strategy == "bsm":
         _bsm(frames, members, out)
     else:
@@ -372,11 +378,13 @@ def merge_scene(
     are checked the same way and must have the scene's shape; *proj*
     applies only to ``attnpool`` and must hold (dim, dim) matrices. Either
     one given for another strategy would be ignored, so it is rejected.
-    Without *proj*, attnpool uses ``attn_projections(dim, seed)``.
+    Without *proj*, attnpool uses ``attn_projections(dim, seed)`` and
+    keeps only their product, read-only, until another (dim, seed) merges.
     """
     scene = _as_scene(scene)
     s, n_patches, dim = scene.shape
     weights = fusion_weights_for(strategy, weights, scene.shape)
+    qk = None
     if proj is not None:
         if strategy != "attnpool":
             raise ParameterError(f"proj applies only to attnpool merging, not {strategy!r}")
@@ -385,7 +393,8 @@ def merge_scene(
                 f"proj matrices must be ({dim}, {dim}) for a scene of dim {dim}, "
                 f"got wq {proj.wq.shape} and wk {proj.wk.shape}"
             )
+        qk = proj.qk
     elif strategy == "attnpool":
-        proj = attn_projections(dim, seed)
+        qk = _attn_qk(dim, seed)
     out = np.empty((1, n_patches, dim))
-    return merge_scenes(scene, np.arange(s)[None], strategy, out, weights, proj)[0]
+    return merge_scenes(scene, np.arange(s)[None], strategy, out, weights, qk)[0]

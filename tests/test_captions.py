@@ -229,6 +229,15 @@ def test_manifest_malformed_json_names_offset(tmp_path):
         load_clip_manifest(path)
 
 
+def test_manifest_malformed_json_offset_counts_bytes(tmp_path):
+    # "é" is two bytes in UTF-8, so the stray "]" is character 49 and byte 50
+    path = tmp_path / "bad.json"
+    path.write_bytes('[{"id": "a", "duration": 1.0, "caption": "café"},]'.encode())
+    with pytest.raises(FormatError) as info:
+        load_clip_manifest(path)
+    assert str(info.value) == f"{path}: invalid JSON at byte offset 50"
+
+
 def test_manifest_missing_field(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('[{"id": "a", "caption": "x"}]')

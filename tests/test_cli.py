@@ -296,6 +296,44 @@ def test_synth_malformed_manifest_exits_1(tmp_path, capsys):
     assert "byte offset" in stderr
 
 
+def test_json_inputs_are_read_as_utf8_whatever_the_locale(tmp_path, capsys):
+    manifest = tmp_path / "clips.json"
+    manifest.write_bytes(json.dumps([{"id": "a", "duration": 400.0, "caption": "café"}],
+                                    ensure_ascii=False).encode())
+    expected = tmp_path / "expected.json"
+    assert run(["synth", str(manifest), "-o", str(expected)], capsys)[0] == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    # an ASCII locale, with neither locale coercion nor UTF-8 mode to rescue it
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "records.json"
+    proc = subprocess.run([sys.executable, "-m", "framefuse.cli", "synth", str(manifest),
+                           "-o", str(out)], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_outputs_follow_the_umask(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_manifest(Path("clips.json"))
+    Path("configs.json").write_text(json.dumps([{"input_frames": 12, "scenes_k": 4,
+                                                 "supplements_r": 2}]))
+    old = os.umask(0o027)
+    try:
+        for argv in (gen_args("f.fvt"),
+                     ["compress", "f.fvt", "--k", "4", "--r", "1", "-o", "c.fvt"],
+                     ["select", "f.fvt", "--k", "4", "--r", "1", "-o", "s.json"],
+                     ["bench", "f.fvt", "--configs", "configs.json", "-o", "b.json"],
+                     ["synth", "clips.json", "-o", "r.json"]):
+            assert run(argv, capsys)[0] == 0, argv
+    finally:
+        os.umask(old)
+    outputs = {"f.fvt", "c.fvt", "s.json", "b.json", "r.json"}
+    assert outputs <= {p.name for p in tmp_path.iterdir()}
+    for name in sorted(outputs):
+        assert oct((tmp_path / name).stat().st_mode & 0o777) == oct(0o640), name
+
+
 def test_synth_deterministic(tmp_path, capsys):
     manifest = tmp_path / "clips.json"
     write_manifest(manifest, n=60, duration=47.0)

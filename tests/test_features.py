@@ -1,6 +1,8 @@
 """Tensor type, FVT1 format, and synthetic-data tests."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -478,3 +480,16 @@ def test_atomic_write_leaves_nothing_when_a_chunk_fails(tmp_path):
         features._atomic_write(path, chunks())
     assert path.read_bytes() == b"old"
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_get_mode_0666_less_the_umask(tmp_path, umask, mode):
+    path = tmp_path / "ts.fvt"
+    old = os.umask(umask)
+    try:
+        save_features(FrameFeatures(np.zeros((2, 1, 1)), (0.0, 1.0)), path)
+    finally:
+        os.umask(old)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ts.fvt", "ts.fvt.meta.json"]
+    for written in tmp_path.iterdir():
+        assert stat.S_IMODE(written.stat().st_mode) == mode, written.name

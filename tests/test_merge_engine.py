@@ -4,7 +4,9 @@ and degenerate inputs. tavg, fusion and bsm must match exactly. attnpool
 regroups its scores as q.(wq.wk^T).x^T, which rounds differently, so it
 must match within ATTNPOOL_TOL."""
 
+import gc
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,7 +271,6 @@ def test_compress_rejects_wrong_fusion_weights():
 
 def test_attn_projections_cached_read_only():
     a = attn_projections(6, seed=5)
-    assert attn_projections(6, seed=5) is a
     assert a.qk is a.qk
     assert np.array_equal(a.qk, a.wq @ a.wk.T)
     for matrix in (a.wq, a.wk, a.qk):
@@ -278,6 +279,43 @@ def test_attn_projections_cached_read_only():
     b = attn_projections(6, seed=6)
     assert not np.array_equal(a.wq, b.wq)
     assert np.array_equal(attn_projections(6, seed=5).wq, a.wq)
+
+
+def test_attnpool_keeps_only_the_product_resident():
+    # after an attnpool merge the library holds one read-only (D, D)
+    # product, 8*D*D bytes, and neither projection matrix
+    dim, seed = 256, 3
+    features = FrameFeatures(np.random.default_rng(0).standard_normal((12, 4, dim)))
+    merges = {
+        "compress": lambda: compress(features, CompressConfig(12, 4, 2, merging="attnpool",
+                                                              seed=seed)),
+        "merge_scene": lambda: merge_scene(features.data[:3], "attnpool", seed=seed),
+    }
+    for name, run in merges.items():
+        merge._attn_qk.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert 8 * dim**2 <= held < 10 * dim**2, name
+        gc.collect()
+        assert [o for o in gc.get_objects() if isinstance(o, merge.AttnProjections)] == [], name
+        assert merge._attn_qk.cache_info().currsize == 1
+        qk = merge._attn_qk(dim, seed)
+        assert merge._attn_qk.cache_info().hits == 1
+        assert qk.shape == (dim, dim) and qk.base is None and not qk.flags.writeable
+        assert np.array_equal(qk, attn_projections(dim, seed).qk)
+
+
+def test_cached_product_of_seed_1_does_not_admit_true():
+    scene = np.random.default_rng(1).standard_normal((3, 2, 4))
+    merge_scene(scene, "attnpool", seed=1)
+    with pytest.raises(ParameterError, match="^seed must be a non-negative integer, got True$"):
+        merge_scene(scene, "attnpool", seed=True)
 
 
 def _drifting(rng, s, n_patches, dim):

@@ -1,8 +1,10 @@
 """The public surface: the names framefuse exports, the counts, reals and
 arrays among their parameters, the names the benchmark in ``perfbench/``
-looks up in the package and its modules, and the README's Python API
-section, which names every export and whose example runs."""
+looks up in the package and its modules, the README's Python API
+section, which names every export and whose example runs, and the one
+JSON reader and one file writer that every command goes through."""
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -20,6 +22,7 @@ from test_rejections import ARRAYS, COUNTS, REALS
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+SOURCE = ROOT / "src" / "framefuse"
 
 PUBLIC = [
     "Clustering",
@@ -178,3 +181,35 @@ def test_readme_python_api_example_runs(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     exec(compile(block, "README.md", "exec"), {})
     assert "This video samples 32 frames" in capsys.readouterr().out
+
+
+def _reads_or_makes_files_itself(node) -> bool:
+    """Whether *node* reads text in the locale's encoding, parses JSON, or
+    brings in tempfile."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        func = node.func
+        return func.attr == "read_text" or (
+            func.attr == "loads" and isinstance(func.value, ast.Name) and func.value.id == "json")
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "tempfile" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = (node.module or "").split(".")[0]
+        return module == "tempfile" or (module == "json" and
+                                        any(alias.name == "loads" for alias in node.names))
+    return False
+
+
+def test_one_json_reader_and_one_file_writer():
+    # errors._read_json reads every JSON input as UTF-8 and maps its errors
+    # one way; features._atomic_write writes every output file
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        allowed = set()
+        if path.name == "errors.py":
+            (reader,) = [node for node in tree.body
+                         if isinstance(node, ast.FunctionDef) and node.name == "_read_json"]
+            allowed = {id(node) for node in ast.walk(reader)}
+        found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+                  if id(node) not in allowed and _reads_or_makes_files_itself(node)]
+    assert found == []
