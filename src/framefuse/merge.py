@@ -6,14 +6,15 @@ one scene's s frames. Every strategy returns an (n_patches, dim) map.
 Each strategy has one implementation, called through :func:`merge_scenes`,
 which merges k scenes given as a frame tensor and a (k, s) table of member
 indices and trusts its input to be finite. :func:`merge_scene` checks one
-scene from outside and calls it with the members arange(s).
+scene from outside and calls it with the members arange(s). A seed is
+the one source of attnpool's projections, ``attn_projections(dim, seed)``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,25 +127,11 @@ def fit_fusion_weights(
     return best_w, history
 
 
-@dataclass(frozen=True, eq=False)
-class AttnProjections:
-    """Query/key projection matrices for attention pooling.
-
-    ``qk`` is computed from wq and wk on first use and kept, so the
-    matrices must not change afterwards.
-    """
+class AttnProjections(NamedTuple):
+    """Read-only query/key projection matrices for attention pooling."""
 
     wq: np.ndarray
     wk: np.ndarray
-    seed: int
-
-    @functools.cached_property
-    def qk(self) -> np.ndarray:
-        """wq @ wk.T, read-only: the score of frame x against query q,
-        (q @ wq) . (x @ wk), regrouped as (q @ qk) . x."""
-        qk = self.wq @ self.wk.T
-        qk.flags.writeable = False
-        return qk
 
 
 def attn_projections(dim: int, seed: int = 0) -> AttnProjections:
@@ -160,16 +147,21 @@ def attn_projections(dim: int, seed: int = 0) -> AttnProjections:
     wk = rng.uniform(-bound, bound, size=(dim, dim))
     wq.flags.writeable = False
     wk.flags.writeable = False
-    return AttnProjections(wq=wq, wk=wk, seed=seed)
+    return AttnProjections(wq, wk)
 
 
 # The product of one (dim, seed) is reused across merges; at dim 1024 it is
-# 8 MiB, so keep only the last, and not the wq and wk it came from. Typed,
-# so that a seed of True misses the entry of seed 1 and is rejected.
-@functools.lru_cache(maxsize=1, typed=True)
+# 8 MiB, so keep only the last, and not the wq and wk it came from. Only
+# seeds that passed the seed rule reach it.
+@functools.lru_cache(maxsize=1)
 def _attn_qk(dim: int, seed: int) -> np.ndarray:
-    """The read-only wq @ wk.T of ``attn_projections(dim, seed)``."""
-    return attn_projections(dim, seed).qk
+    """The read-only wq @ wk.T of ``attn_projections(dim, seed)``: the score
+    of frame x against query q, (q @ wq) . (x @ wk), regrouped as
+    (q @ qk) . x."""
+    wq, wk = attn_projections(dim, seed)
+    qk = wq @ wk.T
+    qk.flags.writeable = False
+    return qk
 
 
 def _tavg(frames, members, out):
@@ -197,11 +189,12 @@ def _fusion(frames, members, out, weights):
         out[i] = acc
 
 
-def _attnpool(frames, members, out, qk):
+def _attnpool(frames, members, out, seed):
     # The middle frame's projected features score every frame of its scene;
     # the query GEMM runs once for a group of scenes, the rest scene by scene.
     k, s = members.shape
     _, n_patches, dim = frames.shape
+    qk = _attn_qk(dim, seed)
     group = max(1, min(k, MERGE_CHUNK_BYTES // (n_patches * dim * 8)))
     mids, z = np.empty((2, group, n_patches, dim))
     x = np.empty((s, n_patches, dim))
@@ -314,7 +307,7 @@ def merge_scenes(
     strategy: str,
     out: np.ndarray,
     weights: np.ndarray | None = None,
-    qk: np.ndarray | None = None,
+    seed: int = 0,
 ) -> np.ndarray:
     """Merge scene i, the frames ``frames[members[i]]`` in member order,
     into ``out[i]`` with the named strategy, and return *out*.
@@ -326,11 +319,12 @@ def merge_scenes(
     - ``fusion``: the per-frame, per-patch, per-dim weighted sum over the
       frames, with *weights* or the uniform init 1/s.
     - ``attnpool``: the per-patch attention-weighted sum of the frames,
-      scored through *qk*, the product wq @ wk.T of the projections
-      (see :class:`AttnProjections`). The middle frame's projected features
-      act as the query and each frame's projected features as keys; the
-      scaled per-patch scores are softmax-normalized over the frame axis,
-      so each patch gets a convex combination.
+      scored through ``attn_projections(dim, seed)`` as their product
+      wq @ wk.T, which stays cached, read-only, until another (dim, seed)
+      merges. The middle frame's projected features act as the query and
+      each frame's projected features as keys; the scaled per-patch scores
+      are softmax-normalized over the frame axis, so each patch gets a
+      convex combination.
     - ``bsm``: bipartite soft matching, after ToMe (Bolya et al., "Token
       Merging: Your ViT But Faster", ICLR 2023). The scene is flattened
       patch-major, so each patch's temporal copies land in alternating
@@ -342,24 +336,22 @@ def merge_scenes(
       the current tokens merge per round. The tokens left are ordered by
       the earliest original index each absorbed and reshaped.
 
-    Trusts its input: finite frames of any float dtype, indices in range,
-    and, for ``fusion``, float64 *weights* of shape (s, n_patches, dim) or
-    None; ``attnpool`` needs the (dim, dim) *qk*. Scene by scene, the
-    member frames are read by index into float64 work buffers allocated
-    once per call, so memory does not grow with k; ``attnpool`` runs its
-    query GEMM for a group of scenes whose middle frames fit in
-    MERGE_CHUNK_BYTES.
+    Trusts its input: a strategy of STRATEGIES, finite frames of any float
+    dtype, indices in range, for ``fusion`` float64 *weights* of shape
+    (s, n_patches, dim) or None, and for ``attnpool`` an int *seed* that
+    passed the seed rule. Scene by scene, the member frames are read by
+    index into float64 work buffers allocated once per call, so memory does
+    not grow with k; ``attnpool`` runs its query GEMM for a group of scenes
+    whose middle frames fit in MERGE_CHUNK_BYTES.
     """
     if strategy == "tavg":
         _tavg(frames, members, out)
     elif strategy == "fusion":
         _fusion(frames, members, out, weights)
     elif strategy == "attnpool":
-        _attnpool(frames, members, out, qk)
-    elif strategy == "bsm":
-        _bsm(frames, members, out)
+        _attnpool(frames, members, out, seed)
     else:
-        raise ParameterError(f"unknown merge strategy {strategy!r}, expected one of {STRATEGIES}")
+        _bsm(frames, members, out)
     return out
 
 
@@ -367,34 +359,23 @@ def merge_scene(
     scene: np.ndarray,
     strategy: str,
     weights: np.ndarray | None = None,
-    proj: AttnProjections | None = None,
     seed: int = 0,
 ) -> np.ndarray:
     """Collapse a scene (s, n_patches, dim) to one (n_patches, dim) float64
     map with a strategy of :func:`merge_scenes`.
 
-    The scene is checked once: integer or float values, rank 3, every dim
-    at least 1, every value finite. *weights* apply only to ``fusion``,
-    are checked the same way and must have the scene's shape; *proj*
-    applies only to ``attnpool`` and must hold (dim, dim) matrices. Either
-    one given for another strategy would be ignored, so it is rejected.
-    Without *proj*, attnpool uses ``attn_projections(dim, seed)`` and
-    keeps only their product, read-only, until another (dim, seed) merges.
+    Every argument is checked once, here, whatever the strategy: the
+    strategy must be one of STRATEGIES, *seed* must pass the seed rule, and
+    the scene must hold integer or float values, rank 3, every dim at least
+    1, every value finite. *weights* apply only to ``fusion``, are checked
+    the same way and must have the scene's shape; given for another
+    strategy they would be ignored, so they are rejected.
     """
+    if strategy not in STRATEGIES:
+        raise ParameterError(f"unknown merge strategy {strategy!r}, expected one of {STRATEGIES}")
+    seed = _check_seed(seed)
     scene = _as_scene(scene)
     s, n_patches, dim = scene.shape
     weights = fusion_weights_for(strategy, weights, scene.shape)
-    qk = None
-    if proj is not None:
-        if strategy != "attnpool":
-            raise ParameterError(f"proj applies only to attnpool merging, not {strategy!r}")
-        if proj.wq.shape != (dim, dim) or proj.wk.shape != (dim, dim):
-            raise ParameterError(
-                f"proj matrices must be ({dim}, {dim}) for a scene of dim {dim}, "
-                f"got wq {proj.wq.shape} and wk {proj.wk.shape}"
-            )
-        qk = proj.qk
-    elif strategy == "attnpool":
-        qk = _attn_qk(dim, seed)
     out = np.empty((1, n_patches, dim))
-    return merge_scenes(scene, np.arange(s)[None], strategy, out, weights, qk)[0]
+    return merge_scenes(scene, np.arange(s)[None], strategy, out, weights, seed)[0]

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ParameterError, _check_count, _check_seed
 from .features import FrameFeatures, uniform_sample_indices
-from .merge import STRATEGIES, _attn_qk, fusion_weights_for, merge_scenes
+from .merge import STRATEGIES, fusion_weights_for, merge_scenes
 from .select import (
     Scene,
     SceneSet,
@@ -150,10 +150,8 @@ def compress(
     k, s = members.shape
     _, n_patches, dim = features.data.shape
     weights = fusion_weights_for(cfg.merging, weights, (s, n_patches, dim))
-    qk = _attn_qk(dim, cfg.seed) if cfg.merging == "attnpool" else None
-
     out = merge_scenes(features.data, members, cfg.merging,
-                       np.empty((k, n_patches, dim), dtype=np.float32), weights, qk)
+                       np.empty((k, n_patches, dim), dtype=np.float32), weights, cfg.seed)
     out_ts = None
     if features.frame_timestamps is not None:
         out_ts = tuple(features.frame_timestamps[idx[scene.representative]]

@@ -160,7 +160,7 @@ def bsm_merge(tokens, target):
     return tok[order], sizes[order]
 
 
-def merge_scene(scene, strategy, weights=None, proj=None, seed=0):
+def merge_scene(scene, strategy, weights=None, seed=0):
     scene = as_scene(scene)
     s, n_patches, dim = scene.shape
     if strategy == "tavg":
@@ -170,9 +170,7 @@ def merge_scene(scene, strategy, weights=None, proj=None, seed=0):
             weights = np.full((s, n_patches, dim), 1.0 / s, dtype=np.float64)
         return fusion(scene, weights)
     if strategy == "attnpool":
-        if proj is None:
-            proj = attn_projections(dim, seed)
-        return attention_pool(scene, proj)
+        return attention_pool(scene, attn_projections(dim, seed))
     if strategy == "bsm":
         tokens = scene.transpose(1, 0, 2).reshape(s * n_patches, dim)
         return bsm_merge(tokens, n_patches)[0].reshape(n_patches, dim)
@@ -199,10 +197,9 @@ def compress(features, cfg, weights=None):
         scene_set = select_scenes_kmeans(sub, cfg.scenes_k, cfg.supplements_r, seed=cfg.seed)
     else:
         scene_set = select_scenes_bsm(sub, cfg.scenes_k, cfg.supplements_r)
-    proj = attn_projections(features.dim, cfg.seed) if cfg.merging == "attnpool" else None
     merged = [
         merge_scene(sub.data[np.asarray(scene.members)], cfg.merging,
-                    weights=weights, proj=proj, seed=cfg.seed)
+                    weights=weights, seed=cfg.seed)
         for scene in scene_set.scenes
     ]
     out_ts = None

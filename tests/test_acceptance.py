@@ -136,12 +136,12 @@ def test_criterion_06_attention_pool_convexity():
         w = reference.attention_weights(scene, proj)
         assert np.all(w >= 0)
         assert np.max(np.abs(w.sum(axis=0) - 1.0)) <= 1e-6
-        out = merge_scene(scene, "attnpool", proj=proj)
+        out = merge_scene(scene, "attnpool", seed=seed)
         assert np.all(out <= scene.max(axis=0) + 1e-9)
         assert np.all(out >= scene.min(axis=0) - 1e-9)
         frame = rng.standard_normal((8, 12))
         identical = np.stack([frame] * s)
-        out = merge_scene(identical, "attnpool", proj=proj)
+        out = merge_scene(identical, "attnpool", seed=seed)
         # exact at double precision
         assert np.max(np.abs(out - frame)) <= 1e-12
     _finish("criterion 6: attention weights convex, identical frames exact", 2.0, start)

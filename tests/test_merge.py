@@ -9,7 +9,7 @@ import pytest
 
 import reference
 from framefuse import ParameterError, attn_projections, fit_fusion_weights, merge_scene
-from framefuse.merge import STRATEGIES
+from framefuse.merge import STRATEGIES, AttnProjections
 
 
 def random_scene(rng, s=3, n_patches=4, dim=6):
@@ -186,15 +186,14 @@ def test_attention_pool_identical_frames():
     rng = np.random.default_rng(10)
     frame = rng.standard_normal((5, 8))
     scene = np.stack([frame] * 3)
-    proj = attn_projections(8, seed=11)
-    out = merge_scene(scene, "attnpool", proj=proj)
+    out = merge_scene(scene, "attnpool", seed=11)
     assert np.max(np.abs(out - frame)) <= 1e-12
 
 
 def test_attention_pool_single_frame():
     rng = np.random.default_rng(12)
     scene = rng.standard_normal((1, 4, 6))
-    out = merge_scene(scene, "attnpool", proj=attn_projections(6, seed=13))
+    out = merge_scene(scene, "attnpool", seed=13)
     assert np.array_equal(out, scene[0])
 
 
@@ -202,7 +201,7 @@ def test_attention_pool_loop_oracle():
     rng = np.random.default_rng(14)
     scene = rng.standard_normal((3, 4, 8))
     proj = attn_projections(8, seed=15)
-    got = merge_scene(scene, "attnpool", proj=proj)
+    got = merge_scene(scene, "attnpool", seed=15)
 
     q = scene[1] @ proj.wq  # middle frame of 3 is index 1
     want = np.zeros((4, 8))
@@ -225,7 +224,7 @@ def test_attention_weights_convex():
         w = reference.attention_weights(scene, attn_projections(10, seed=s))
         assert np.all(w >= 0)
         assert np.max(np.abs(w.sum(axis=0) - 1.0)) <= 1e-6
-        out = merge_scene(scene, "attnpool", proj=attn_projections(10, seed=s))
+        out = merge_scene(scene, "attnpool", seed=s)
         assert np.all(out <= scene.max(axis=0) + 1e-9)
         assert np.all(out >= scene.min(axis=0) - 1e-9)
 
@@ -309,8 +308,10 @@ def test_merge_scene_shapes_finite():
 
 
 def test_merge_scene_unknown_strategy():
-    with pytest.raises(ParameterError):
-        merge_scene(np.zeros((2, 2, 2)), "pool")
+    # weights beside an unknown strategy do not change the message
+    for weights in (None, np.ones((2, 2, 2))):
+        with pytest.raises(ParameterError, match="^unknown merge strategy 'pool', expected"):
+            merge_scene(np.zeros((2, 2, 2)), "pool", weights)
 
 
 def test_merge_scene_rejects_arguments_its_strategy_ignores():
@@ -322,21 +323,10 @@ def test_merge_scene_rejects_arguments_its_strategy_ignores():
     # wrongly shaped weights with tavg were ignored; they are rejected too
     with pytest.raises(ParameterError, match="weights apply only to fusion"):
         merge_scene(scene, "tavg", weights=np.ones((9, 9)))
-    proj = attn_projections(4, seed=0)
-    for strategy in ("tavg", "fusion", "bsm"):
-        with pytest.raises(ParameterError, match="proj applies only to attnpool"):
-            merge_scene(scene, strategy, proj=proj)
 
 
-def test_merge_scene_rejects_proj_and_weights_it_cannot_use():
-    from framefuse.merge import AttnProjections
-
+def test_merge_scene_rejects_weights_it_cannot_use():
     scene = np.random.default_rng(29).standard_normal((3, 2, 4))
-    # projections of another dim, or not square, do not fit a dim-4 scene
-    for proj in (attn_projections(5, seed=0),
-                 AttnProjections(wq=np.ones((4, 3)), wk=np.ones((4, 3)), seed=0)):
-        with pytest.raises(ParameterError, match=r"proj matrices must be \(4, 4\)"):
-            merge_scene(scene, "attnpool", proj=proj)
     for bad in (np.nan, np.inf, -np.inf):
         weights = uniform_weights(*scene.shape)
         weights[2, 1, 3] = bad
@@ -372,15 +362,11 @@ def test_merge_strategies_dim_permutation_equivariance():
     st = merge_scene(scene, "bsm")
     assert np.allclose(merge_scene(scene[:, :, perm], "bsm"), st[:, perm], atol=1e-10)
 
-    proj = attn_projections(8, seed=26)
     # permuting inputs means conjugating the projections by the permutation
-    from framefuse.merge import AttnProjections
-
-    proj_p = AttnProjections(
-        wq=proj.wq[perm][:, perm], wk=proj.wk[perm][:, perm], seed=proj.seed
-    )
-    a = merge_scene(scene, "attnpool", proj=proj)
-    b = merge_scene(scene[:, :, perm], "attnpool", proj=proj_p)
+    wq, wk = attn_projections(8, seed=26)
+    proj_p = AttnProjections(wq[perm][:, perm], wk[perm][:, perm])
+    a = merge_scene(scene, "attnpool", seed=26)
+    b = reference.attention_pool(scene[:, :, perm], proj_p)
     assert np.allclose(b, a[:, perm], atol=1e-10)
 
 

@@ -132,7 +132,6 @@ def test_per_scene_wrappers_match_reference(seed, s, n_patches, dim, kind):
     rng = np.random.default_rng(seed)
     scene = _frames(rng, s, n_patches, dim, kind)
     weights = rng.standard_normal(scene.shape)
-    proj = attn_projections(dim, seed % 7)
 
     for strategy in ("tavg", "fusion", "bsm"):
         want = reference.merge_scene(scene, strategy)
@@ -140,12 +139,9 @@ def test_per_scene_wrappers_match_reference(seed, s, n_patches, dim, kind):
     assert merge_scene(scene, "fusion", weights=weights).tobytes() == \
         reference.fusion(scene, weights).tobytes()
 
-    for got, want in (
-        (merge_scene(scene, "attnpool", proj=proj), reference.attention_pool(scene, proj)),
-        (merge_scene(scene, "attnpool", seed=seed % 7),
-         reference.merge_scene(scene, "attnpool", seed=seed % 7)),
-    ):
-        assert np.abs(got - want).max() <= ATTNPOOL_TOL
+    got = merge_scene(scene, "attnpool", seed=seed % 7)
+    want = reference.attention_pool(scene, attn_projections(dim, seed % 7))
+    assert np.abs(got - want).max() <= ATTNPOOL_TOL
 
 
 def _assert_same_fit(scenes, targets, lr, steps):
@@ -270,10 +266,16 @@ def test_compress_rejects_wrong_fusion_weights():
 
 
 def test_attn_projections_cached_read_only():
+    # the projections are the matrices wq and wk alone; only their product
+    # is cached
     a = attn_projections(6, seed=5)
-    assert a.qk is a.qk
-    assert np.array_equal(a.qk, a.wq @ a.wk.T)
-    for matrix in (a.wq, a.wk, a.qk):
+    assert merge.AttnProjections._fields == ("wq", "wk")
+    with pytest.raises(AttributeError):
+        a.wq = a.wk
+    qk = merge._attn_qk(6, 5)
+    assert merge._attn_qk(6, 5) is qk
+    assert np.array_equal(qk, a.wq @ a.wk.T)
+    for matrix in (a.wq, a.wk, qk):
         with pytest.raises(ValueError):
             matrix[0, 0] = 1.0
     b = attn_projections(6, seed=6)
@@ -308,7 +310,8 @@ def test_attnpool_keeps_only_the_product_resident():
         qk = merge._attn_qk(dim, seed)
         assert merge._attn_qk.cache_info().hits == 1
         assert qk.shape == (dim, dim) and qk.base is None and not qk.flags.writeable
-        assert np.array_equal(qk, attn_projections(dim, seed).qk)
+        wq, wk = attn_projections(dim, seed)
+        assert np.array_equal(qk, wq @ wk.T)
 
 
 def test_cached_product_of_seed_1_does_not_admit_true():

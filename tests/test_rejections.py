@@ -86,7 +86,9 @@ def test_public_entry_rejects(call, message):
         call()
 
 
-# Each entry that builds a random generator, called with a given seed.
+# Each entry that takes a seed, called with a given seed; merge_scene checks
+# its seed whatever the strategy. tests/test_surface.py checks that every
+# seed of the public surface is here.
 SEEDED = {
     "kmeans": lambda seed: kmeans(REPS, 3, seed=seed),
     "select_scenes_kmeans": lambda seed: select_scenes_kmeans(FEATURES, 3, 1, seed=seed),
@@ -94,6 +96,7 @@ SEEDED = {
     "dataset_stats": lambda seed: dataset_stats(*POOL, seed=seed),
     "attn_projections": lambda seed: attn_projections(4, seed),
     "merge_scene": lambda seed: merge_scene(SCENE, "attnpool", seed=seed),
+    "merge_scene-tavg": lambda seed: merge_scene(SCENE, "tavg", seed=seed),
     "CompressConfig": lambda seed: compress(
         FEATURES, CompressConfig(12, 3, 1, "kmeans", "attnpool", seed=seed)),
     "SyntheticSpec": lambda seed: generate_synthetic(SyntheticSpec(8, 2, 3, 2, seed=seed)),
@@ -116,13 +119,15 @@ def _comparable(result):
     return repr(result)  # shows a numpy scalar stored as written
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(3.0)],
-                         ids=["negative", "float", "bool", "numpy-float"])
+@pytest.mark.parametrize("seed", [-1, 1.5, True, np.float64(3.0), [1], np.array(1)],
+                         ids=["negative", "float", "bool", "numpy-float", "list", "numpy-array"])
 @pytest.mark.parametrize("entry", sorted(SEEDED))
 def test_seed_rule_rejects(entry, seed):
-    attn_projections(4, 1)  # a cached seed 1 must not admit True
+    # the rule, not a cache, rejects: seed 1 is cached first, and True, [1]
+    # and np.array(1) must neither hit its entry nor fail to hash
+    SEEDED[entry](1)
     with pytest.raises(ParameterError,
-                       match=f"^seed must be a non-negative integer, got {seed}$"):
+                       match=f"^seed must be a non-negative integer, got {re.escape(str(seed))}$"):
         SEEDED[entry](seed)
 
 

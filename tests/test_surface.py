@@ -18,7 +18,7 @@ import pytest
 
 import framefuse
 from framefuse.cli import main
-from test_rejections import ARRAYS, COUNTS, REALS
+from test_rejections import ARRAYS, COUNTS, REALS, SEEDED
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -81,6 +81,12 @@ def test_every_public_count_has_a_count_rule_case():
               if name != "seed"}
     assert ("load_features", "sample") in counts and ("SceneSet", "r") in counts
     assert counts <= set(COUNTS), sorted(counts - set(COUNTS))
+
+
+def test_every_public_seed_has_a_seed_rule_case():
+    seeds = {entry for entry, name in _public_parameters((int, int | None)) if name == "seed"}
+    assert {"merge_scene", "CompressConfig"} <= seeds
+    assert seeds <= set(SEEDED), sorted(seeds - set(SEEDED))
 
 
 @pytest.mark.parametrize("annotations, table, known", [
