@@ -47,7 +47,7 @@ def _check_seed(seed) -> int:
     non-negative integer. numpy integers pass and come back as int; bools
     and floats do not."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -22,11 +24,24 @@ from .errors import ParameterError, _check_array, _check_count, _check_real, _ch
 
 STRATEGIES = ("tavg", "fusion", "attnpool", "bsm")
 
-# Bytes of float64 middle frames that attnpool projects in one query GEMM.
+# Bytes of float64 frames in one unit of scenes: a worker's unit of work,
+# and the scenes whose middle frames attnpool projects in one query GEMM.
 # One GEMM for a group of scenes is faster than one per scene; the bound
 # keeps the group's two (g, n_patches, dim) buffers from growing with the
 # scene count. No other strategy holds more than a scene's frames at once.
 MERGE_CHUNK_BYTES = 4 * 2**20
+
+# Bytes of a float64 frame below which a merge runs on one worker. Each
+# numpy call on a small frame takes a few microseconds, and handing the
+# interpreter lock between workers costs more than a second CPU gives back:
+# at 48 scenes of 3 frames of 16x1024 (128 KiB) two workers took bsm from
+# 25 to 36 ms, while from 32x1024 (256 KiB) up every strategy ran faster
+# (1.13-1.42x; 1.7-2.1x at 144x1024).
+THREAD_MIN_FRAME_BYTES = 256 * 2**10
+
+# The variables numpy's OpenBLAS takes its thread count from, in the order
+# it reads them: the first set to a positive count wins.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _as_scene(scene) -> np.ndarray:
@@ -164,43 +179,47 @@ def _attn_qk(dim: int, seed: int) -> np.ndarray:
     return qk
 
 
-def _tavg(frames, members, out):
-    s = members.shape[1]
+# Each strategy allocates one worker's buffers and returns that worker's
+# merge(scenes, rows): it merges the scenes of a (g, s) member table into
+# the g rows given, reading frames by index and writing nothing else.
+def _tavg(frames, s):
     acc = np.empty(frames.shape[1:])
-    for i, scene in enumerate(members):
-        # the first frame plus +0.0, as numpy's mean starts from +0.0: a
-        # column of -0.0 frames averages to +0.0
-        np.add(frames[scene[0]], 0.0, out=acc)
-        for f in scene[1:]:
-            acc += frames[f]
-        np.divide(acc, s, out=out[i])
+
+    def merge(scenes, rows):
+        for scene, row in zip(scenes, rows):
+            # the first frame plus +0.0, as numpy's mean starts from +0.0: a
+            # column of -0.0 frames averages to +0.0
+            np.add(frames[scene[0]], 0.0, out=acc)
+            for f in scene[1:]:
+                np.add(acc, frames[f], out=acc)
+            np.divide(acc, s, out=row)
+    return merge
 
 
-def _fusion(frames, members, out, weights):
-    s = members.shape[1]
+def _fusion(frames, s, weights):
     w = [np.float64(1.0 / s)] * s if weights is None else weights
     acc, prod = np.empty((2, *frames.shape[1:]))
-    for i, scene in enumerate(members):
-        np.multiply(frames[scene[0]], w[0], out=acc)
-        acc += 0.0  # as numpy's sum adds to a +0.0 start
-        for f, w_f in zip(scene[1:], w[1:]):
-            np.multiply(frames[f], w_f, out=prod)
-            acc += prod
-        out[i] = acc
+
+    def merge(scenes, rows):
+        for scene, row in zip(scenes, rows):
+            np.multiply(frames[scene[0]], w[0], out=acc)
+            np.add(acc, 0.0, out=acc)  # as numpy's sum adds to a +0.0 start
+            for f, w_f in zip(scene[1:], w[1:]):
+                np.multiply(frames[f], w_f, out=prod)
+                np.add(acc, prod, out=acc)
+            row[...] = acc
+    return merge
 
 
-def _attnpool(frames, members, out, seed):
+def _attnpool(frames, s, qk, group):
     # The middle frame's projected features score every frame of its scene;
-    # the query GEMM runs once for a group of scenes, the rest scene by scene.
-    k, s = members.shape
+    # the query GEMM runs once for a unit's scenes, the rest scene by scene.
     _, n_patches, dim = frames.shape
-    qk = _attn_qk(dim, seed)
-    group = max(1, min(k, MERGE_CHUNK_BYTES // (n_patches * dim * 8)))
     mids, z = np.empty((2, group, n_patches, dim))
     x = np.empty((s, n_patches, dim))
     scale = math.sqrt(dim)
-    for start in range(0, k, group):
-        scenes = members[start:start + group]
+
+    def merge(scenes, rows):
         g = len(scenes)
         for i, f in enumerate(scenes[:, s // 2]):
             mids[i] = frames[f]
@@ -213,19 +232,22 @@ def _attnpool(frames, members, out, seed):
             logits -= logits.max(axis=0)
             w = np.exp(logits)
             w /= w.sum(axis=0)
-            out[start + i] = np.einsum("sl,sld->ld", w, x)
+            rows[i] = np.einsum("sl,sld->ld", w, x)
+    return merge
 
 
-def _bsm(frames, members, out):
-    s = members.shape[1]
+def _bsm(frames, s):
     _, n_patches, dim = frames.shape
     tokens = np.empty((n_patches, s, dim))
     unit, spare = np.empty((2, s * n_patches, dim))
-    for i, scene in enumerate(members):
-        # patch-major: each patch's temporal copies alternate partitions
-        for j, f in enumerate(scene):
-            tokens[:, j] = frames[f]
-        _pair_merge(tokens.reshape(s * n_patches, dim), out[i], unit, spare)
+
+    def merge(scenes, rows):
+        for scene, row in zip(scenes, rows):
+            # patch-major: each patch's temporal copies alternate partitions
+            for j, f in enumerate(scene):
+                tokens[:, j] = frames[f]
+            _pair_merge(tokens.reshape(s * n_patches, dim), row, unit, spare)
+    return merge
 
 
 def _pair_merge(tok: np.ndarray, out: np.ndarray, unit: np.ndarray,
@@ -339,20 +361,91 @@ def merge_scenes(
     Trusts its input: a strategy of STRATEGIES, finite frames of any float
     dtype, indices in range, for ``fusion`` float64 *weights* of shape
     (s, n_patches, dim) or None, and for ``attnpool`` an int *seed* that
-    passed the seed rule. Scene by scene, the member frames are read by
-    index into float64 work buffers allocated once per call, so memory does
-    not grow with k; ``attnpool`` runs its query GEMM for a group of scenes
-    whose middle frames fit in MERGE_CHUNK_BYTES.
+    passed the seed rule.
+
+    The scenes are cut into units of as many scenes as have
+    MERGE_CHUNK_BYTES of float64 frames (at least one); ``attnpool`` runs
+    its query GEMM once per unit. W workers, the calling thread and W - 1
+    threads, each take units in turn from one shared counter and write only
+    those units' rows of *out*, so the output does not depend on W. Each
+    worker reads its scenes' member frames by index into float64 work
+    buffers of its own, allocated once per call, so memory grows with W
+    but not with k. A worker's buffers hold one frame for ``tavg``, two for
+    ``fusion``, three scenes of frames for ``bsm``, and a scene plus a
+    unit's middle frames and their projections for ``attnpool``.
+
+    W is worked out, never set. It is 1, and no thread starts, unless
+    numpy's BLAS is held to one thread (the first of BLAS_THREAD_VARS set to
+    a positive count is 1, as OpenBLAS reads them) and a frame has at least
+    THREAD_MIN_FRAME_BYTES of float64; then it is the number of CPUs this
+    process may run on, at most the unit count. So ``OPENBLAS_NUM_THREADS=1
+    taskset -c 0 ...`` holds a run to one CPU and one worker. A failure in
+    any unit is raised here, after every worker has stopped: the first
+    failure in unit order.
     """
+    k, s = members.shape
+    _, n_patches, dim = frames.shape
+    frame_bytes = n_patches * dim * 8
+    group = max(1, min(k, MERGE_CHUNK_BYTES // frame_bytes))
     if strategy == "tavg":
-        _tavg(frames, members, out)
+        worker = functools.partial(_tavg, frames, s)
     elif strategy == "fusion":
-        _fusion(frames, members, out, weights)
+        worker = functools.partial(_fusion, frames, s, weights)
     elif strategy == "attnpool":
-        _attnpool(frames, members, out, seed)
+        # built here, so that no two workers build it at once
+        worker = functools.partial(_attnpool, frames, s, _attn_qk(dim, seed), group)
     else:
-        _bsm(frames, members, out)
+        worker = functools.partial(_bsm, frames, s)
+    units = [(members[start:start + group], out[start:start + group])
+             for start in range(0, k, group)]
+    merges = [worker() for _ in range(_merge_workers(len(units), frame_bytes))]
+    _run_units(merges, units)
     return out
+
+
+def _merge_workers(units: int, frame_bytes: int) -> int:
+    if frame_bytes < THREAD_MIN_FRAME_BYTES:
+        return 1
+    for var in BLAS_THREAD_VARS:
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            if int(value) > 1 or not hasattr(os, "sched_getaffinity"):
+                return 1
+            return min(units, len(os.sched_getaffinity(0)))
+    return 1
+
+
+def _run_units(merges: list, units: list) -> None:
+    # merges[0] runs on the calling thread and each other one on a thread of
+    # its own; each takes the next unit until none is left or one has failed
+    lock = threading.Lock()
+    todo = iter(range(len(units)))
+    failures = {}
+
+    def work(merge):
+        while True:
+            with lock:
+                j = None if failures else next(todo, None)
+            if j is None:
+                return
+            try:
+                merge(*units[j])
+            except BaseException as exc:  # raised by the caller once all have stopped
+                with lock:
+                    failures[j] = exc
+
+    threads = []
+    try:
+        for merge in merges[1:]:
+            thread = threading.Thread(target=work, args=(merge,))
+            thread.start()
+            threads.append(thread)
+        work(merges[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[min(failures)]
 
 
 def merge_scene(

@@ -157,9 +157,16 @@ def test_compress_weights_without_fusion_exit_2_before_reading(tmp_path, capsys,
     assert not out.exists()
 
 
+# Units of one scene and no frame too small for threads, so that at one
+# BLAS thread every compress merges its 8 scenes on as many workers as
+# there are CPUs (one, and no thread, on a 1-CPU box); the first line
+# names that count.
 _BLAS_PROBE = """
 import contextlib, hashlib, io, sys
+from framefuse import merge
 from framefuse.cli import main
+merge.MERGE_CHUNK_BYTES, merge.THREAD_MIN_FRAME_BYTES = 1, 0
+print("workers", merge._merge_workers(8, 1))
 out = sys.argv[1] + "/c.fvt"
 for path, frames in (("small.fvt", "48"), ("large.fvt", "96")):
     for select in ("uniform", "kmeans", "bsm"):
@@ -179,6 +186,7 @@ def test_compress_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
         assert run(["gen", "--frames", frames, "--patches", patches, "--dim", dim,
                     "--seed", "11", "-o", str(tmp_path / name)], capsys)[0] == 0
     src = str(Path(__file__).resolve().parents[1] / "src")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
@@ -186,7 +194,9 @@ def test_compress_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
         proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE, str(tmp_path)], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.splitlines())
+        workers, *lines = proc.stdout.splitlines()
+        assert workers == f"workers {min(8, cpus) if threads == '1' else 1}"
+        digests.append(lines)
     assert len(digests[0]) == 24
     assert digests[0] == digests[1]
 

@@ -6,6 +6,9 @@ must match within ATTNPOOL_TOL."""
 
 import gc
 import re
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -398,17 +401,41 @@ def test_compress_bytes_do_not_depend_on_merge_chunk_bytes(monkeypatch, strategy
         assert compress(features, cfg).data.tobytes() == want, chunk
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_compress_merge_memory_does_not_grow_with_k(strategy):
-    import tracemalloc
+def _set_workers(mp, workers):
+    # W = 1 with no BLAS thread variable set; else one BLAS thread and
+    # *workers* CPUs to run on
+    for var in merge.BLAS_THREAD_VARS:
+        mp.delenv(var, raising=False)
+    if workers > 1:
+        mp.setenv("OPENBLAS_NUM_THREADS", "1")
+        mp.setattr(merge.os, "sched_getaffinity", lambda pid: set(range(workers)),
+                   raising=False)
 
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_compress_merge_memory_does_not_grow_with_k(monkeypatch, strategy):
+    _assert_merge_memory_flat(monkeypatch, strategy, workers=1)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_compress_merge_memory_on_two_workers_does_not_grow_with_k(monkeypatch, strategy):
+    _assert_merge_memory_flat(monkeypatch, strategy, workers=2)
+
+
+def _assert_merge_memory_flat(monkeypatch, strategy, workers):
     s, n_patches, dim = 3, 144, 256
-    scene_bytes = s * n_patches * dim * 8
-    # a float64 scene, its tokens and bsm's two work buffers of that size,
-    # and attnpool's middle frames with their projections
-    allowance = 4 * scene_bytes + 2 * merge.MERGE_CHUNK_BYTES
+    frame_bytes = n_patches * dim * 8
+    scene_bytes = s * frame_bytes
+    _set_workers(monkeypatch, workers)
+    if workers > 1:
+        # units of 4 scenes, so that k = 8 has two units as well
+        monkeypatch.setattr(merge, "MERGE_CHUNK_BYTES", 4 * frame_bytes)
+    # one worker's buffers: a float64 scene, its tokens and bsm's two work
+    # buffers of that size, and attnpool's middle frames with their projections
+    allowance = workers * (4 * scene_bytes + 2 * merge.MERGE_CHUNK_BYTES)
     rng = np.random.default_rng(34)
     for k in (8, 32):
+        assert merge._merge_workers(k // 4, frame_bytes) == workers
         features = FrameFeatures(rng.standard_normal((k * s, n_patches, dim), dtype=np.float32))
         cfg = CompressConfig(k * s, k, s - 1, merging=strategy)
         tracemalloc.start()
@@ -422,3 +449,151 @@ def test_compress_merge_memory_does_not_grow_with_k(strategy):
             f"{allowance / 2**20:.1f} MiB"
     # the float32 scenes of k = 32 gathered at once would not fit
     assert 32 * scene_bytes // 2 > allowance
+
+
+def _merge_on(workers, frames, members, strategy, weights, seed, chunk_scenes):
+    # merge_scenes on *workers* workers, with units of chunk_scenes scenes
+    # and no frame too small for threads
+    frame_bytes = frames.shape[1] * frames.shape[2] * 8
+    with pytest.MonkeyPatch.context() as mp:
+        _set_workers(mp, workers)
+        mp.setattr(merge, "MERGE_CHUNK_BYTES", chunk_scenes * frame_bytes)
+        mp.setattr(merge, "THREAD_MIN_FRAME_BYTES", 0)
+        units = -(-len(members) // chunk_scenes)
+        assert merge._merge_workers(units, frame_bytes) == min(workers, units)
+        out = np.full((len(members), *frames.shape[1:]), np.nan)
+        return merge.merge_scenes(frames, members, strategy, out, weights, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 7),
+    s=st.integers(1, 4),
+    spare=st.integers(0, 5),
+    n_patches=st.integers(1, 5),
+    dim=st.integers(1, 6),
+    kind=st.sampled_from(["random", "duplicates", "zeros", "all-zero", "identical"]),
+    chunk_scenes=st.integers(1, 3),
+)
+@example(seed=0, k=1, s=1, spare=0, n_patches=1, dim=1, kind="random", chunk_scenes=1)
+@example(seed=1, k=6, s=1, spare=0, n_patches=2, dim=3, kind="duplicates", chunk_scenes=1)
+@example(seed=2, k=5, s=3, spare=0, n_patches=3, dim=2, kind="all-zero", chunk_scenes=2)
+@example(seed=3, k=1, s=4, spare=2, n_patches=2, dim=2, kind="identical", chunk_scenes=1)
+def test_merge_scenes_bytes_do_not_depend_on_workers(seed, k, s, spare, n_patches, dim, kind,
+                                                      chunk_scenes):
+    # the one-worker run is the oracle; spare = 0 merges every frame once
+    rng = np.random.default_rng(seed)
+    n = k * s + spare
+    frames = _frames(rng, n, n_patches, dim, kind).astype(np.float32)
+    members = rng.permutation(n)[:k * s].reshape(k, s)
+    runs = [("tavg", None, 0), ("fusion", None, 0),
+            ("fusion", rng.uniform(-1.0, 1.0, (s, n_patches, dim)), 0),
+            ("attnpool", None, 0), ("attnpool", None, 5), ("bsm", None, 0)]
+    for strategy, weights, attn_seed in runs:
+        args = (frames, members, strategy, weights, attn_seed, chunk_scenes)
+        want = _merge_on(1, *args)
+        assert np.isfinite(want).all()
+        for workers in (2, 3):
+            got = _merge_on(workers, *args)
+            assert got.tobytes() == want.tobytes(), (strategy, attn_seed, workers)
+
+
+@pytest.mark.parametrize("variables, workers", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2),
+    ({"GOTO_NUM_THREADS": "1"}, 2),
+    ({"OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OMP_NUM_THREADS": "many"}, 1),
+])
+def test_merge_workers_follow_the_blas_thread_variables(monkeypatch, variables, workers):
+    _set_workers(monkeypatch, 1)
+    for var, value in variables.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(merge.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    frame_bytes = merge.THREAD_MIN_FRAME_BYTES
+    assert merge._merge_workers(8, frame_bytes) == workers
+    # capped at the unit count, and 1 for a frame too small for threads
+    assert merge._merge_workers(1, frame_bytes) == 1
+    assert merge._merge_workers(8, frame_bytes - 1) == 1
+
+
+class _UnitFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_merge_scenes_raises_the_first_failed_unit_after_all_workers_stop(monkeypatch,
+                                                                          workers):
+    # units 3 and 5 fail, and unit 3 only after a pause, so that with two
+    # or more workers unit 5 fails first; unit 3 is the one raised
+    real_tavg = merge._tavg
+    threads_seen = []
+
+    def failing_tavg(frames, s):
+        merge_unit = real_tavg(frames, s)
+
+        def merge_or_fail(scenes, rows):
+            threads_seen.append(threading.active_count())
+            unit = scenes[0, 0] // s
+            if unit == 3:
+                time.sleep(0.05)
+            if unit in (3, 5):
+                raise _UnitFailure(f"unit {unit}")
+            merge_unit(scenes, rows)
+        return merge_or_fail
+
+    monkeypatch.setattr(merge, "_tavg", failing_tavg)
+    k, s = 8, 2
+    frames = np.random.default_rng(40).standard_normal((k * s, 2, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        _set_workers(mp, workers)
+        mp.setattr(merge, "MERGE_CHUNK_BYTES", 1)  # a unit per scene
+        mp.setattr(merge, "THREAD_MIN_FRAME_BYTES", 0)
+        before = threading.active_count()
+        with pytest.raises(_UnitFailure, match="^unit 3$"):
+            merge.merge_scenes(frames, np.arange(k * s).reshape(k, s), "tavg",
+                               np.empty((k, 2, 3)))
+        assert threading.active_count() == before
+    if workers == 1:
+        # no thread started, and no unit after the failed one ran
+        assert threads_seen == [before] * 4
+    else:
+        assert max(threads_seen) <= before + workers - 1
+
+
+def test_merge_workers_take_every_unit_exactly_once_under_contention(monkeypatch):
+    # more workers than CPUs, switching threads as often as the interpreter
+    # allows: a lost update of the shared counter would merge a unit twice
+    # or never
+    real_bsm = merge._bsm
+    taken = []
+
+    def counting_bsm(frames, s):
+        merge_unit = real_bsm(frames, s)
+
+        def merge_and_count(scenes, rows):
+            taken.append(int(scenes[0, 0]))
+            merge_unit(scenes, rows)
+        return merge_and_count
+
+    k, s = 64, 3
+    frames = np.random.default_rng(41).standard_normal((k * s, 4, 8))
+    members = np.random.default_rng(42).permutation(k * s).reshape(k, s)
+    want = merge.merge_scenes(frames, members, "bsm", np.empty((k, 4, 8)))
+    monkeypatch.setattr(merge, "_bsm", counting_bsm)
+    _set_workers(monkeypatch, 4)
+    monkeypatch.setattr(merge, "MERGE_CHUNK_BYTES", 1)
+    monkeypatch.setattr(merge, "THREAD_MIN_FRAME_BYTES", 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = merge.merge_scenes(frames, members, "bsm", np.empty((k, 4, 8)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(taken) == sorted(members[:, 0].tolist())
+    assert got.tobytes() == want.tobytes()

@@ -127,7 +127,7 @@ def test_seed_rule_rejects(entry, seed):
     # and np.array(1) must neither hit its entry nor fail to hash
     SEEDED[entry](1)
     with pytest.raises(ParameterError,
-                       match=f"^seed must be a non-negative integer, got {re.escape(str(seed))}$"):
+                       match=f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"):
         SEEDED[entry](seed)
 
 
