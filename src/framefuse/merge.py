@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import threading
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, _check_array, _check_count, _check_real, _check_seed
+from .errors import (ParameterError, _check_array, _check_count, _check_real, _check_seed,
+                     _run_units, _workers)
 
 STRATEGIES = ("tavg", "fusion", "attnpool", "bsm")
 
@@ -38,10 +37,6 @@ MERGE_CHUNK_BYTES = 4 * 2**20
 # 25 to 36 ms, while from 32x1024 (256 KiB) up every strategy ran faster
 # (1.13-1.42x; 1.7-2.1x at 144x1024).
 THREAD_MIN_FRAME_BYTES = 256 * 2**10
-
-# The variables numpy's OpenBLAS takes its thread count from, in the order
-# it reads them: the first set to a positive count wins.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _as_scene(scene) -> np.ndarray:
@@ -374,14 +369,12 @@ def merge_scenes(
     ``fusion``, three scenes of frames for ``bsm``, and a scene plus a
     unit's middle frames and their projections for ``attnpool``.
 
-    W is worked out, never set. It is 1, and no thread starts, unless
-    numpy's BLAS is held to one thread (the first of BLAS_THREAD_VARS set to
-    a positive count is 1, as OpenBLAS reads them) and a frame has at least
-    THREAD_MIN_FRAME_BYTES of float64; then it is the number of CPUs this
-    process may run on, at most the unit count. So ``OPENBLAS_NUM_THREADS=1
-    taskset -c 0 ...`` holds a run to one CPU and one worker. A failure in
-    any unit is raised here, after every worker has stopped: the first
-    failure in unit order.
+    W is worked out, never set: ``errors._workers`` of the unit count, and
+    1 for a frame under THREAD_MIN_FRAME_BYTES of float64. So it is 1, and
+    no thread starts, unless numpy's BLAS is held to one thread, and
+    ``OPENBLAS_NUM_THREADS=1 taskset -c 0 ...`` holds a run to one CPU and
+    one worker. A failure in any unit is raised here, after every worker
+    has stopped: the first failure in unit order.
     """
     k, s = members.shape
     _, n_patches, dim = frames.shape
@@ -404,48 +397,7 @@ def merge_scenes(
 
 
 def _merge_workers(units: int, frame_bytes: int) -> int:
-    if frame_bytes < THREAD_MIN_FRAME_BYTES:
-        return 1
-    for var in BLAS_THREAD_VARS:
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            if int(value) > 1 or not hasattr(os, "sched_getaffinity"):
-                return 1
-            return min(units, len(os.sched_getaffinity(0)))
-    return 1
-
-
-def _run_units(merges: list, units: list) -> None:
-    # merges[0] runs on the calling thread and each other one on a thread of
-    # its own; each takes the next unit until none is left or one has failed
-    lock = threading.Lock()
-    todo = iter(range(len(units)))
-    failures = {}
-
-    def work(merge):
-        while True:
-            with lock:
-                j = None if failures else next(todo, None)
-            if j is None:
-                return
-            try:
-                merge(*units[j])
-            except BaseException as exc:  # raised by the caller once all have stopped
-                with lock:
-                    failures[j] = exc
-
-    threads = []
-    try:
-        for merge in merges[1:]:
-            thread = threading.Thread(target=work, args=(merge,))
-            thread.start()
-            threads.append(thread)
-        work(merges[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if failures:
-        raise failures[min(failures)]
+    return 1 if frame_bytes < THREAD_MIN_FRAME_BYTES else _workers(units)
 
 
 def merge_scene(

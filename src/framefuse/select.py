@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, _check_array, _check_count, _check_real, _check_seed
+from .errors import (ParameterError, _check_array, _check_count, _check_real, _check_seed,
+                     _run_units, _workers)
 from .features import FrameFeatures
 
 SUPPLEMENT_MODES = ("similar", "dissimilar")
@@ -93,9 +94,37 @@ class Clustering:
     iterations_run: int
 
 
+# Bytes of float32 frames that one worker averages at a time (at least one
+# frame). Each numpy call costs: at 512x16x1024 on two workers, units of 4
+# MiB took 5.9 ms and units of two frames 16.9 ms, against 9.8 ms for one
+# call on one worker.
+REPRESENTATIVE_UNIT_BYTES = 4 * 2**20
+
+
 def representative_features(features: FrameFeatures) -> np.ndarray:
-    """Mean of each frame's patch tokens, shape (n_frames, dim), float64."""
-    return features.data.mean(axis=1, dtype=np.float64)
+    """Mean of each frame's patch tokens, shape (n_frames, dim), float64.
+
+    The frames are averaged in units of REPRESENTATIVE_UNIT_BYTES (at least
+    one frame) on as many workers as ``errors._workers`` gives for the unit
+    count: one, and no thread, unless numpy's BLAS is held to one thread.
+    One worker averages every frame as one unit. Each frame's mean is taken
+    on its own, so the result does not depend on the units or the workers.
+    """
+    data = features.data
+    n_frames, n_patches, dim = data.shape
+    out = np.empty((n_frames, dim))
+    rows = max(1, REPRESENTATIVE_UNIT_BYTES // (n_patches * dim * data.itemsize))
+    workers = _workers(-(-n_frames // rows))
+    if workers == 1:
+        rows = n_frames
+    units = [(data[start:start + rows], out[start:start + rows])
+             for start in range(0, n_frames, rows)]
+    _run_units([_frame_means] * workers, units)
+    return out
+
+
+def _frame_means(frames: np.ndarray, out: np.ndarray) -> None:
+    np.mean(frames, axis=1, dtype=np.float64, out=out)
 
 
 # Bytes of the (rows, m, dim) float64 difference block that pairwise_sqdist

@@ -10,15 +10,19 @@ helper, the nearest-center search, the bounded k-means++ seeding and the
 choice of one distinct frame per center. Beside them are forms that only
 tests need: the planted block of each synthetic frame, the frames a scene
 set retains, and bench's reconstruction proxy in the direct form. The
+plain FVT1 reader is the oracle for the unit reader of sampled loads. The
 caption section keeps the clip-by-clip packer and record builder: every
 clip an (id, duration_s, caption) tuple, every record a dict of the
 written schema, every boundary labelled by arithmetic, and every
 instruction and segment validated.
 """
 
+import json
 import logging
 import math
+import struct
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 
@@ -282,6 +286,22 @@ def distinct_representatives(reps, centers):
                 out.append(int(i))
                 break
     return sorted(out)
+
+
+def read_frames(path, keep):
+    """The frames *keep* of an FVT1 file and their sidecar timestamps (None
+    without a sidecar), read the plain way: the whole payload at once,
+    every value checked for finiteness, then the kept frames indexed."""
+    raw = Path(path).read_bytes()
+    dims = struct.unpack_from("<3I", raw, 9)  # after magic, version and rank
+    data = np.frombuffer(raw, dtype="<f4", offset=21).reshape(dims)
+    if not np.isfinite(data).all():
+        raise ParameterError("frame features contain non-finite values")
+    meta = Path(f"{path}.meta.json")
+    timestamps = None
+    if meta.exists():
+        timestamps = [float(json.loads(meta.read_bytes())["frame_timestamps"][i]) for i in keep]
+    return data[list(keep)], timestamps
 
 
 def planted_block_labels(spec):

@@ -160,12 +160,15 @@ def test_compress_weights_without_fusion_exit_2_before_reading(tmp_path, capsys,
 # Units of one scene and no frame too small for threads, so that at one
 # BLAS thread every compress merges its 8 scenes on as many workers as
 # there are CPUs (one, and no thread, on a 1-CPU box); the first line
-# names that count.
+# names that count. Small read, check and averaging units, so that its
+# loads, checks and representatives run in many units on those workers too.
 _BLAS_PROBE = """
 import contextlib, hashlib, io, sys
-from framefuse import merge
+from framefuse import errors, features, merge, select
 from framefuse.cli import main
 merge.MERGE_CHUNK_BYTES, merge.THREAD_MIN_FRAME_BYTES = 1, 0
+features.READ_CHUNK_BYTES, errors.FINITE_UNIT_VALUES = 2**17, 2**10
+select.REPRESENTATIVE_UNIT_BYTES = 2**14
 print("workers", merge._merge_workers(8, 1))
 out = sys.argv[1] + "/c.fvt"
 for path, frames in (("small.fvt", "48"), ("large.fvt", "96")):
@@ -440,6 +443,17 @@ def test_synth_rejects_manifest_it_used_to_coerce(tmp_path, capsys):
 # -- compress reads only its sample -------------------------------------------
 
 def test_compress_of_a_long_file_holds_its_sample_not_the_file(tmp_path, capsys):
+    _assert_compress_holds_its_sample(tmp_path, capsys)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_compress_of_a_long_file_on_several_workers_holds_its_sample_not_the_file(
+        tmp_path, capsys, set_workers, workers):
+    set_workers(workers)
+    _assert_compress_holds_its_sample(tmp_path, capsys)
+
+
+def _assert_compress_holds_its_sample(tmp_path, capsys):
     import tracemalloc
 
     from framefuse import FrameFeatures, save_features

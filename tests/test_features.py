@@ -6,6 +6,7 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from framefuse import (
     FormatError,
@@ -324,7 +325,8 @@ def test_sampled_load_out_of_range(tmp_path):
 
 
 # 8 frames of 1.5 MiB sampled down to frames 0 and 4: frames 1-3 and 5-7 are
-# read through the 4 MiB buffer, and frames 3 and 7 straddle its refill
+# skipped, each in a unit of its own, and frame 3 holds the payload's 4 MiB
+# mark
 _FRAME = (384, 1024)
 _CHUNK_VALUES = features.READ_CHUNK_BYTES // 4
 _FRAME_VALUES = _FRAME[0] * _FRAME[1]
@@ -351,6 +353,17 @@ def test_sampled_load_rejects_non_finite_unsampled_frames(tmp_path, where, bad):
 
 
 def test_sampled_load_holds_the_sample_and_one_chunk(tmp_path):
+    _assert_sampled_load_holds_the_sample_and_one_chunk(tmp_path)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_sampled_load_on_several_workers_holds_the_sample_and_one_chunk(tmp_path, set_workers,
+                                                                        workers):
+    set_workers(workers)
+    _assert_sampled_load_holds_the_sample_and_one_chunk(tmp_path)
+
+
+def _assert_sampled_load_holds_the_sample_and_one_chunk(tmp_path):
     import tracemalloc
 
     path = tmp_path / "big.fvt"
@@ -366,6 +379,272 @@ def test_sampled_load_holds_the_sample_and_one_chunk(tmp_path):
     bound = loaded.data.nbytes + features.READ_CHUNK_BYTES + 2**18
     assert peak < bound, f"peak {peak} bytes, bound {bound}"
     assert data.nbytes > 4 * bound
+
+
+# -- the unit reader: units of whole frames on W workers ---------------------
+
+def _keep(pattern, n, rng):
+    if pattern == "all":
+        return range(n)
+    if pattern == "none":
+        return ()
+    if pattern == "one":
+        return [int(rng.integers(n))]
+    if pattern == "first and last":
+        return sorted({0, n - 1})
+    if pattern == "runs":  # two runs of kept frames, which may cross unit boundaries
+        a, b, c, d = sorted(rng.integers(0, n + 1, 4))
+        return [*range(a, b), *range(c, d)] or [a % n]
+    if pattern == "uniform":
+        return features.uniform_sample_indices(n, int(rng.integers(1, n + 1)))
+    return sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist())
+
+
+def _read_as_loaded(path, keep):
+    # what load_features keeps, or what _check_file checks when it keeps no frame
+    if not keep:
+        return features._check_file(path)
+    loaded = FrameFeatures(*features._read_checked(path, lambda n: keep))
+    ts = loaded.frame_timestamps
+    return loaded.data, None if ts is None else list(ts)
+
+
+# set_workers and monkeypatch set W and the units afresh for every example
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_frames=st.integers(1, 14),
+    n_patches=st.integers(1, 3),
+    dim=st.integers(1, 4),
+    pattern=st.sampled_from(["all", "none", "one", "first and last", "runs", "uniform",
+                             "random"]),
+    unit_frames=st.integers(1, 4),
+    chunk_frames=st.integers(1, 9),
+    spare=st.integers(0, 3),
+    bad=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    sidecar=st.booleans(),
+)
+def test_unit_reader_matches_the_plain_reader(tmp_path, monkeypatch, set_workers, seed,
+                                              n_frames, n_patches, dim, pattern, unit_frames,
+                                              chunk_frames, spare, bad, sidecar):
+    import threading
+
+    import reference
+
+    rng = np.random.default_rng(seed)
+    data = rng.uniform(-8.0, 8.0, (n_frames, n_patches, dim)).astype(np.float32)
+    if bad is not None:
+        data.reshape(-1)[rng.integers(data.size)] = bad
+    path = tmp_path / "f.fvt"
+    _write_raw(path, data, [0.5 * i for i in range(n_frames)] if sidecar else None)
+    if not sidecar:
+        (tmp_path / "f.fvt.meta.json").unlink(missing_ok=True)
+    keep = _keep(pattern, n_frames, rng)
+    # unit and buffer sizes that whole frames do not fill, unless spare is 0
+    frame_bytes = n_patches * dim * 4
+    monkeypatch.setattr(features, "READ_UNIT_BYTES", unit_frames * frame_bytes + spare)
+    monkeypatch.setattr(features, "READ_CHUNK_BYTES", chunk_frames * frame_bytes + spare)
+    try:
+        want = reference.read_frames(path, keep)
+    except ParameterError as exc:
+        want = exc
+    for workers in (1, 2, 3):
+        set_workers(workers)
+        before = threading.active_count()
+        try:
+            got = _read_as_loaded(path, keep)
+        except ParameterError as exc:
+            got = exc
+        assert threading.active_count() == before
+        if isinstance(want, ParameterError):
+            assert isinstance(got, ParameterError) and "non-finite" in str(got), workers
+        elif not keep:
+            assert got is None
+        else:
+            assert got[0].tobytes() == want[0].tobytes(), workers
+            assert got[1] == want[1], workers
+
+
+def test_unit_reader_resumes_short_reads(tmp_path, monkeypatch, set_workers):
+    import reference
+
+    data = np.random.default_rng(11).standard_normal((40, 3, 8)).astype(np.float32)
+    path = tmp_path / "f.fvt"
+    _write_raw(path, data)
+    real_preadv = os.preadv
+
+    def short_preadv(fd, views, offset):  # at most half of the first view, at least a byte
+        return real_preadv(fd, [views[0][:max(1, len(views[0]) // 2)]], offset)
+
+    monkeypatch.setattr(os, "preadv", short_preadv)
+    monkeypatch.setattr(features, "READ_UNIT_BYTES", 3 * 96 + 5)
+    keep = features.uniform_sample_indices(40, 13)
+    for workers in (1, 2, 3):
+        set_workers(workers)
+        assert load_features(path, sample=13).data.tobytes() == \
+            reference.read_frames(path, keep)[0].tobytes()
+
+
+def test_load_and_representatives_under_contention(tmp_path, monkeypatch, set_workers):
+    # more workers than CPUs, switching threads as often as the interpreter
+    # allows, and units of about one frame: a worker that wrote another's
+    # rows or buffer would change the bytes
+    import sys
+    import threading
+
+    import reference
+    from framefuse import errors, select
+
+    data = np.random.default_rng(12).standard_normal((90, 3, 8)).astype(np.float32)
+    path = tmp_path / "f.fvt"
+    _write_raw(path, data, [0.25 * i for i in range(90)])
+    keep = features.uniform_sample_indices(90, 37)
+    want_data, want_ts = reference.read_frames(path, keep)
+    monkeypatch.setattr(features, "READ_UNIT_BYTES", 96)
+    monkeypatch.setattr(errors, "FINITE_UNIT_VALUES", 50)
+    monkeypatch.setattr(select, "REPRESENTATIVE_UNIT_BYTES", 96)
+    set_workers(4)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            loaded = load_features(path, sample=37)
+            reps = representative_features(loaded)
+            assert loaded.data.tobytes() == want_data.tobytes()
+            assert list(loaded.frame_timestamps) == want_ts
+            assert reps.tobytes() == want_data.mean(axis=1, dtype=np.float64).tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == before
+
+
+# 12 frames of 64 bytes, sampled to frames 0 and 6; units of one skipped
+# frame start at frames 0, 2, 3, 4, 5, 6, 8, 9, 10 and 11
+_UNIT_FRAME = (2, 8)
+_UNIT_FRAME_BYTES = 64
+
+
+def _units_of_one_skipped_frame(monkeypatch):
+    monkeypatch.setattr(features, "READ_UNIT_BYTES", _UNIT_FRAME_BYTES)
+    monkeypatch.setattr(features, "READ_CHUNK_BYTES", 4 * _UNIT_FRAME_BYTES)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_unit_reader_checks_every_skipped_run_of_a_unit(tmp_path, monkeypatch, set_workers,
+                                                        workers, bad):
+    # every other frame kept and units of two skipped frames: each unit holds
+    # two runs of skipped frames, packed one after the other in the buffer
+    monkeypatch.setattr(features, "READ_UNIT_BYTES", 2 * _UNIT_FRAME_BYTES)
+    set_workers(workers)
+    path = tmp_path / "f.fvt"
+    for frame in range(1, 12, 2):
+        data = np.zeros((12, *_UNIT_FRAME), dtype=np.float32)
+        data[frame, 0, 0] = bad
+        _write_raw(path, data)
+        with pytest.raises(ParameterError, match="non-finite"):
+            load_features(path, sample=6)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("first", ["non-finite", "truncated"])
+def test_unit_reader_raises_the_first_failed_unit(tmp_path, monkeypatch, set_workers, workers,
+                                                  bad, first):
+    # frame 3 fails one way and frame 9 the other, and frame 3's unit only
+    # after a pause, so that with two or more workers frame 9's unit fails
+    # first; frame 3's failure is the one raised
+    import threading
+    import time
+
+    data = np.zeros((12, *_UNIT_FRAME), dtype=np.float32)
+    nan_frame, short_frame = (3, 9) if first == "non-finite" else (9, 3)
+    data[nan_frame, 1, 5] = bad
+    path = tmp_path / "f.fvt"
+    _write_raw(path, data)
+    real_preadv = os.preadv
+
+    def failing_preadv(fd, views, offset):
+        frame = (offset - HEADER_SIZE) // _UNIT_FRAME_BYTES
+        if frame == 3:
+            time.sleep(0.05)
+        return 0 if frame == short_frame else real_preadv(fd, views, offset)
+
+    _units_of_one_skipped_frame(monkeypatch)
+    monkeypatch.setattr(os, "preadv", failing_preadv)
+    set_workers(workers)
+    before = threading.active_count()
+    if first == "non-finite":
+        with pytest.raises(ParameterError, match="non-finite"):
+            load_features(path, sample=2)
+    else:
+        with pytest.raises(FormatError, match="truncated payload"):
+            load_features(path, sample=2)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_unit_reader_rejects_bytes_written_past_the_payload_during_the_read(
+        tmp_path, monkeypatch, set_workers, workers):
+    # the header's size check passes, then the file grows
+    import threading
+
+    path = tmp_path / "f.fvt"
+    _write_raw(path, np.zeros((12, *_UNIT_FRAME), dtype=np.float32))
+    real_preadv = os.preadv
+
+    def growing_preadv(fd, views, offset):
+        if offset == HEADER_SIZE:
+            with open(path, "ab") as fh:
+                fh.write(b"\0")
+        return real_preadv(fd, views, offset)
+
+    _units_of_one_skipped_frame(monkeypatch)
+    monkeypatch.setattr(os, "preadv", growing_preadv)
+    set_workers(workers)
+    before = threading.active_count()
+    for sample in (None, 2):
+        _write_raw(path, np.zeros((12, *_UNIT_FRAME), dtype=np.float32))
+        with pytest.raises(FormatError, match="trailing bytes after payload"):
+            load_features(path, sample=sample)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 7, 16, 23])
+def test_representatives_do_not_depend_on_workers(monkeypatch, set_workers, n_frames):
+    from framefuse import select
+
+    data = np.random.default_rng(n_frames).uniform(-9.0, 9.0, (n_frames, 5, 3))
+    data[0, :, 0] = -0.0  # a column of -0.0 averages to +0.0, in every unit
+    features_ = FrameFeatures(data.astype(np.float32))
+    want = features_.data.mean(axis=1, dtype=np.float64)
+    monkeypatch.setattr(select, "REPRESENTATIVE_UNIT_BYTES", 2 * 5 * 3 * 4 + 1)  # 2 frames
+    for workers in (1, 2, 3):
+        set_workers(workers)
+        got = representative_features(features_)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes(), workers
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("where", ["first", "unit boundary", "last", None])
+def test_all_finite_finds_a_bad_value_anywhere(monkeypatch, set_workers, workers, where):
+    from framefuse import errors
+
+    monkeypatch.setattr(errors, "FINITE_UNIT_VALUES", 40)
+    monkeypatch.setattr(errors, "FINITE_CHECK_VALUES", 16)
+    set_workers(workers)
+    for bad in (np.nan, np.inf, -np.inf):
+        flat = np.ones(203, dtype=np.float32)
+        if where is not None:
+            # the last value of unit 2, then the first of unit 3
+            for i in {"first": [0], "unit boundary": [119, 120], "last": [202]}[where]:
+                flat[i] = bad
+                assert not errors._all_finite(flat), (where, i)
+                flat[i] = 1.0
+        assert errors._all_finite(flat)
 
 
 def test_sampled_load_checks_the_sidecar_over_every_frame(tmp_path):

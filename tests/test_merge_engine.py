@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import reference
 from framefuse import (
@@ -26,6 +26,7 @@ from framefuse import (
     merge_scene,
 )
 from framefuse import merge
+from framefuse.errors import BLAS_THREAD_VARS
 from framefuse.merge import STRATEGIES
 from framefuse.pipeline import SELECTIONS
 
@@ -401,32 +402,22 @@ def test_compress_bytes_do_not_depend_on_merge_chunk_bytes(monkeypatch, strategy
         assert compress(features, cfg).data.tobytes() == want, chunk
 
 
-def _set_workers(mp, workers):
-    # W = 1 with no BLAS thread variable set; else one BLAS thread and
-    # *workers* CPUs to run on
-    for var in merge.BLAS_THREAD_VARS:
-        mp.delenv(var, raising=False)
-    if workers > 1:
-        mp.setenv("OPENBLAS_NUM_THREADS", "1")
-        mp.setattr(merge.os, "sched_getaffinity", lambda pid: set(range(workers)),
-                   raising=False)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_compress_merge_memory_does_not_grow_with_k(monkeypatch, set_workers, strategy):
+    _assert_merge_memory_flat(monkeypatch, set_workers, strategy, workers=1)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_compress_merge_memory_does_not_grow_with_k(monkeypatch, strategy):
-    _assert_merge_memory_flat(monkeypatch, strategy, workers=1)
+def test_compress_merge_memory_on_two_workers_does_not_grow_with_k(monkeypatch, set_workers,
+                                                                   strategy):
+    _assert_merge_memory_flat(monkeypatch, set_workers, strategy, workers=2)
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-def test_compress_merge_memory_on_two_workers_does_not_grow_with_k(monkeypatch, strategy):
-    _assert_merge_memory_flat(monkeypatch, strategy, workers=2)
-
-
-def _assert_merge_memory_flat(monkeypatch, strategy, workers):
+def _assert_merge_memory_flat(monkeypatch, set_workers, strategy, workers):
     s, n_patches, dim = 3, 144, 256
     frame_bytes = n_patches * dim * 8
     scene_bytes = s * frame_bytes
-    _set_workers(monkeypatch, workers)
+    set_workers(workers)
     if workers > 1:
         # units of 4 scenes, so that k = 8 has two units as well
         monkeypatch.setattr(merge, "MERGE_CHUNK_BYTES", 4 * frame_bytes)
@@ -451,12 +442,12 @@ def _assert_merge_memory_flat(monkeypatch, strategy, workers):
     assert 32 * scene_bytes // 2 > allowance
 
 
-def _merge_on(workers, frames, members, strategy, weights, seed, chunk_scenes):
+def _merge_on(set_workers, workers, frames, members, strategy, weights, seed, chunk_scenes):
     # merge_scenes on *workers* workers, with units of chunk_scenes scenes
     # and no frame too small for threads
     frame_bytes = frames.shape[1] * frames.shape[2] * 8
+    set_workers(workers)
     with pytest.MonkeyPatch.context() as mp:
-        _set_workers(mp, workers)
         mp.setattr(merge, "MERGE_CHUNK_BYTES", chunk_scenes * frame_bytes)
         mp.setattr(merge, "THREAD_MIN_FRAME_BYTES", 0)
         units = -(-len(members) // chunk_scenes)
@@ -465,7 +456,9 @@ def _merge_on(workers, frames, members, strategy, weights, seed, chunk_scenes):
         return merge.merge_scenes(frames, members, strategy, out, weights, seed)
 
 
-@settings(max_examples=60, deadline=None)
+# set_workers sets W afresh for every run, so one fixture serves every example
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     seed=st.integers(0, 2**32 - 1),
     k=st.integers(1, 7),
@@ -480,8 +473,8 @@ def _merge_on(workers, frames, members, strategy, weights, seed, chunk_scenes):
 @example(seed=1, k=6, s=1, spare=0, n_patches=2, dim=3, kind="duplicates", chunk_scenes=1)
 @example(seed=2, k=5, s=3, spare=0, n_patches=3, dim=2, kind="all-zero", chunk_scenes=2)
 @example(seed=3, k=1, s=4, spare=2, n_patches=2, dim=2, kind="identical", chunk_scenes=1)
-def test_merge_scenes_bytes_do_not_depend_on_workers(seed, k, s, spare, n_patches, dim, kind,
-                                                      chunk_scenes):
+def test_merge_scenes_bytes_do_not_depend_on_workers(set_workers, seed, k, s, spare, n_patches,
+                                                      dim, kind, chunk_scenes):
     # the one-worker run is the oracle; spare = 0 merges every frame once
     rng = np.random.default_rng(seed)
     n = k * s + spare
@@ -492,10 +485,10 @@ def test_merge_scenes_bytes_do_not_depend_on_workers(seed, k, s, spare, n_patche
             ("attnpool", None, 0), ("attnpool", None, 5), ("bsm", None, 0)]
     for strategy, weights, attn_seed in runs:
         args = (frames, members, strategy, weights, attn_seed, chunk_scenes)
-        want = _merge_on(1, *args)
+        want = _merge_on(set_workers, 1, *args)
         assert np.isfinite(want).all()
         for workers in (2, 3):
-            got = _merge_on(workers, *args)
+            got = _merge_on(set_workers, workers, *args)
             assert got.tobytes() == want.tobytes(), (strategy, attn_seed, workers)
 
 
@@ -510,11 +503,13 @@ def test_merge_scenes_bytes_do_not_depend_on_workers(seed, k, s, spare, n_patche
     ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
     ({"OMP_NUM_THREADS": "many"}, 1),
 ])
-def test_merge_workers_follow_the_blas_thread_variables(monkeypatch, variables, workers):
-    _set_workers(monkeypatch, 1)
+def test_merge_workers_follow_the_blas_thread_variables(monkeypatch, set_workers, variables,
+                                                        workers):
+    set_workers(2)  # two CPUs to run on; then only this case's variables are set
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
     for var, value in variables.items():
         monkeypatch.setenv(var, value)
-    monkeypatch.setattr(merge.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     frame_bytes = merge.THREAD_MIN_FRAME_BYTES
     assert merge._merge_workers(8, frame_bytes) == workers
     # capped at the unit count, and 1 for a frame too small for threads
@@ -528,7 +523,7 @@ class _UnitFailure(Exception):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_merge_scenes_raises_the_first_failed_unit_after_all_workers_stop(monkeypatch,
-                                                                          workers):
+                                                                          set_workers, workers):
     # units 3 and 5 fail, and unit 3 only after a pause, so that with two
     # or more workers unit 5 fails first; unit 3 is the one raised
     real_tavg = merge._tavg
@@ -550,8 +545,8 @@ def test_merge_scenes_raises_the_first_failed_unit_after_all_workers_stop(monkey
     monkeypatch.setattr(merge, "_tavg", failing_tavg)
     k, s = 8, 2
     frames = np.random.default_rng(40).standard_normal((k * s, 2, 3))
+    set_workers(workers)
     with pytest.MonkeyPatch.context() as mp:
-        _set_workers(mp, workers)
         mp.setattr(merge, "MERGE_CHUNK_BYTES", 1)  # a unit per scene
         mp.setattr(merge, "THREAD_MIN_FRAME_BYTES", 0)
         before = threading.active_count()
@@ -566,7 +561,7 @@ def test_merge_scenes_raises_the_first_failed_unit_after_all_workers_stop(monkey
         assert max(threads_seen) <= before + workers - 1
 
 
-def test_merge_workers_take_every_unit_exactly_once_under_contention(monkeypatch):
+def test_merge_workers_take_every_unit_exactly_once_under_contention(monkeypatch, set_workers):
     # more workers than CPUs, switching threads as often as the interpreter
     # allows: a lost update of the shared counter would merge a unit twice
     # or never
@@ -586,7 +581,7 @@ def test_merge_workers_take_every_unit_exactly_once_under_contention(monkeypatch
     members = np.random.default_rng(42).permutation(k * s).reshape(k, s)
     want = merge.merge_scenes(frames, members, "bsm", np.empty((k, 4, 8)))
     monkeypatch.setattr(merge, "_bsm", counting_bsm)
-    _set_workers(monkeypatch, 4)
+    set_workers(4)
     monkeypatch.setattr(merge, "MERGE_CHUNK_BYTES", 1)
     monkeypatch.setattr(merge, "THREAD_MIN_FRAME_BYTES", 0)
     interval = sys.getswitchinterval()
