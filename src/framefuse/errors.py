@@ -7,25 +7,28 @@ import json
 import math
 import numbers
 import os
+import re
 import threading
 from pathlib import Path
 
 import numpy as np
 
-# Values checked for finiteness at a time, so that the check's boolean mask
-# is 64 KiB instead of a quarter of the tensor. At 384x144x1024, slices of
-# 2**16 values took 39 ms and one mask of the whole tensor 59 ms.
-FINITE_CHECK_VALUES = 2**16
-
-# Values of one unit of _all_finite: arrays of two or more units are
-# checked on several workers, each taking a unit at a time. At 512x16x1024
-# float32, two workers checked units of 2**20 values in 4.3 ms, against
-# 5.6 ms for the array on one worker.
-FINITE_UNIT_VALUES = 2**20
+# Bytes of one unit of work of every stage that shares units among workers
+# (_run_units): a finiteness check, a load, the representative averages and
+# the merge engine. Each numpy call and each hand-over of the interpreter
+# lock between workers costs, so units are large: two workers checked 118
+# MB of float32 in 8-10 ms with one np.isfinite call a unit, against 10-12
+# ms with one call per 2**16 values. Stages read it as errors.UNIT_BYTES
+# when they run, so that one name sets them all.
+UNIT_BYTES = 4 * 2**20
 
 # The variables numpy's OpenBLAS takes its thread count from, in the order
 # it reads them: the first set to a positive count wins.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# The count OpenBLAS reads from a variable with C atoi: ASCII whitespace,
+# an optional sign, then ASCII digits; anything else reads as 0.
+_BLAS_COUNT = re.compile(r"[ \t\n\v\f\r]*([+-]?[0-9]+)")
 
 
 class FrameFuseError(Exception):
@@ -93,16 +96,17 @@ def _check_real(name: str, value, minimum: float, strict: bool = False) -> float
 def _workers(units: int) -> int:
     """How many workers share *units* units of work. It is 1, and no
     thread starts, unless numpy's BLAS is held to one thread (the first of
-    BLAS_THREAD_VARS set to a positive count is 1, as OpenBLAS reads them);
-    then it is the number of CPUs this process may run on, at most *units*.
-    A multi-threaded BLAS keeps its idle threads spinning on the other
-    CPUs, so workers there would only slow it down."""
+    BLAS_THREAD_VARS set to a positive count is 1, read as OpenBLAS reads
+    them); then it is the number of CPUs this process may run on, at most
+    *units*. A multi-threaded BLAS keeps its idle threads spinning on the
+    other CPUs, so workers there would only slow it down."""
     if units < 2:
         return 1
     for var in BLAS_THREAD_VARS:
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            if int(value) > 1 or not hasattr(os, "sched_getaffinity"):
+        match = _BLAS_COUNT.match(os.environ.get(var, ""))
+        threads = int(match[1]) if match else 0
+        if threads > 0:
+            if threads > 1 or not hasattr(os, "sched_getaffinity"):
                 return 1
             return min(units, len(os.sched_getaffinity(0)))
     return 1
@@ -147,22 +151,19 @@ def _run_units(workers: list, units: list) -> list:
     return results
 
 
-def _finite(flat: np.ndarray) -> bool:
-    """Whether every value of the 1-D array *flat* is finite, checked
-    FINITE_CHECK_VALUES values at a time."""
-    return all(np.isfinite(flat[start:start + FINITE_CHECK_VALUES]).all()
-               for start in range(0, flat.size, FINITE_CHECK_VALUES))
-
-
 def _all_finite(flat: np.ndarray) -> bool:
-    """Whether every value of the nonempty 1-D array *flat* is finite. An
-    array of two or more FINITE_UNIT_VALUES units is checked in those units
-    on _workers(units) workers, each value once; one worker checks it as
-    one unit."""
-    workers = _workers(-(-flat.size // FINITE_UNIT_VALUES))
-    step = FINITE_UNIT_VALUES if workers > 1 else flat.size
+    """Whether every value of the nonempty 1-D array *flat* is finite,
+    checked on _workers(units) workers in units of as many values as
+    UNIT_BYTES holds in float64 (at least one), each with one np.isfinite
+    call. A worker's mask, a byte a value, is thus UNIT_BYTES / 8 whatever
+    the dtype, and never a mask of the array."""
+    step = max(1, UNIT_BYTES // 8)
     units = [(flat[start:start + step],) for start in range(0, flat.size, step)]
-    return all(_run_units([_finite] * workers, units))
+    return all(_run_units([_unit_finite] * _workers(len(units)), units))
+
+
+def _unit_finite(unit: np.ndarray) -> bool:
+    return np.isfinite(unit).all()
 
 
 def _check_array(name: str, value, dtype, ndim: int) -> np.ndarray:
@@ -170,8 +171,8 @@ def _check_array(name: str, value, dtype, ndim: int) -> np.ndarray:
     integer or float values (not bool, complex, string or object), rank
     *ndim*, every dim at least 1 and every value finite. Returns a
     C-contiguous *dtype* array, *value* itself when it already is one.
-    Finiteness is checked FINITE_CHECK_VALUES values at a time, so no mask
-    of the whole array is built."""
+    Finiteness is checked by _all_finite, in units, so no mask of the whole
+    array is built."""
     try:
         array = np.asarray(value)
     except ValueError:  # numpy's "inhomogeneous shape" for nested sequences

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import errors
 from .errors import (FormatError, ParameterError, _check_array, _check_count, _check_real,
                      _check_seed, _read_json, _run_units, _workers)
 
@@ -27,12 +28,6 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sBI")
 _DIM = struct.Struct("<I")
 HEADER_SIZE = _HEADER.size + 3 * _DIM.size
-
-# Bytes of the buffers that the frames a sampled load skips pass through,
-# over all workers: each worker reads its skipped frames into a buffer of
-# its own, checks them for finiteness and drops them, so a sampled load
-# holds the kept frames plus this much. It also bounds a unit of a load.
-READ_CHUNK_BYTES = 4 * 2**20
 
 # Bytes of skipped frames in one unit of a load (at least one frame). A
 # unit this small keeps them in the CPU's L2 cache from the read to the
@@ -190,25 +185,26 @@ def _read_frames(fh, path: Path, dims: tuple[int, int, int], keep) -> np.ndarray
     (increasing indices); every other frame is checked for finiteness and
     dropped.
 
-    The payload is cut into units of whole frames, at most READ_CHUNK_BYTES
-    and _IOV_MAX frames. A worker reads a unit with one os.preadv, which
-    puts its kept frames straight into their rows of the result and its
-    skipped frames, packed, into the worker's own buffer, then checks that
-    buffer in one call, with a mask of a quarter of its bytes. W workers
-    share the units: as many as ``errors._workers`` gives, and at most
-    READ_CHUNK_BYTES // frame bytes. A unit skips at most as many frames as
-    fit in both READ_UNIT_BYTES and READ_CHUNK_BYTES // W (at least one),
-    and a buffer holds that many, so all of them hold at most
-    READ_CHUNK_BYTES whatever W is, unless one frame is larger. The first
+    The payload is cut into units of whole frames, at most
+    ``errors.UNIT_BYTES`` and _IOV_MAX frames. A worker reads a unit with
+    one os.preadv, which puts its kept frames straight into their rows of
+    the result and its skipped frames, packed, into the worker's own
+    buffer, then checks that buffer in one call, with a mask of a quarter
+    of its bytes. W workers share the units: as many as ``errors._workers``
+    gives, and at most UNIT_BYTES // frame bytes. A unit skips at most as
+    many frames as fit in both READ_UNIT_BYTES and UNIT_BYTES // W (at
+    least one), and a buffer holds that many, so all of them hold at most
+    UNIT_BYTES whatever W is, unless one frame is larger. The first
     failure in unit order is raised."""
     n_frames, n_patches, dim = dims
     frame_bytes = n_patches * dim * 4
     expected = n_frames * frame_bytes
     data = np.empty((len(keep), n_patches, dim), dtype="<f4")
     out = memoryview(data.reshape(-1).view(np.uint8))
-    workers = min(_workers(n_frames), max(1, READ_CHUNK_BYTES // frame_bytes))
-    unit_skips = max(1, min(READ_UNIT_BYTES, READ_CHUNK_BYTES // workers) // frame_bytes)
-    unit_frames = max(1, min(_IOV_MAX, READ_CHUNK_BYTES // frame_bytes))
+    budget = errors.UNIT_BYTES
+    workers = min(_workers(n_frames), max(1, budget // frame_bytes))
+    unit_skips = max(1, min(READ_UNIT_BYTES, budget // workers) // frame_bytes)
+    unit_frames = max(1, min(_IOV_MAX, budget // frame_bytes))
     # each unit: its payload offset and its pieces, in file order: a byte
     # count of skipped frames, or a view of the rows of a run of kept frames
     units = []
@@ -297,10 +293,10 @@ def load_features(path: str | Path, sample: int | None = None) -> FrameFeatures:
     workers as ``errors._workers`` gives (one, and no thread, unless
     numpy's BLAS is held to one thread). Kept frames go straight into the
     result; skipped frames pass through the workers' buffers, which hold
-    READ_CHUNK_BYTES in all, so a sampled load holds the kept frames plus
-    at most that much (or one frame, if a frame is larger). The result does
-    not depend on the workers, and a failure is the first in file order
-    among the units read.
+    ``errors.UNIT_BYTES`` in all, so a sampled load holds the kept frames
+    plus at most that much (or one frame, if a frame is larger). The result
+    does not depend on the workers, and a failure is the first in file
+    order among the units read.
 
     Raises:
         FormatError: bad magic, version, rank, or dims; truncated or
@@ -319,7 +315,8 @@ def load_features(path: str | Path, sample: int | None = None) -> FrameFeatures:
 
 def _check_file(path: str | Path) -> None:
     """Read and check an FVT1 file and its sidecar as :func:`load_features`
-    does, keeping no frame: memory stays within READ_CHUNK_BYTES of buffers."""
+    does, keeping no frame: memory stays within ``errors.UNIT_BYTES`` of
+    buffers."""
     _read_checked(Path(path), lambda n: ())
 
 

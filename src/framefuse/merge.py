@@ -18,17 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import errors
 from .errors import (ParameterError, _check_array, _check_count, _check_real, _check_seed,
                      _run_units, _workers)
 
 STRATEGIES = ("tavg", "fusion", "attnpool", "bsm")
-
-# Bytes of float64 frames in one unit of scenes: a worker's unit of work,
-# and the scenes whose middle frames attnpool projects in one query GEMM.
-# One GEMM for a group of scenes is faster than one per scene; the bound
-# keeps the group's two (g, n_patches, dim) buffers from growing with the
-# scene count. No other strategy holds more than a scene's frames at once.
-MERGE_CHUNK_BYTES = 4 * 2**20
 
 # Bytes of a float64 frame below which a merge runs on one worker. Each
 # numpy call on a small frame takes a few microseconds, and handing the
@@ -359,15 +353,17 @@ def merge_scenes(
     passed the seed rule.
 
     The scenes are cut into units of as many scenes as have
-    MERGE_CHUNK_BYTES of float64 frames (at least one); ``attnpool`` runs
-    its query GEMM once per unit. W workers, the calling thread and W - 1
-    threads, each take units in turn from one shared counter and write only
-    those units' rows of *out*, so the output does not depend on W. Each
-    worker reads its scenes' member frames by index into float64 work
-    buffers of its own, allocated once per call, so memory grows with W
-    but not with k. A worker's buffers hold one frame for ``tavg``, two for
-    ``fusion``, three scenes of frames for ``bsm``, and a scene plus a
-    unit's middle frames and their projections for ``attnpool``.
+    ``errors.UNIT_BYTES`` of float64 frames (at least one); ``attnpool``
+    runs its query GEMM once per unit, which is faster than once per scene
+    and keeps its two (unit, n_patches, dim) buffers from growing with k.
+    W workers, the calling thread and W - 1 threads, each take units in
+    turn from one shared counter and write only those units' rows of
+    *out*, so the output does not depend on W. Each worker reads its
+    scenes' member frames by index into float64 work buffers of its own,
+    allocated once per call, so memory grows with W but not with k. A
+    worker's buffers hold one frame for ``tavg``, two for ``fusion``, three
+    scenes of frames for ``bsm``, and a scene plus a unit's middle frames
+    and their projections for ``attnpool``.
 
     W is worked out, never set: ``errors._workers`` of the unit count, and
     1 for a frame under THREAD_MIN_FRAME_BYTES of float64. So it is 1, and
@@ -379,7 +375,7 @@ def merge_scenes(
     k, s = members.shape
     _, n_patches, dim = frames.shape
     frame_bytes = n_patches * dim * 8
-    group = max(1, min(k, MERGE_CHUNK_BYTES // frame_bytes))
+    group = max(1, min(k, errors.UNIT_BYTES // frame_bytes))
     if strategy == "tavg":
         worker = functools.partial(_tavg, frames, s)
     elif strategy == "fusion":

@@ -157,18 +157,17 @@ def test_compress_weights_without_fusion_exit_2_before_reading(tmp_path, capsys,
     assert not out.exists()
 
 
-# Units of one scene and no frame too small for threads, so that at one
-# BLAS thread every compress merges its 8 scenes on as many workers as
-# there are CPUs (one, and no thread, on a 1-CPU box); the first line
-# names that count. Small read, check and averaging units, so that its
-# loads, checks and representatives run in many units on those workers too.
+# No frame too small for threads, so that at one BLAS thread every compress
+# merges on as many workers as there are CPUs (one, and no thread, on a
+# 1-CPU box); the first line names that count. The probe runs at two unit
+# sizes: at 4 KiB every stage cuts units of one scene or a few frames of
+# both files, and reads small.fvt on two workers; at 128 KiB large.fvt's
+# 36 KiB frames are read on two workers too, and still merged a scene a unit.
 _BLAS_PROBE = """
 import contextlib, hashlib, io, sys
-from framefuse import errors, features, merge, select
+from framefuse import errors, merge
 from framefuse.cli import main
-merge.MERGE_CHUNK_BYTES, merge.THREAD_MIN_FRAME_BYTES = 1, 0
-features.READ_CHUNK_BYTES, errors.FINITE_UNIT_VALUES = 2**17, 2**10
-select.REPRESENTATIVE_UNIT_BYTES = 2**14
+errors.UNIT_BYTES, merge.THREAD_MIN_FRAME_BYTES = int(sys.argv[2]), 0
 print("workers", merge._merge_workers(8, 1))
 out = sys.argv[1] + "/c.fvt"
 for path, frames in (("small.fvt", "48"), ("large.fvt", "96")):
@@ -194,14 +193,16 @@ def test_compress_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE, str(tmp_path)], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        workers, *lines = proc.stdout.splitlines()
-        assert workers == f"workers {min(8, cpus) if threads == '1' else 1}"
-        digests.append(lines)
+        for unit_bytes in (2**12, 2**17):
+            proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE, str(tmp_path),
+                                   str(unit_bytes)], env=env, capture_output=True, text=True,
+                                  timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            workers, *lines = proc.stdout.splitlines()
+            assert workers == f"workers {min(8, cpus) if threads == '1' else 1}"
+            digests.append(lines)
     assert len(digests[0]) == 24
-    assert digests[0] == digests[1]
+    assert all(lines == digests[0] for lines in digests)
 
 
 def test_compress_deterministic(tmp_path, capsys):
@@ -457,7 +458,7 @@ def _assert_compress_holds_its_sample(tmp_path, capsys):
     import tracemalloc
 
     from framefuse import FrameFeatures, save_features
-    from framefuse.features import READ_CHUNK_BYTES
+    from framefuse.errors import UNIT_BYTES
 
     n_frames, n_patches, dim, sample = 3000, 16, 256, 96
     data = np.random.default_rng(9).standard_normal((n_frames, n_patches, dim), dtype=np.float32)
@@ -474,7 +475,7 @@ def _assert_compress_holds_its_sample(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 0, capsys.readouterr().err
     sampled = sample * n_patches * dim * 4
-    bound = sampled + READ_CHUNK_BYTES + 4 * 2**20
+    bound = sampled + UNIT_BYTES + 4 * 2**20
     assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
     # loading the whole file would break the bound several times over
     assert n_frames * n_patches * dim * 4 > 4 * bound
@@ -495,7 +496,7 @@ def test_compress_out_of_range_frames_holds_no_frames(tmp_path, capsys, config, 
     import tracemalloc
 
     from framefuse import FrameFeatures, save_features
-    from framefuse.features import READ_CHUNK_BYTES
+    from framefuse.errors import UNIT_BYTES
 
     n_frames, n_patches, dim = 3000, 16, 256
     data = np.random.default_rng(10).standard_normal((n_frames, n_patches, dim),
@@ -511,7 +512,7 @@ def test_compress_out_of_range_frames_holds_no_frames(tmp_path, capsys, config, 
     finally:
         tracemalloc.stop()
     assert (code, capsys.readouterr()) == (1, ("", f"error: {message}\n"))
-    bound = READ_CHUNK_BYTES + 4 * 2**20
+    bound = UNIT_BYTES + 4 * 2**20
     assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
     assert n_frames * n_patches * dim * 4 > 4 * bound  # a full load would break it
 

@@ -19,8 +19,7 @@ from framefuse import (
     representative_features,
     save_features,
 )
-from framefuse import features
-from framefuse.errors import FINITE_CHECK_VALUES
+from framefuse import errors, features
 from framefuse.features import HEADER_SIZE
 from reference import planted_block_labels
 
@@ -180,10 +179,15 @@ def test_load_peak_under_1_1_payloads(tmp_path):
     assert peak < 1.1 * data.nbytes, f"peak {peak / data.nbytes:.2f} payloads"
 
 
-@pytest.mark.parametrize("where", [0, FINITE_CHECK_VALUES - 1, FINITE_CHECK_VALUES, -1])
+_UNIT_VALUES = errors.UNIT_BYTES // 8  # values in a unit of the check
+
+
+# the first and the last value, two inside the first unit, and the last of
+# the first unit and the first of the second
+@pytest.mark.parametrize("where", [0, 2**16 - 1, 2**16, _UNIT_VALUES - 1, _UNIT_VALUES, -1])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_rejected_in_any_slice(where, bad):
-    data = np.zeros(2 * FINITE_CHECK_VALUES + 3, dtype=np.float32)
+    data = np.zeros(2 * _UNIT_VALUES + 3, dtype=np.float32)
     data[where] = bad
     with pytest.raises(ParameterError, match="non-finite"):
         FrameFeatures(data.reshape(1, 1, -1))
@@ -328,7 +332,7 @@ def test_sampled_load_out_of_range(tmp_path):
 # skipped, each in a unit of its own, and frame 3 holds the payload's 4 MiB
 # mark
 _FRAME = (384, 1024)
-_CHUNK_VALUES = features.READ_CHUNK_BYTES // 4
+_CHUNK_VALUES = errors.UNIT_BYTES // 4
 _FRAME_VALUES = _FRAME[0] * _FRAME[1]
 
 
@@ -340,7 +344,7 @@ _FRAME_VALUES = _FRAME[0] * _FRAME[1]
 ])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_sampled_load_rejects_non_finite_unsampled_frames(tmp_path, where, bad):
-    assert features.READ_CHUNK_BYTES % (4 * _FRAME_VALUES) != 0
+    assert errors.UNIT_BYTES % (4 * _FRAME_VALUES) != 0
     data = np.zeros((8, *_FRAME), dtype=np.float32)
     data.reshape(-1)[where] = bad
     path = tmp_path / "bad.fvt"
@@ -376,7 +380,7 @@ def _assert_sampled_load_holds_the_sample_and_one_chunk(tmp_path):
     finally:
         tracemalloc.stop()
     assert loaded.data.tobytes() == data[::32].tobytes()
-    bound = loaded.data.nbytes + features.READ_CHUNK_BYTES + 2**18
+    bound = loaded.data.nbytes + errors.UNIT_BYTES + 2**18
     assert peak < bound, f"peak {peak} bytes, bound {bound}"
     assert data.nbytes > 4 * bound
 
@@ -444,7 +448,7 @@ def test_unit_reader_matches_the_plain_reader(tmp_path, monkeypatch, set_workers
     # unit and buffer sizes that whole frames do not fill, unless spare is 0
     frame_bytes = n_patches * dim * 4
     monkeypatch.setattr(features, "READ_UNIT_BYTES", unit_frames * frame_bytes + spare)
-    monkeypatch.setattr(features, "READ_CHUNK_BYTES", chunk_frames * frame_bytes + spare)
+    monkeypatch.setattr(errors, "UNIT_BYTES", chunk_frames * frame_bytes + spare)
     try:
         want = reference.read_frames(path, keep)
     except ParameterError as exc:
@@ -488,22 +492,20 @@ def test_unit_reader_resumes_short_reads(tmp_path, monkeypatch, set_workers):
 
 def test_load_and_representatives_under_contention(tmp_path, monkeypatch, set_workers):
     # more workers than CPUs, switching threads as often as the interpreter
-    # allows, and units of about one frame: a worker that wrote another's
-    # rows or buffer would change the bytes
+    # allows, and units of a few frames: a worker that wrote another's rows
+    # or buffer would change the bytes
     import sys
     import threading
 
     import reference
-    from framefuse import errors, select
 
     data = np.random.default_rng(12).standard_normal((90, 3, 8)).astype(np.float32)
     path = tmp_path / "f.fvt"
     _write_raw(path, data, [0.25 * i for i in range(90)])
     keep = features.uniform_sample_indices(90, 37)
     want_data, want_ts = reference.read_frames(path, keep)
-    monkeypatch.setattr(features, "READ_UNIT_BYTES", 96)
-    monkeypatch.setattr(errors, "FINITE_UNIT_VALUES", 50)
-    monkeypatch.setattr(select, "REPRESENTATIVE_UNIT_BYTES", 96)
+    monkeypatch.setattr(features, "READ_UNIT_BYTES", 96)  # one skipped frame
+    monkeypatch.setattr(errors, "UNIT_BYTES", 4 * 96)  # four frames, and room for 4 readers
     set_workers(4)
     before = threading.active_count()
     interval = sys.getswitchinterval()
@@ -528,7 +530,7 @@ _UNIT_FRAME_BYTES = 64
 
 def _units_of_one_skipped_frame(monkeypatch):
     monkeypatch.setattr(features, "READ_UNIT_BYTES", _UNIT_FRAME_BYTES)
-    monkeypatch.setattr(features, "READ_CHUNK_BYTES", 4 * _UNIT_FRAME_BYTES)
+    monkeypatch.setattr(errors, "UNIT_BYTES", 4 * _UNIT_FRAME_BYTES)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -614,13 +616,11 @@ def test_unit_reader_rejects_bytes_written_past_the_payload_during_the_read(
 
 @pytest.mark.parametrize("n_frames", [1, 2, 7, 16, 23])
 def test_representatives_do_not_depend_on_workers(monkeypatch, set_workers, n_frames):
-    from framefuse import select
-
     data = np.random.default_rng(n_frames).uniform(-9.0, 9.0, (n_frames, 5, 3))
     data[0, :, 0] = -0.0  # a column of -0.0 averages to +0.0, in every unit
     features_ = FrameFeatures(data.astype(np.float32))
     want = features_.data.mean(axis=1, dtype=np.float64)
-    monkeypatch.setattr(select, "REPRESENTATIVE_UNIT_BYTES", 2 * 5 * 3 * 4 + 1)  # 2 frames
+    monkeypatch.setattr(errors, "UNIT_BYTES", 2 * 5 * 3 * 4 + 1)  # 2 frames
     for workers in (1, 2, 3):
         set_workers(workers)
         got = representative_features(features_)
@@ -631,20 +631,18 @@ def test_representatives_do_not_depend_on_workers(monkeypatch, set_workers, n_fr
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("where", ["first", "unit boundary", "last", None])
 def test_all_finite_finds_a_bad_value_anywhere(monkeypatch, set_workers, workers, where):
-    from framefuse import errors
-
-    monkeypatch.setattr(errors, "FINITE_UNIT_VALUES", 40)
-    monkeypatch.setattr(errors, "FINITE_CHECK_VALUES", 16)
+    monkeypatch.setattr(errors, "UNIT_BYTES", 40 * 8)  # units of 40 values, whatever the dtype
     set_workers(workers)
-    for bad in (np.nan, np.inf, -np.inf):
-        flat = np.ones(203, dtype=np.float32)
-        if where is not None:
-            # the last value of unit 2, then the first of unit 3
-            for i in {"first": [0], "unit boundary": [119, 120], "last": [202]}[where]:
-                flat[i] = bad
-                assert not errors._all_finite(flat), (where, i)
-                flat[i] = 1.0
-        assert errors._all_finite(flat)
+    for dtype in (np.float32, np.float64):
+        for bad in (np.nan, np.inf, -np.inf):
+            flat = np.ones(203, dtype=dtype)
+            if where is not None:
+                # the last value of unit 2, then the first of unit 3
+                for i in {"first": [0], "unit boundary": [119, 120], "last": [202]}[where]:
+                    flat[i] = bad
+                    assert not errors._all_finite(flat), (dtype, where, i)
+                    flat[i] = 1.0
+            assert errors._all_finite(flat)
 
 
 def test_sampled_load_checks_the_sidecar_over_every_frame(tmp_path):

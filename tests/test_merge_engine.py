@@ -25,7 +25,7 @@ from framefuse import (
     fit_fusion_weights,
     merge_scene,
 )
-from framefuse import merge
+from framefuse import errors, merge
 from framefuse.errors import BLAS_THREAD_VARS
 from framefuse.merge import STRATEGIES
 from framefuse.pipeline import SELECTIONS
@@ -102,8 +102,8 @@ def test_compress_matches_per_scene_reference(case):
                          seed=case["seed"] % 1000)
 
     # attnpool runs its query GEMM for chunk_scenes scenes at a time
-    saved = merge.MERGE_CHUNK_BYTES
-    merge.MERGE_CHUNK_BYTES = case["chunk_scenes"] * shape[0] * shape[1] * 8
+    saved = errors.UNIT_BYTES
+    errors.UNIT_BYTES = case["chunk_scenes"] * shape[0] * shape[1] * 8
     try:
         try:
             want = reference.compress(features, cfg, weights)
@@ -113,7 +113,7 @@ def test_compress_matches_per_scene_reference(case):
             return
         got = compress(features, cfg, weights)
     finally:
-        merge.MERGE_CHUNK_BYTES = saved
+        errors.UNIT_BYTES = saved
 
     assert got.frame_timestamps == want.frame_timestamps
     assert got.data.dtype == np.float32 and got.data.shape == want.data.shape
@@ -398,7 +398,7 @@ def test_compress_bytes_do_not_depend_on_merge_chunk_bytes(monkeypatch, strategy
     want = compress(features, cfg).data.tobytes()
     frame_bytes = n_patches * dim * 8
     for chunk in (1, frame_bytes, 3 * frame_bytes + 1, k * frame_bytes, 2**40):
-        monkeypatch.setattr(merge, "MERGE_CHUNK_BYTES", chunk)
+        monkeypatch.setattr(errors, "UNIT_BYTES", chunk)
         assert compress(features, cfg).data.tobytes() == want, chunk
 
 
@@ -420,10 +420,10 @@ def _assert_merge_memory_flat(monkeypatch, set_workers, strategy, workers):
     set_workers(workers)
     if workers > 1:
         # units of 4 scenes, so that k = 8 has two units as well
-        monkeypatch.setattr(merge, "MERGE_CHUNK_BYTES", 4 * frame_bytes)
+        monkeypatch.setattr(errors, "UNIT_BYTES", 4 * frame_bytes)
     # one worker's buffers: a float64 scene, its tokens and bsm's two work
     # buffers of that size, and attnpool's middle frames with their projections
-    allowance = workers * (4 * scene_bytes + 2 * merge.MERGE_CHUNK_BYTES)
+    allowance = workers * (4 * scene_bytes + 2 * errors.UNIT_BYTES)
     rng = np.random.default_rng(34)
     for k in (8, 32):
         assert merge._merge_workers(k // 4, frame_bytes) == workers
@@ -448,7 +448,7 @@ def _merge_on(set_workers, workers, frames, members, strategy, weights, seed, ch
     frame_bytes = frames.shape[1] * frames.shape[2] * 8
     set_workers(workers)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(merge, "MERGE_CHUNK_BYTES", chunk_scenes * frame_bytes)
+        mp.setattr(errors, "UNIT_BYTES", chunk_scenes * frame_bytes)
         mp.setattr(merge, "THREAD_MIN_FRAME_BYTES", 0)
         units = -(-len(members) // chunk_scenes)
         assert merge._merge_workers(units, frame_bytes) == min(workers, units)
@@ -502,6 +502,10 @@ def test_merge_scenes_bytes_do_not_depend_on_workers(set_workers, seed, k, s, sp
     ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),
     ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
     ({"OMP_NUM_THREADS": "many"}, 1),
+    # read as OpenBLAS reads them, with C atoi: ASCII whitespace, a sign,
+    # ASCII digits, and 0 for anything else
+    *(({"OPENBLAS_NUM_THREADS": value}, 2) for value in ("1.5", "+1", "1abc", " 1", "01")),
+    *(({"OPENBLAS_NUM_THREADS": value}, 1) for value in ("\u00b2", "\u0661", "0", "-1")),
 ])
 def test_merge_workers_follow_the_blas_thread_variables(monkeypatch, set_workers, variables,
                                                         workers):
@@ -547,7 +551,7 @@ def test_merge_scenes_raises_the_first_failed_unit_after_all_workers_stop(monkey
     frames = np.random.default_rng(40).standard_normal((k * s, 2, 3))
     set_workers(workers)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(merge, "MERGE_CHUNK_BYTES", 1)  # a unit per scene
+        mp.setattr(errors, "UNIT_BYTES", 1)  # a unit per scene
         mp.setattr(merge, "THREAD_MIN_FRAME_BYTES", 0)
         before = threading.active_count()
         with pytest.raises(_UnitFailure, match="^unit 3$"):
@@ -582,7 +586,7 @@ def test_merge_workers_take_every_unit_exactly_once_under_contention(monkeypatch
     want = merge.merge_scenes(frames, members, "bsm", np.empty((k, 4, 8)))
     monkeypatch.setattr(merge, "_bsm", counting_bsm)
     set_workers(4)
-    monkeypatch.setattr(merge, "MERGE_CHUNK_BYTES", 1)
+    monkeypatch.setattr(errors, "UNIT_BYTES", 1)
     monkeypatch.setattr(merge, "THREAD_MIN_FRAME_BYTES", 0)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -1,8 +1,10 @@
 """The public surface: the names framefuse exports, the counts, reals and
 arrays among their parameters, the names the benchmark in ``perfbench/``
 looks up in the package and its modules, the README's Python API
-section, which names every export and whose example runs, and the one
-JSON reader and one file writer that every command goes through."""
+section, which names every export and whose example runs, the README's
+`module.NAME` citations, which resolve and name every size constant, and
+the one JSON reader and one file writer that every command goes
+through."""
 
 import ast
 import dataclasses
@@ -172,6 +174,35 @@ def test_readme_python_api_names_every_public_name():
     section = _python_api_section()
     missing = [name for name in framefuse.__all__ if not re.search(rf"\b{name}\b", section)]
     assert missing == []
+
+
+def _readme_citations():
+    # every `module.NAME` in README whose module is framefuse or one of its modules
+    modules = {"framefuse", *(path.stem for path in SOURCE.glob("*.py"))}
+    cited = re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)`", (ROOT / "README.md").read_text())
+    return {(module, name) for module, name in cited if module in modules}
+
+
+def test_readme_citations_resolve():
+    missing = []
+    for module, name in sorted(_readme_citations()):
+        path = "framefuse" if module == "framefuse" else f"framefuse.{module}"
+        if not hasattr(importlib.import_module(path), name):
+            missing.append(f"{module}.{name}")
+    assert missing == []
+
+
+def test_readme_cites_every_size_constant():
+    # a public module-level *_BYTES or *_VALUES constant sizes memory or
+    # work, so README names it; with the first test, a deleted one cannot linger
+    constants = set()
+    for path in SOURCE.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            constants |= {(path.stem, t.id) for t in targets if isinstance(t, ast.Name)
+                          and re.fullmatch(r"[A-Z][A-Z0-9_]*_(BYTES|VALUES)", t.id)}
+    assert constants
+    assert sorted(constants - _readme_citations()) == []
 
 
 def test_readme_python_api_example_runs(tmp_path, monkeypatch, capsys):
