@@ -112,13 +112,16 @@ def _workers(units: int) -> int:
     return 1
 
 
-def _run_units(workers: list, units: list) -> list:
+def _run_units(make_worker, units: list, parallel: bool = True) -> list:
     """Call a worker on each unit's arguments and return the results in
-    unit order. workers[0] runs on the calling thread and each other one
-    on a thread of its own; each takes the next unit from one shared
-    counter until none is left or one has failed. A failure is raised
-    here, after every worker has stopped: the first failure in unit order,
-    since every unit before it was handed out and ran to its end."""
+    unit order. The one place that works out W: _workers(len(units)), or 1
+    unless *parallel*. The W workers are make_worker()'s, made before any
+    thread starts; the first runs on the calling thread and each other on a
+    thread of its own. Each takes the next unit from one shared counter
+    until none is left or one has failed. A failure is raised here, after
+    every worker has stopped: the first failure in unit order, since every
+    unit before it was handed out and ran to its end."""
+    workers = [make_worker() for _ in range(_workers(len(units)) if parallel else 1)]
     lock = threading.Lock()
     todo = iter(range(len(units)))
     results = [None] * len(units)
@@ -153,13 +156,13 @@ def _run_units(workers: list, units: list) -> list:
 
 def _all_finite(flat: np.ndarray) -> bool:
     """Whether every value of the nonempty 1-D array *flat* is finite,
-    checked on _workers(units) workers in units of as many values as
-    UNIT_BYTES holds in float64 (at least one), each with one np.isfinite
-    call. A worker's mask, a byte a value, is thus UNIT_BYTES / 8 whatever
-    the dtype, and never a mask of the array."""
+    checked by _run_units in units of as many values as UNIT_BYTES holds in
+    float64 (at least one), each with one np.isfinite call. A worker's
+    mask, a byte a value, is thus UNIT_BYTES / 8 whatever the dtype, and
+    never a mask of the array."""
     step = max(1, UNIT_BYTES // 8)
     units = [(flat[start:start + step],) for start in range(0, flat.size, step)]
-    return all(_run_units([_unit_finite] * _workers(len(units)), units))
+    return all(_run_units(lambda: _unit_finite, units))
 
 
 def _unit_finite(unit: np.ndarray) -> bool:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import errors
 from .errors import (FormatError, ParameterError, _check_array, _check_count, _check_real,
-                     _check_seed, _read_json, _run_units, _workers)
+                     _check_seed, _read_json, _run_units)
 
 MAGIC = b"FVT1"
 FORMAT_VERSION = 1
@@ -190,21 +190,19 @@ def _read_frames(fh, path: Path, dims: tuple[int, int, int], keep) -> np.ndarray
     one os.preadv, which puts its kept frames straight into their rows of
     the result and its skipped frames, packed, into the worker's own
     buffer, then checks that buffer in one call, with a mask of a quarter
-    of its bytes. W workers share the units: as many as ``errors._workers``
-    gives, and at most UNIT_BYTES // frame bytes. A unit skips at most as
-    many frames as fit in both READ_UNIT_BYTES and UNIT_BYTES // W (at
-    least one), and a buffer holds that many, so all of them hold at most
-    UNIT_BYTES whatever W is, unless one frame is larger. The first
-    failure in unit order is raised."""
+    of its bytes. The units are cut from the file alone: a unit skips at
+    most as many frames as fit in READ_UNIT_BYTES (at least one), and a
+    buffer holds that many. ``errors._run_units`` shares the units among
+    its W workers, so the buffers hold at most W times READ_UNIT_BYTES, or
+    W frames if a frame is larger. The first failure in unit order is
+    raised."""
     n_frames, n_patches, dim = dims
     frame_bytes = n_patches * dim * 4
     expected = n_frames * frame_bytes
     data = np.empty((len(keep), n_patches, dim), dtype="<f4")
     out = memoryview(data.reshape(-1).view(np.uint8))
-    budget = errors.UNIT_BYTES
-    workers = min(_workers(n_frames), max(1, budget // frame_bytes))
-    unit_skips = max(1, min(READ_UNIT_BYTES, budget // workers) // frame_bytes)
-    unit_frames = max(1, min(_IOV_MAX, budget // frame_bytes))
+    unit_skips = max(1, READ_UNIT_BYTES // frame_bytes)
+    unit_frames = max(1, min(_IOV_MAX, errors.UNIT_BYTES // frame_bytes))
     # each unit: its payload offset and its pieces, in file order: a byte
     # count of skipped frames, or a view of the rows of a run of kept frames
     units = []
@@ -250,7 +248,7 @@ def _read_frames(fh, path: Path, dims: tuple[int, int, int], keep) -> np.ndarray
                 raise ParameterError("frame features contain non-finite values")
         return read
 
-    _run_units([reader() for _ in range(min(workers, len(units)))], units)
+    _run_units(reader, units)
     if os.pread(fd, 1, HEADER_SIZE + expected):
         raise FormatError(f"{path}: trailing bytes after payload")
     return data
@@ -289,13 +287,13 @@ def load_features(path: str | Path, sample: int | None = None) -> FrameFeatures:
     sample)`` picks are kept, with their timestamps. The whole file is
     still read and checked: every value must be finite, and the sidecar's
     timestamps are checked over all frames before they are subset. The
-    payload is read and checked in units of whole frames, on as many
-    workers as ``errors._workers`` gives (one, and no thread, unless
+    payload is read and checked in units of whole frames, on the W workers
+    that ``errors._run_units`` works out (one, and no thread, unless
     numpy's BLAS is held to one thread). Kept frames go straight into the
-    result; skipped frames pass through the workers' buffers, which hold
-    ``errors.UNIT_BYTES`` in all, so a sampled load holds the kept frames
-    plus at most that much (or one frame, if a frame is larger). The result
-    does not depend on the workers, and a failure is the first in file
+    result; skipped frames pass through one buffer per worker, each at
+    most ``READ_UNIT_BYTES`` or one frame, whichever is larger, so a
+    sampled load holds the kept frames plus W such buffers. The units, and
+    so the result, do not depend on W, and a failure is the first in file
     order among the units read.
 
     Raises:
@@ -315,8 +313,8 @@ def load_features(path: str | Path, sample: int | None = None) -> FrameFeatures:
 
 def _check_file(path: str | Path) -> None:
     """Read and check an FVT1 file and its sidecar as :func:`load_features`
-    does, keeping no frame: memory stays within ``errors.UNIT_BYTES`` of
-    buffers."""
+    does, keeping no frame: memory stays within one read buffer per
+    worker."""
     _read_checked(Path(path), lambda n: ())
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import errors
 from .errors import (ParameterError, _check_array, _check_count, _check_real, _check_seed,
-                     _run_units, _workers)
+                     _run_units)
 
 STRATEGIES = ("tavg", "fusion", "attnpool", "bsm")
 
@@ -365,9 +365,9 @@ def merge_scenes(
     scenes of frames for ``bsm``, and a scene plus a unit's middle frames
     and their projections for ``attnpool``.
 
-    W is worked out, never set: ``errors._workers`` of the unit count, and
-    1 for a frame under THREAD_MIN_FRAME_BYTES of float64. So it is 1, and
-    no thread starts, unless numpy's BLAS is held to one thread, and
+    W is worked out, never set, by ``errors._run_units``, and is 1 for a
+    frame under THREAD_MIN_FRAME_BYTES of float64. So it is 1, and no
+    thread starts, unless numpy's BLAS is held to one thread, and
     ``OPENBLAS_NUM_THREADS=1 taskset -c 0 ...`` holds a run to one CPU and
     one worker. A failure in any unit is raised here, after every worker
     has stopped: the first failure in unit order.
@@ -387,13 +387,8 @@ def merge_scenes(
         worker = functools.partial(_bsm, frames, s)
     units = [(members[start:start + group], out[start:start + group])
              for start in range(0, k, group)]
-    merges = [worker() for _ in range(_merge_workers(len(units), frame_bytes))]
-    _run_units(merges, units)
+    _run_units(worker, units, parallel=frame_bytes >= THREAD_MIN_FRAME_BYTES)
     return out
-
-
-def _merge_workers(units: int, frame_bytes: int) -> int:
-    return 1 if frame_bytes < THREAD_MIN_FRAME_BYTES else _workers(units)
 
 
 def merge_scene(

@@ -133,11 +133,11 @@ def compress(
     is already validated, into float64 work buffers that the merge
     allocates once per call and worker, and each merged map is written
     into the float32 output; no batch of scenes is gathered, so memory
-    does not grow with cfg.scenes_k. The scenes merge on as many workers
-    as the process has CPUs when numpy's BLAS is held to one thread
-    (``OPENBLAS_NUM_THREADS=1``) and frames are large, else on the calling
-    thread alone; the output is the same either way, and ``taskset -c 0``
-    holds a run to one CPU (see :func:`merge.merge_scenes`).
+    does not grow with cfg.scenes_k. The scenes merge on the W workers of
+    ``errors._run_units``: every CPU when numpy's BLAS is held to one
+    thread (``OPENBLAS_NUM_THREADS=1``) and frames are large, else the
+    calling thread; the output is the same either way, and ``taskset -c
+    0`` holds a run to one CPU (see :func:`merge.merge_scenes`).
 
     *weights* are the fusion weights, of shape (supplements_r + 1,
     n_patches, dim); they are rejected with any other cfg.merging.

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import errors
 from .errors import (ParameterError, _check_array, _check_count, _check_real, _check_seed,
-                     _run_units, _workers)
+                     _run_units)
 from .features import FrameFeatures
 
 SUPPLEMENT_MODES = ("similar", "dissimilar")
@@ -87,20 +87,22 @@ class SceneSet:
 
 @dataclass(frozen=True, eq=False)
 class Clustering:
-    """Result of Lloyd iterations: centers, assignments, and the objective."""
+    """Result of Lloyd iterations: centers, assignments, the objective, and
+    whether the last iteration moved every center by less than tol."""
 
     centers: np.ndarray
     assignments: np.ndarray
     inertia: float
     iterations_run: int
+    converged: bool = False
 
 
 def representative_features(features: FrameFeatures) -> np.ndarray:
     """Mean of each frame's patch tokens, shape (n_frames, dim), float64.
 
     The frames are averaged in units of ``errors.UNIT_BYTES`` (at least
-    one frame) on as many workers as ``errors._workers`` gives for the unit
-    count: one, and no thread, unless numpy's BLAS is held to one thread.
+    one frame) on the W workers that ``errors._run_units`` works out: one,
+    and no thread, unless numpy's BLAS is held to one thread.
     Each frame's mean is taken on its own, so the result does not depend on
     the units or the workers.
     """
@@ -110,7 +112,7 @@ def representative_features(features: FrameFeatures) -> np.ndarray:
     rows = max(1, errors.UNIT_BYTES // (n_patches * dim * data.itemsize))
     units = [(data[start:start + rows], out[start:start + rows])
              for start in range(0, n_frames, rows)]
-    _run_units([_frame_means] * _workers(len(units)), units)
+    _run_units(lambda: _frame_means, units)
     return out
 
 
@@ -343,7 +345,7 @@ def kmeans(
         n, m, iterations, converged, inertia, seed_rechecked, search_rechecked,
     )
     return Clustering(centers=centers, assignments=assign, inertia=inertia,
-                      iterations_run=iterations)
+                      iterations_run=iterations, converged=converged)
 
 
 def _distinct_representatives(reps: np.ndarray, centers: np.ndarray) -> list[int]:

@@ -264,7 +264,7 @@ def kmeans(reps, m, max_iters=100, tol=1e-6, seed=0):
     assign = d2.argmin(axis=1)
     inertia = float(d2[np.arange(n), assign].sum())
     return Clustering(centers=centers, assignments=assign, inertia=inertia,
-                      iterations_run=iterations)
+                      iterations_run=iterations, converged=bool(shift < tol))
 
 
 def representative_indices(reps, clustering):

@@ -160,15 +160,15 @@ def test_compress_weights_without_fusion_exit_2_before_reading(tmp_path, capsys,
 # No frame too small for threads, so that at one BLAS thread every compress
 # merges on as many workers as there are CPUs (one, and no thread, on a
 # 1-CPU box); the first line names that count. The probe runs at two unit
-# sizes: at 4 KiB every stage cuts units of one scene or a few frames of
-# both files, and reads small.fvt on two workers; at 128 KiB large.fvt's
-# 36 KiB frames are read on two workers too, and still merged a scene a unit.
+# sizes: at 4 KiB every stage cuts units of one scene or at most two frames
+# of both files; at 128 KiB large.fvt's 36 KiB frames are read three a unit
+# and still merged a scene a unit.
 _BLAS_PROBE = """
 import contextlib, hashlib, io, sys
 from framefuse import errors, merge
 from framefuse.cli import main
 errors.UNIT_BYTES, merge.THREAD_MIN_FRAME_BYTES = int(sys.argv[2]), 0
-print("workers", merge._merge_workers(8, 1))
+print("workers", errors._workers(8))
 out = sys.argv[1] + "/c.fvt"
 for path, frames in (("small.fvt", "48"), ("large.fvt", "96")):
     for select in ("uniform", "kmeans", "bsm"):

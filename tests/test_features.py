@@ -490,6 +490,70 @@ def test_unit_reader_resumes_short_reads(tmp_path, monkeypatch, set_workers):
             reference.read_frames(path, keep)[0].tobytes()
 
 
+def test_unit_reader_cuts_its_units_from_the_file_alone(tmp_path, monkeypatch, set_workers):
+    # units of 12 frames that skip at most 8, with UNIT_BYTES // W below
+    # READ_UNIT_BYTES for W = 2 and 3: a sampled load, a full load and a
+    # check cut the same units on any W
+    frame_bytes = 4 * 16 * 4
+    path = tmp_path / "f.fvt"
+    _write_raw(path, np.random.default_rng(13).standard_normal((60, 4, 16)))
+    monkeypatch.setattr(features, "READ_UNIT_BYTES", 8 * frame_bytes)
+    monkeypatch.setattr(errors, "UNIT_BYTES", 12 * frame_bytes)
+    cut = []
+    real_run_units = features._run_units
+
+    def spy(make_worker, units, *args, **kwargs):
+        # each unit's offset and pieces, a run of kept rows as its byte count
+        cut.append([(offset, [piece if isinstance(piece, int) else ("kept", len(piece))
+                              for piece in pieces]) for offset, pieces in units])
+        return real_run_units(make_worker, units, *args, **kwargs)
+    monkeypatch.setattr(features, "_run_units", spy)
+    runs = []
+    for workers in (1, 2, 3):
+        set_workers(workers)
+        cut.clear()
+        load_features(path, sample=7)
+        load_features(path)
+        features._check_file(path)
+        runs.append(list(cut))
+    # the check keeps no frame, and a unit of it skips up to 8
+    assert max(piece for _, pieces in runs[0][2] for piece in pieces) == 8 * frame_bytes
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_sampled_load_of_large_frames_reads_on_every_worker(tmp_path, monkeypatch, set_workers):
+    # 12 frames of 1.5 MiB, 4 kept: two frames fit in UNIT_BYTES, yet three
+    # readers share the units, each with a buffer of one skipped frame
+    import tracemalloc
+
+    frame_bytes = 384 * 1024 * 4
+    data = np.zeros((12, 384, 1024), dtype=np.float32)
+    data[:, 0, 0] = np.arange(12)
+    path = tmp_path / "big.fvt"
+    _write_raw(path, data)
+    readers = []
+    real_run_units = features._run_units
+
+    def spy(make_worker, units, *args, **kwargs):
+        def counted():
+            readers.append(None)
+            return make_worker()
+        return real_run_units(counted, units, *args, **kwargs)
+    monkeypatch.setattr(features, "_run_units", spy)
+    set_workers(3)
+    tracemalloc.start()
+    try:
+        loaded = load_features(path, sample=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.data.tobytes() == data[::3].tobytes()
+    assert len(readers) == 3
+    # the sample, and per reader a frame and its check mask, a quarter of a frame
+    bound = loaded.data.nbytes + 3 * (frame_bytes + frame_bytes // 4) + 2**18
+    assert peak < bound, f"peak {peak} bytes, bound {bound}"
+
+
 def test_load_and_representatives_under_contention(tmp_path, monkeypatch, set_workers):
     # more workers than CPUs, switching threads as often as the interpreter
     # allows, and units of a few frames: a worker that wrote another's rows
@@ -505,7 +569,7 @@ def test_load_and_representatives_under_contention(tmp_path, monkeypatch, set_wo
     keep = features.uniform_sample_indices(90, 37)
     want_data, want_ts = reference.read_frames(path, keep)
     monkeypatch.setattr(features, "READ_UNIT_BYTES", 96)  # one skipped frame
-    monkeypatch.setattr(errors, "UNIT_BYTES", 4 * 96)  # four frames, and room for 4 readers
+    monkeypatch.setattr(errors, "UNIT_BYTES", 4 * 96)  # four frames
     set_workers(4)
     before = threading.active_count()
     interval = sys.getswitchinterval()

@@ -425,8 +425,9 @@ def _assert_merge_memory_flat(monkeypatch, set_workers, strategy, workers):
     # buffers of that size, and attnpool's middle frames with their projections
     allowance = workers * (4 * scene_bytes + 2 * errors.UNIT_BYTES)
     rng = np.random.default_rng(34)
+    assert frame_bytes >= merge.THREAD_MIN_FRAME_BYTES
     for k in (8, 32):
-        assert merge._merge_workers(k // 4, frame_bytes) == workers
+        assert errors._workers(k // 4) == workers
         features = FrameFeatures(rng.standard_normal((k * s, n_patches, dim), dtype=np.float32))
         cfg = CompressConfig(k * s, k, s - 1, merging=strategy)
         tracemalloc.start()
@@ -451,7 +452,7 @@ def _merge_on(set_workers, workers, frames, members, strategy, weights, seed, ch
         mp.setattr(errors, "UNIT_BYTES", chunk_scenes * frame_bytes)
         mp.setattr(merge, "THREAD_MIN_FRAME_BYTES", 0)
         units = -(-len(members) // chunk_scenes)
-        assert merge._merge_workers(units, frame_bytes) == min(workers, units)
+        assert errors._workers(units) == min(workers, units)
         out = np.full((len(members), *frames.shape[1:]), np.nan)
         return merge.merge_scenes(frames, members, strategy, out, weights, seed)
 
@@ -514,11 +515,24 @@ def test_merge_workers_follow_the_blas_thread_variables(monkeypatch, set_workers
         monkeypatch.delenv(var, raising=False)
     for var, value in variables.items():
         monkeypatch.setenv(var, value)
-    frame_bytes = merge.THREAD_MIN_FRAME_BYTES
-    assert merge._merge_workers(8, frame_bytes) == workers
-    # capped at the unit count, and 1 for a frame too small for threads
-    assert merge._merge_workers(1, frame_bytes) == 1
-    assert merge._merge_workers(8, frame_bytes - 1) == 1
+    assert errors._workers(8) == workers
+    assert errors._workers(1) == 1  # capped at the unit count
+    # a merge of four one-scene units starts W - 1 threads, and none for a
+    # frame too small for threads
+    started = []
+
+    def start(thread, real_start=threading.Thread.start):
+        started.append(thread)
+        real_start(thread)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    monkeypatch.setattr(errors, "UNIT_BYTES", 1)
+    for n_patches, threads in ((32, workers - 1), (31, 0)):
+        frames = np.ones((4, n_patches, 1024), dtype=np.float32)
+        assert (n_patches * 1024 * 8 >= merge.THREAD_MIN_FRAME_BYTES) == (n_patches == 32)
+        out = merge.merge_scenes(frames, np.arange(4).reshape(4, 1), "tavg",
+                                 np.empty((4, n_patches, 1024)))
+        assert (out == 1.0).all() and len(started) == threads
+        started.clear()
 
 
 class _UnitFailure(Exception):

@@ -111,7 +111,7 @@ def _comparable(result):
         return result.tobytes()
     if isinstance(result, select.Clustering):
         return (result.centers.tobytes(), result.assignments.tobytes(), result.inertia,
-                result.iterations_run)
+                result.iterations_run, result.converged)
     if hasattr(result, "wq"):
         return result.wq.tobytes(), result.wk.tobytes()
     if isinstance(result, tuple):

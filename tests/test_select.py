@@ -395,6 +395,7 @@ def _assert_same_clustering(got, want):
     assert got.assignments.tobytes() == want.assignments.tobytes()
     assert got.inertia == want.inertia
     assert got.iterations_run == want.iterations_run
+    assert got.converged == want.converged
 
 
 @settings(max_examples=120, deadline=None)
@@ -597,14 +598,17 @@ def test_kmeans_debug_line_iterations_and_convergence(caplog):
     clustering, fields = _kmeans_debug_fields(caplog, reps, 6, seed=3)
     assert fields["iterations"] == str(clustering.iterations_run)
     assert clustering.iterations_run < 100 and fields["converged"] == "True"
+    assert clustering.converged is True
     caplog.clear()
     # tol 0 never stops early: the last step still moved a center
     clustering, fields = _kmeans_debug_fields(caplog, reps, 6, max_iters=1, tol=0.0, seed=3)
     assert fields["iterations"] == "1" and fields["converged"] == "False"
+    assert clustering.converged is False
     caplog.clear()
     # a run that converges on its last allowed step is reported as converged
     clustering, fields = _kmeans_debug_fields(caplog, np.ones((5, 2)), 1, max_iters=1, seed=3)
     assert clustering.iterations_run == 1 and fields["converged"] == "True"
+    assert clustering.converged is True
 
 
 def test_kmeans_debug_line_inertia(caplog):

@@ -2,9 +2,9 @@
 arrays among their parameters, the names the benchmark in ``perfbench/``
 looks up in the package and its modules, the README's Python API
 section, which names every export and whose example runs, the README's
-`module.NAME` citations, which resolve and name every size constant, and
-the one JSON reader and one file writer that every command goes
-through."""
+`module.NAME` citations, which resolve and name every size constant, the
+one JSON reader and one file writer that every command goes through, and
+the one runner that works out the workers of every stage."""
 
 import ast
 import dataclasses
@@ -249,4 +249,27 @@ def test_one_json_reader_and_one_file_writer():
             allowed = {id(node) for node in ast.walk(reader)}
         found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
                   if id(node) not in allowed and _reads_or_makes_files_itself(node)]
+    assert found == []
+
+
+
+def _works_out_workers(node) -> bool:
+    """Whether *node* imports threading or refers to errors._workers."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "threading" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "threading" or any(alias.name == "_workers" for alias in node.names)
+    return (isinstance(node, ast.Name) and node.id == "_workers"
+            or isinstance(node, ast.Attribute) and node.attr == "_workers")
+
+
+def test_only_errors_works_out_the_workers():
+    # errors._run_units works out W and starts every worker thread; a stage
+    # passes it a worker factory and its units
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name != "errors.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+                      if _works_out_workers(node)]
     assert found == []
