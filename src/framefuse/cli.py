@@ -29,9 +29,9 @@ from .features import (
     generate_synthetic,
     load_features,
     save_features,
+    uniform_sample_indices,
     _atomic_write,
-    _check_file,
-    _read_shape,
+    _read_checked,
 )
 from .merge import STRATEGIES
 from .pipeline import SELECTIONS, CompressConfig, _check_input_frames, bench, compress
@@ -116,15 +116,13 @@ def cmd_compress(args) -> int:
     if args.weights is not None and args.merge != "fusion":
         raise _UsageError(f"--merge {args.merge} does not use --weights")
     input_frames = args.k * (args.r + 1) if args.frames is None else args.frames
-    # Keep only the frames compress samples. A count outside the file's
-    # frames keeps none: the file is still read and checked, so that a
-    # corrupt file is reported before the config or the count is rejected.
-    n_frames = _read_shape(args.input)[0]
-    features = None
-    if 1 <= input_frames <= n_frames:
-        features = load_features(args.input, sample=input_frames)
-    else:
-        _check_file(args.input)
+    # One read of the file keeps only the frames compress samples. A count
+    # outside the file's frames keeps none, yet the file is still read and
+    # checked, so that a corrupt file is reported before the config or the
+    # count is rejected.
+    n_frames, features = _read_checked(
+        args.input,
+        lambda n: uniform_sample_indices(n, input_frames) if 1 <= input_frames <= n else ())
     cfg = CompressConfig(
         input_frames=input_frames,
         scenes_k=args.k,

@@ -158,13 +158,6 @@ def _read_header(fh, path: Path) -> tuple[int, int, int]:
     return dims
 
 
-def _read_shape(path: str | Path) -> tuple[int, int, int]:
-    """The (n_frames, n_patches, dim) of an FVT1 file, from its header alone."""
-    path = Path(path)
-    with open(path, "rb", buffering=0) as fh:
-        return _read_header(fh, path)
-
-
 def _preadv_exactly(fd: int, views: list, offset: int, path: Path, expected: int) -> None:
     # fill the byte views in order from the file's bytes at offset
     i = 0
@@ -288,13 +281,12 @@ def load_features(path: str | Path, sample: int | None = None) -> FrameFeatures:
     still read and checked: every value must be finite, and the sidecar's
     timestamps are checked over all frames before they are subset. The
     payload is read and checked in units of whole frames, on the W workers
-    that ``errors._run_units`` works out (one, and no thread, unless
-    numpy's BLAS is held to one thread). Kept frames go straight into the
-    result; skipped frames pass through one buffer per worker, each at
-    most ``READ_UNIT_BYTES`` or one frame, whichever is larger, so a
-    sampled load holds the kept frames plus W such buffers. The units, and
-    so the result, do not depend on W, and a failure is the first in file
-    order among the units read.
+    of ``errors._run_units`` (README "Workers"). Kept frames go straight
+    into the result; skipped frames pass through one buffer per worker,
+    each at most ``READ_UNIT_BYTES`` or one frame, whichever is larger, so
+    a sampled load holds the kept frames plus W such buffers. The units,
+    and so the result, do not depend on W, and a failure is the first in
+    file order among the units read.
 
     Raises:
         FormatError: bad magic, version, rank, or dims; truncated or
@@ -306,23 +298,17 @@ def load_features(path: str | Path, sample: int | None = None) -> FrameFeatures:
     """
     if sample is not None:
         sample = _check_count("sample count", sample)
+    return _read_checked(
+        path, lambda n: range(n) if sample is None else uniform_sample_indices(n, sample))[1]
+
+
+def _read_checked(path: str | Path, pick) -> tuple[int, FrameFeatures | None]:
+    """One read of an FVT1 file and its sidecar: the file's frame count,
+    and the frames ``pick(n_frames)`` keeps with their timestamps, or None
+    when it keeps none. Every value of a skipped frame is checked here,
+    and every kept one by FrameFeatures. The sidecar's timestamps are
+    checked over all frames before they are subset."""
     path = Path(path)
-    return FrameFeatures(*_read_checked(
-        path, lambda n: range(n) if sample is None else uniform_sample_indices(n, sample)))
-
-
-def _check_file(path: str | Path) -> None:
-    """Read and check an FVT1 file and its sidecar as :func:`load_features`
-    does, keeping no frame: memory stays within one read buffer per
-    worker."""
-    _read_checked(Path(path), lambda n: ())
-
-
-def _read_checked(path: Path, pick) -> tuple[np.ndarray, list[float] | None]:
-    """The frames ``pick(n_frames)`` keeps and their timestamps. Every value
-    of a skipped frame is checked here; a file whose frames are all kept is
-    left to FrameFeatures to check. The sidecar's timestamps are checked
-    over all frames before they are subset."""
     with open(path, "rb", buffering=0) as fh:
         dims = _read_header(fh, path)
         keep = pick(dims[0])
@@ -331,7 +317,7 @@ def _read_checked(path: Path, pick) -> tuple[np.ndarray, list[float] | None]:
     if timestamps is not None and len(keep) < dims[0]:
         timestamps = _checked_timestamps(timestamps, dims[0])
         timestamps = [timestamps[i] for i in keep]
-    return data, timestamps
+    return dims[0], FrameFeatures(data, timestamps) if len(keep) else None
 
 
 @dataclass(frozen=True)

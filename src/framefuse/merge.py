@@ -365,12 +365,10 @@ def merge_scenes(
     scenes of frames for ``bsm``, and a scene plus a unit's middle frames
     and their projections for ``attnpool``.
 
-    W is worked out, never set, by ``errors._run_units``, and is 1 for a
-    frame under THREAD_MIN_FRAME_BYTES of float64. So it is 1, and no
-    thread starts, unless numpy's BLAS is held to one thread, and
-    ``OPENBLAS_NUM_THREADS=1 taskset -c 0 ...`` holds a run to one CPU and
-    one worker. A failure in any unit is raised here, after every worker
-    has stopped: the first failure in unit order.
+    W is worked out, never set, by ``errors._run_units`` (README
+    "Workers"), and is 1 for a frame under THREAD_MIN_FRAME_BYTES of
+    float64. A failure in any unit is raised here, after every worker has
+    stopped: the first failure in unit order.
     """
     k, s = members.shape
     _, n_patches, dim = frames.shape

@@ -134,10 +134,8 @@ def compress(
     allocates once per call and worker, and each merged map is written
     into the float32 output; no batch of scenes is gathered, so memory
     does not grow with cfg.scenes_k. The scenes merge on the W workers of
-    ``errors._run_units``: every CPU when numpy's BLAS is held to one
-    thread (``OPENBLAS_NUM_THREADS=1``) and frames are large, else the
-    calling thread; the output is the same either way, and ``taskset -c
-    0`` holds a run to one CPU (see :func:`merge.merge_scenes`).
+    ``errors._run_units`` (README "Workers"), on one for small frames (see
+    :func:`merge.merge_scenes`), and the output does not depend on W.
 
     *weights* are the fusion weights, of shape (supplements_r + 1,
     n_patches, dim); they are rejected with any other cfg.merging.

@@ -101,8 +101,8 @@ def representative_features(features: FrameFeatures) -> np.ndarray:
     """Mean of each frame's patch tokens, shape (n_frames, dim), float64.
 
     The frames are averaged in units of ``errors.UNIT_BYTES`` (at least
-    one frame) on the W workers that ``errors._run_units`` works out: one,
-    and no thread, unless numpy's BLAS is held to one thread.
+    one frame) on the W workers that ``errors._run_units`` works out
+    (README "Workers").
     Each frame's mean is taken on its own, so the result does not depend on
     the units or the workers.
     """

@@ -527,6 +527,33 @@ def test_compress_more_frames_than_the_file_keeps_its_message(tmp_path, capsys):
     assert not (tmp_path / "c.fvt").exists()
 
 
+@pytest.mark.parametrize("frames, k, code, stderr", [
+    (24, 8, 0, ""),
+    (48, 16, 0, ""),  # every frame of the file
+    (49, 8, 1, "error: config wants 49 input frames but tensor has 48\n"),
+    (0, 8, 1, "error: input_frames must be >= 1, got 0\n"),
+], ids=["sample", "every frame", "past the file", "none"])
+def test_compress_reads_the_header_once(tmp_path, capsys, monkeypatch, frames, k, code, stderr):
+    # one read of the file decides which frames are kept, in range or not
+    from framefuse import features
+
+    src = tmp_path / "f.fvt"
+    run(gen_args(src, frames=48), capsys)
+    reads = []
+    real_read_header = features._read_header
+
+    def spy(*args):
+        reads.append(args)
+        return real_read_header(*args)
+    monkeypatch.setattr(features, "_read_header", spy)
+    out = tmp_path / "c.fvt"
+    got = run(["compress", str(src), "--k", str(k), "--r", "2", "--frames", str(frames),
+               "-o", str(out)], capsys)
+    assert (got[0], got[2]) == (code, stderr)
+    assert len(reads) == 1
+    assert out.exists() == (code == 0)
+
+
 @pytest.mark.parametrize("corrupt, message", [
     ("magic", "bad magic b'XXXX'"),
     ("nan_unsampled", "frame features contain non-finite values"),

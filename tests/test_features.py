@@ -405,10 +405,10 @@ def _keep(pattern, n, rng):
 
 
 def _read_as_loaded(path, keep):
-    # what load_features keeps, or what _check_file checks when it keeps no frame
+    # what load_features keeps, or None from a read that keeps no frame
     if not keep:
-        return features._check_file(path)
-    loaded = FrameFeatures(*features._read_checked(path, lambda n: keep))
+        return features._read_checked(path, lambda n: ())[1]
+    loaded = features._read_checked(path, lambda n: keep)[1]
     ts = loaded.frame_timestamps
     return loaded.data, None if ts is None else list(ts)
 
@@ -514,7 +514,7 @@ def test_unit_reader_cuts_its_units_from_the_file_alone(tmp_path, monkeypatch, s
         cut.clear()
         load_features(path, sample=7)
         load_features(path)
-        features._check_file(path)
+        features._read_checked(path, lambda n: ())
         runs.append(list(cut))
     # the check keeps no frame, and a unit of it skips up to 8
     assert max(piece for _, pieces in runs[0][2] for piece in pieces) == 8 * frame_bytes

@@ -273,3 +273,17 @@ def test_only_errors_works_out_the_workers():
             found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
                       if _works_out_workers(node)]
     assert found == []
+
+
+def test_only_errors_states_the_worker_rule():
+    # when W is 1 is said in errors._workers and README "Workers" alone;
+    # another docstring points there instead of restating it
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name != "errors.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            found += [f"{path.name}:{getattr(node, 'lineno', 1)}" for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                      and "BLAS" in (ast.get_docstring(node) or "")]
+    assert found == []
