@@ -22,6 +22,17 @@ import numpy as np
 # when they run, so that one name sets them all.
 UNIT_BYTES = 4 * 2**20
 
+# Bytes of work memory that one thread keeps in the CPU's 2 MiB L2 cache
+# from one numpy call to the next: a load unit's skipped frames, from the
+# read to the check (features._read_frames), and the float64 difference
+# block of the direct-form distances (select.pairwise_sqdist and
+# _own_sqdist). A 512-of-1,800 load of 16x1024 frames took 44-45 ms at
+# 512 KiB and 47-49 ms at 2 MiB; pairwise_sqdist at 512 x 48 x 1024 took
+# 50 ms at 512 KiB against 54 ms at 1 MiB, and once 58 ms at 1 MiB against
+# 152 ms for the whole 192 MiB temporary. Read as errors.CACHE_BYTES when
+# they run, like UNIT_BYTES.
+CACHE_BYTES = 2**19
+
 # The variables numpy's OpenBLAS takes its thread count from, in the order
 # it reads them: the first set to a positive count wins.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -62,7 +73,7 @@ def _check_seed(seed) -> int:
     """The one rule for every seed that builds a random generator: a
     non-negative integer. numpy integers pass and come back as int; bools
     and floats do not."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, numbers.Integral)) or seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)
 
@@ -70,7 +81,7 @@ def _check_seed(seed) -> int:
 def _check_count(name: str, value, minimum: int | None = None) -> int:
     """The one rule for every count: an integer, at or above *minimum* when
     given. numpy integers pass and come back as int; bools and floats do not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ParameterError(f"{name} must be >= {minimum}, got {value}")
@@ -81,7 +92,7 @@ def _check_real(name: str, value, minimum: float, strict: bool = False) -> float
     """The one rule for every real number: finite and at or above *minimum*,
     or above it when *strict*. numpy scalars pass and come back as float;
     bools and strings do not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if isinstance(value, bool) or not isinstance(value, (int, float, numbers.Real)):
         raise ParameterError(f"{name} must be a number, got {value!r}")
     try:
         real = float(value)

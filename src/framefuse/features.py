@@ -24,16 +24,9 @@ from .errors import (FormatError, ParameterError, _check_array, _check_count, _c
 MAGIC = b"FVT1"
 FORMAT_VERSION = 1
 
-# magic (4 bytes), version (1 byte), rank (uint32-LE); dims follow as uint32-LE.
-_HEADER = struct.Struct("<4sBI")
-_DIM = struct.Struct("<I")
-HEADER_SIZE = _HEADER.size + 3 * _DIM.size
-
-# Bytes of skipped frames in one unit of a load (at least one frame). A
-# unit this small keeps them in the CPU's L2 cache from the read to the
-# check: a 512-of-1,800 load of 16x1024 frames took 44-45 ms with units of
-# 512 KiB and 47-49 ms with units of 2 MiB, on one worker.
-READ_UNIT_BYTES = 2**19
+# magic (4 bytes), version (1 byte), rank (uint32-LE), three dims (uint32-LE).
+_HEADER = struct.Struct("<4sBI3I")
+HEADER_SIZE = _HEADER.size
 
 # The most buffers that one os.preadv takes, and so the most frames of a unit.
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
@@ -113,13 +106,12 @@ def save_features(features: FrameFeatures, path: str | Path) -> None:
     leaves frames without timestamps, never with another tensor's.
     """
     path = Path(path)
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, 3)
-    dims = b"".join(_DIM.pack(d) for d in features.data.shape)
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, 3, *features.data.shape)
     # the array's own memory on a little-endian host, not a copy of it
     payload = np.ascontiguousarray(features.data, dtype="<f4")
     meta = _meta_path(path)
     meta.unlink(missing_ok=True)
-    _atomic_write(path, (header, dims, payload.data.cast("B")))
+    _atomic_write(path, (header, payload.data.cast("B")))
     if features.frame_timestamps is not None:
         doc = {"frame_timestamps": list(features.frame_timestamps)}
         _atomic_write(meta, [(json.dumps(doc, sort_keys=True) + "\n").encode()])
@@ -138,14 +130,13 @@ def _read_header(fh, path: Path) -> tuple[int, int, int]:
     head = fh.read(HEADER_SIZE)
     if len(head) < HEADER_SIZE:
         raise FormatError(f"{path}: truncated header ({len(head)} of {HEADER_SIZE} bytes)")
-    magic, version, rank = _HEADER.unpack_from(head, 0)
+    magic, version, rank, *dims = _HEADER.unpack(head)
     if magic != MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported version {version}, expected {FORMAT_VERSION}")
     if rank != 3:
         raise FormatError(f"{path}: bad rank {rank}, expected 3")
-    dims = tuple(_DIM.unpack_from(head, _HEADER.size + i * _DIM.size)[0] for i in range(3))
     for name, d in zip(("n_frames", "n_patches", "dim"), dims):
         if d < 1:
             raise FormatError(f"{path}: invalid {name} {d}, must be >= 1")
@@ -155,7 +146,7 @@ def _read_header(fh, path: Path) -> tuple[int, int, int]:
         raise FormatError(f"{path}: truncated payload, expected {expected} bytes, got {got}")
     if got > expected:
         raise FormatError(f"{path}: {got - expected} trailing bytes after payload")
-    return dims
+    return tuple(dims)
 
 
 def _preadv_exactly(fd: int, views: list, offset: int, path: Path, expected: int) -> None:
@@ -184,17 +175,17 @@ def _read_frames(fh, path: Path, dims: tuple[int, int, int], keep) -> np.ndarray
     the result and its skipped frames, packed, into the worker's own
     buffer, then checks that buffer in one call, with a mask of a quarter
     of its bytes. The units are cut from the file alone: a unit skips at
-    most as many frames as fit in READ_UNIT_BYTES (at least one), and a
-    buffer holds that many. ``errors._run_units`` shares the units among
-    its W workers, so the buffers hold at most W times READ_UNIT_BYTES, or
-    W frames if a frame is larger. The first failure in unit order is
-    raised."""
+    most as many frames as fit in ``errors.CACHE_BYTES`` (at least one),
+    so that they are still in L2 when they are checked, and a buffer holds
+    that many. ``errors._run_units`` shares the units among its W workers,
+    so the buffers hold at most W times CACHE_BYTES, or W frames if a frame
+    is larger. The first failure in unit order is raised."""
     n_frames, n_patches, dim = dims
     frame_bytes = n_patches * dim * 4
     expected = n_frames * frame_bytes
     data = np.empty((len(keep), n_patches, dim), dtype="<f4")
     out = memoryview(data.reshape(-1).view(np.uint8))
-    unit_skips = max(1, READ_UNIT_BYTES // frame_bytes)
+    unit_skips = max(1, errors.CACHE_BYTES // frame_bytes)
     unit_frames = max(1, min(_IOV_MAX, errors.UNIT_BYTES // frame_bytes))
     # each unit: its payload offset and its pieces, in file order: a byte
     # count of skipped frames, or a view of the rows of a run of kept frames
@@ -283,10 +274,10 @@ def load_features(path: str | Path, sample: int | None = None) -> FrameFeatures:
     payload is read and checked in units of whole frames, on the W workers
     of ``errors._run_units`` (README "Workers"). Kept frames go straight
     into the result; skipped frames pass through one buffer per worker,
-    each at most ``READ_UNIT_BYTES`` or one frame, whichever is larger, so
-    a sampled load holds the kept frames plus W such buffers. The units,
-    and so the result, do not depend on W, and a failure is the first in
-    file order among the units read.
+    each at most ``errors.CACHE_BYTES`` (the L2 block) or one frame,
+    whichever is larger, so a sampled load holds the kept frames plus W
+    such buffers. The units, and so the result, do not depend on W, and a
+    failure is the first in file order among the units read.
 
     Raises:
         FormatError: bad magic, version, rank, or dims; truncated or

@@ -120,25 +120,19 @@ def _frame_means(frames: np.ndarray, out: np.ndarray) -> None:
     np.mean(frames, axis=1, dtype=np.float64, out=out)
 
 
-# Bytes of the (rows, m, dim) float64 difference block that pairwise_sqdist
-# works on at a time (at least one row). Small blocks stay in the CPU cache:
-# at 512 x 48 x 1024, 1 MiB blocks took 58 ms, 16 MiB blocks 120 ms and the
-# whole 192 MiB temporary 152 ms.
-SQDIST_CHUNK_BYTES = 2**20
-
-
 def pairwise_sqdist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """(n, m) squared Euclidean distances between float64 rows.
 
     Uses the direct form sum((p - c)**2), which cannot round below zero,
-    a block of rows at a time so that its temporary stays within
-    SQDIST_CHUNK_BYTES however large n, m and dim grow. Each row's result
-    does not depend on the blocking.
+    a block of rows at a time so that its (rows, m, dim) temporary, at
+    least one row, stays within the L2 block ``errors.CACHE_BYTES``
+    however large n, m and dim grow. Each row's result does not depend on
+    the blocking.
     """
     n, dim = points.shape
     m = centers.shape[0]
     out = np.empty((n, m))
-    rows = max(1, SQDIST_CHUNK_BYTES // (m * dim * 8))
+    rows = max(1, errors.CACHE_BYTES // (m * dim * 8))
     for start in range(0, n, rows):
         diff = points[start:start + rows, None, :] - centers[None, :, :]
         np.square(diff, out=diff)
@@ -216,7 +210,7 @@ def _own_sqdist(points: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> 
     # rows at a time like pairwise_sqdist
     n, dim = points.shape
     own_d2 = np.empty(n)
-    step = max(1, SQDIST_CHUNK_BYTES // (dim * 8))
+    step = max(1, errors.CACHE_BYTES // (dim * 8))
     for start in range(0, n, step):
         diff = points[start:start + step] - centers[assign[start:start + step]]
         np.square(diff, out=diff)

@@ -14,9 +14,11 @@ plain FVT1 reader is the oracle for the unit reader of sampled loads. The
 caption section keeps the clip-by-clip packer and record builder: every
 clip an (id, duration_s, caption) tuple, every record a dict of the
 written schema, every boundary labelled by arithmetic, and every
-instruction and segment validated.
+instruction and segment validated. The summary of ``synth --stats`` is
+binned by README's rule, not by the library's loop.
 """
 
+import bisect
 import json
 import logging
 import math
@@ -35,7 +37,7 @@ from framefuse import (
     select_scenes_bsm,
     select_scenes_kmeans,
 )
-from framefuse.captions import MAX_DURATION_S, MIN_DURATION_S, _summarize
+from framefuse.captions import MAX_DURATION_S, MIN_DURATION_S
 from framefuse.features import uniform_sample_indices
 from framefuse.pipeline import group_uniform_scenes
 
@@ -440,8 +442,33 @@ def dataset_stats(records):
     """The summary of record dicts, each word count taken by str.split()."""
     if not records:
         raise ParameterError("no records produced; nothing to summarize")
-    return _summarize([r["total_duration_s"] for r in records],
-                      [len(r["merged_caption"].split()) for r in records])
+    return summarize([r["total_duration_s"] for r in records],
+                     [len(r["merged_caption"].split()) for r in records])
+
+
+def summarize(durations, words):
+    """The summary by README's rule: 25 bins of 60 s from 300 to 1,800 s,
+    and bins of 200 words from 0 up to the first multiple of 200 at or
+    above the largest count (one bin when it is 0). A value counts in the
+    bin with lo <= value < hi; one equal to the last bin's hi counts in it."""
+    edges = range(300, 1801, 60)
+    duration_counts = [0] * 25
+    for d in durations:
+        if 300 <= d <= 1800:
+            duration_counts[min(24, bisect.bisect_right(edges, d) - 1)] += 1
+    n_bins = max(1, math.ceil(max(words) / 200))
+    word_counts = [0] * n_bins
+    for w in words:
+        word_counts[min(n_bins - 1, w // 200)] += 1
+    return {
+        "count": len(durations),
+        "mean_duration_s": sum(durations) / len(durations),
+        "mean_caption_words": sum(words) / len(words),
+        "duration_hist": [{"lo": float(lo), "hi": float(lo + 60), "count": count}
+                          for lo, count in zip(edges, duration_counts)],
+        "caption_words_hist": [{"lo": 200 * b, "hi": 200 * (b + 1), "count": count}
+                               for b, count in enumerate(word_counts)],
+    }
 
 
 def clip_pool(manifest_entries):

@@ -24,6 +24,7 @@ from framefuse import (
 from framefuse.captions import (
     LongVideoRecord,
     _records_json_parts,
+    _summarize,
     _word_count,
     build_record,
     format_mmss,
@@ -202,6 +203,34 @@ def test_dataset_stats_conservation():
     assert sum(b["count"] for b in stats["caption_words_hist"]) == len(records)
     assert 300 <= stats["mean_duration_s"] <= 1800
     assert stats["count"] == len(records)
+
+
+@pytest.mark.parametrize("durations, caption_words, duration_bin, word_bins", [
+    ([300.0], [1], 0, [(0, 200, 1)]),  # a record of exactly 300 s: the first bin
+    ([900.0, 900.0], [1, 1], 24, [(0, 200, 1)]),  # exactly 1,800 s: the last bin, closed
+    # 3 + 197 words: on the edge between two bins, below the top of 250
+    ([1000.0, 1000.0], [197, 247], 11, [(0, 200, 0), (200, 400, 2)]),
+    # 3 + 397 words: equal to the top, in the last bin, closed
+    ([1000.0, 1000.0], [397, 97], 11, [(0, 200, 1), (200, 400, 1)]),
+], ids=["300s", "1800s", "word-edge", "word-top"])
+def test_dataset_stats_bins_by_the_readme_rule(durations, caption_words, duration_bin,
+                                               word_bins):
+    ids = [f"c{i}" for i in range(len(durations))]
+    captions = [" ".join(["w"] * n) for n in caption_words]
+    stats = dataset_stats(ids, durations, captions)
+    records = reference.pack_clips(list(zip(ids, durations, captions)))
+    assert stats == reference.dataset_stats(records)
+    counts = [b["count"] for b in stats["duration_hist"]]
+    assert counts == [len(records) if i == duration_bin else 0 for i in range(25)]
+    assert [(b["lo"], b["hi"], b["count"]) for b in stats["caption_words_hist"]] == word_bins
+
+
+def test_dataset_stats_top_of_zero_words():
+    # no record has fewer than 3 words, so only the summary can see a top of 0
+    stats = _summarize([600.0, 1800.0], [0, 0])
+    assert stats == reference.summarize([600.0, 1800.0], [0, 0])
+    assert stats["caption_words_hist"] == [{"lo": 0, "hi": 200, "count": 2}]
+    assert [b["count"] for b in stats["duration_hist"]][5::19] == [1, 1]
 
 
 def test_dataset_stats_empty():

@@ -3,6 +3,7 @@
 import json
 import os
 import stat
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -299,8 +300,8 @@ def test_kmeans_recovers_planted_partition():
 def _write_raw(path, data, timestamps=None):
     """An FVT1 file with *data* as written, non-finite values included."""
     data = np.ascontiguousarray(data, dtype="<f4")
-    path.write_bytes(features._HEADER.pack(features.MAGIC, features.FORMAT_VERSION, 3)
-                     + b"".join(features._DIM.pack(d) for d in data.shape) + data.tobytes())
+    header = features._HEADER.pack(features.MAGIC, features.FORMAT_VERSION, 3, *data.shape)
+    path.write_bytes(header + data.tobytes())
     if timestamps is not None:
         (path.parent / (path.name + ".meta.json")).write_text(
             json.dumps({"frame_timestamps": timestamps}))
@@ -447,7 +448,7 @@ def test_unit_reader_matches_the_plain_reader(tmp_path, monkeypatch, set_workers
     keep = _keep(pattern, n_frames, rng)
     # unit and buffer sizes that whole frames do not fill, unless spare is 0
     frame_bytes = n_patches * dim * 4
-    monkeypatch.setattr(features, "READ_UNIT_BYTES", unit_frames * frame_bytes + spare)
+    monkeypatch.setattr(errors, "CACHE_BYTES", unit_frames * frame_bytes + spare)
     monkeypatch.setattr(errors, "UNIT_BYTES", chunk_frames * frame_bytes + spare)
     try:
         want = reference.read_frames(path, keep)
@@ -482,7 +483,7 @@ def test_unit_reader_resumes_short_reads(tmp_path, monkeypatch, set_workers):
         return real_preadv(fd, [views[0][:max(1, len(views[0]) // 2)]], offset)
 
     monkeypatch.setattr(os, "preadv", short_preadv)
-    monkeypatch.setattr(features, "READ_UNIT_BYTES", 3 * 96 + 5)
+    monkeypatch.setattr(errors, "CACHE_BYTES", 3 * 96 + 5)
     keep = features.uniform_sample_indices(40, 13)
     for workers in (1, 2, 3):
         set_workers(workers)
@@ -492,12 +493,12 @@ def test_unit_reader_resumes_short_reads(tmp_path, monkeypatch, set_workers):
 
 def test_unit_reader_cuts_its_units_from_the_file_alone(tmp_path, monkeypatch, set_workers):
     # units of 12 frames that skip at most 8, with UNIT_BYTES // W below
-    # READ_UNIT_BYTES for W = 2 and 3: a sampled load, a full load and a
+    # CACHE_BYTES for W = 2 and 3: a sampled load, a full load and a
     # check cut the same units on any W
     frame_bytes = 4 * 16 * 4
     path = tmp_path / "f.fvt"
     _write_raw(path, np.random.default_rng(13).standard_normal((60, 4, 16)))
-    monkeypatch.setattr(features, "READ_UNIT_BYTES", 8 * frame_bytes)
+    monkeypatch.setattr(errors, "CACHE_BYTES", 8 * frame_bytes)
     monkeypatch.setattr(errors, "UNIT_BYTES", 12 * frame_bytes)
     cut = []
     real_run_units = features._run_units
@@ -568,7 +569,7 @@ def test_load_and_representatives_under_contention(tmp_path, monkeypatch, set_wo
     _write_raw(path, data, [0.25 * i for i in range(90)])
     keep = features.uniform_sample_indices(90, 37)
     want_data, want_ts = reference.read_frames(path, keep)
-    monkeypatch.setattr(features, "READ_UNIT_BYTES", 96)  # one skipped frame
+    monkeypatch.setattr(errors, "CACHE_BYTES", 96)  # one skipped frame
     monkeypatch.setattr(errors, "UNIT_BYTES", 4 * 96)  # four frames
     set_workers(4)
     before = threading.active_count()
@@ -593,7 +594,7 @@ _UNIT_FRAME_BYTES = 64
 
 
 def _units_of_one_skipped_frame(monkeypatch):
-    monkeypatch.setattr(features, "READ_UNIT_BYTES", _UNIT_FRAME_BYTES)
+    monkeypatch.setattr(errors, "CACHE_BYTES", _UNIT_FRAME_BYTES)
     monkeypatch.setattr(errors, "UNIT_BYTES", 4 * _UNIT_FRAME_BYTES)
 
 
@@ -603,7 +604,7 @@ def test_unit_reader_checks_every_skipped_run_of_a_unit(tmp_path, monkeypatch, s
                                                         workers, bad):
     # every other frame kept and units of two skipped frames: each unit holds
     # two runs of skipped frames, packed one after the other in the buffer
-    monkeypatch.setattr(features, "READ_UNIT_BYTES", 2 * _UNIT_FRAME_BYTES)
+    monkeypatch.setattr(errors, "CACHE_BYTES", 2 * _UNIT_FRAME_BYTES)
     set_workers(workers)
     path = tmp_path / "f.fvt"
     for frame in range(1, 12, 2):
@@ -767,6 +768,9 @@ def test_frame_features_timestamps_must_be_numbers():
     f = FrameFeatures(data, (np.float32(0.5), np.float64(1.5), np.int64(2)))
     assert f.frame_timestamps == (0.5, 1.5, 2.0)
     assert all(type(t) is float for t in f.frame_timestamps)
+    # a real number that is neither int nor float passes through numbers.Real alone
+    g = FrameFeatures(data, (0, Fraction(1, 2), 2.5))
+    assert g.frame_timestamps == (0.0, 0.5, 2.5) and type(g.frame_timestamps[1]) is float
 
 
 # -- the write side -------------------------------------------------------------

@@ -17,7 +17,7 @@ from framefuse import (
     select_scenes_bsm,
     select_scenes_kmeans,
 )
-from framefuse import select
+from framefuse import errors, select
 from framefuse.select import Scene, nearest_centers, pairwise_sqdist, select_supplements
 
 
@@ -308,14 +308,17 @@ def test_pairwise_sqdist_equals_direct_form():
         centers = rng.standard_normal((m, dim))
         want = sqdist(points, centers)
         assert pairwise_sqdist(points, centers).tobytes() == want.tobytes()
-        # blocks of one row and blocks that do not divide n
+        # blocks of one row and blocks that do not divide n; the own
+        # distances of nearest_centers take blocks of block_rows * m rows
         for block_rows in (1, 3):
-            saved = select.SQDIST_CHUNK_BYTES
-            select.SQDIST_CHUNK_BYTES = block_rows * m * dim * 8
+            saved = errors.CACHE_BYTES
+            errors.CACHE_BYTES = block_rows * m * dim * 8
             try:
                 assert pairwise_sqdist(points, centers).tobytes() == want.tobytes()
+                assign, own_d2 = nearest_centers(points, centers)
+                assert own_d2.tobytes() == want[np.arange(n), assign].tobytes()
             finally:
-                select.SQDIST_CHUNK_BYTES = saved
+                errors.CACHE_BYTES = saved
 
 
 def test_pairwise_sqdist_memory_bounded():

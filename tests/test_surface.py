@@ -3,8 +3,9 @@ arrays among their parameters, the names the benchmark in ``perfbench/``
 looks up in the package and its modules, the README's Python API
 section, which names every export and whose example runs, the README's
 `module.NAME` citations, which resolve and name every size constant, the
-one JSON reader and one file writer that every command goes through, and
-the one runner that works out the workers of every stage."""
+three size constants themselves, the one JSON reader and one file writer
+that every command goes through, and the one runner that works out the
+workers of every stage."""
 
 import ast
 import dataclasses
@@ -192,17 +193,30 @@ def test_readme_citations_resolve():
     assert missing == []
 
 
-def test_readme_cites_every_size_constant():
-    # a public module-level *_BYTES or *_VALUES constant sizes memory or
-    # work, so README names it; with the first test, a deleted one cannot linger
+def _size_constants():
+    """(module, NAME) of each public module-level *_BYTES or *_VALUES
+    constant of the package: each sizes memory or work."""
     constants = set()
     for path in SOURCE.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
             targets = node.targets if isinstance(node, ast.Assign) else []
             constants |= {(path.stem, t.id) for t in targets if isinstance(t, ast.Name)
                           and re.fullmatch(r"[A-Z][A-Z0-9_]*_(BYTES|VALUES)", t.id)}
+    return constants
+
+
+def test_readme_cites_every_size_constant():
+    # README names every size constant; with the first test, a deleted one cannot linger
+    constants = _size_constants()
     assert constants
     assert sorted(constants - _readme_citations()) == []
+
+
+def test_one_size_constant_a_concept():
+    # a unit of work shared among workers, a block of work memory kept in
+    # L2, and the frame size below which a merge stays on one worker
+    assert {c for c in _size_constants() if c[1].endswith("_BYTES")} == {
+        ("errors", "UNIT_BYTES"), ("errors", "CACHE_BYTES"), ("merge", "THREAD_MIN_FRAME_BYTES")}
 
 
 def test_readme_python_api_example_runs(tmp_path, monkeypatch, capsys):
