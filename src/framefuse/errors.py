@@ -3,15 +3,16 @@ public entry checks its seeds, counts, real numbers and real arrays by, the
 one reader of JSON input files, and the one runner that shares units of
 work among worker threads."""
 
+import ctypes
 import json
 import math
 import numbers
 import os
-import re
 import threading
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # Bytes of one unit of work of every stage that shares units among workers
 # (_run_units): a finiteness check, a load, the representative averages and
@@ -33,13 +34,13 @@ UNIT_BYTES = 4 * 2**20
 # they run, like UNIT_BYTES.
 CACHE_BYTES = 2**19
 
-# The variables numpy's OpenBLAS takes its thread count from, in the order
-# it reads them: the first set to a positive count wins.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-# The count OpenBLAS reads from a variable with C atoi: ASCII whitespace,
-# an optional sign, then ASCII digits; anything else reads as 0.
-_BLAS_COUNT = re.compile(r"[ \t\n\v\f\r]*([+-]?[0-9]+)")
+# The thread-count getter of numpy's bundled OpenBLAS (numpy 2 wheels, then
+# numpy 1.x wheels), looked up once among the libraries that numpy's linalg
+# extension links; None under another BLAS. A call reads the count as it is
+# now: set by a variable before numpy loaded OpenBLAS, or by its setter since.
+_linalg = ctypes.CDLL(_umath_linalg.__file__)
+_blas_threads = (getattr(_linalg, "scipy_openblas_get_num_threads64_", None)
+                 or getattr(_linalg, "openblas_get_num_threads64_", None))
 
 
 class FrameFuseError(Exception):
@@ -106,21 +107,15 @@ def _check_real(name: str, value, minimum: float, strict: bool = False) -> float
 
 def _workers(units: int) -> int:
     """How many workers share *units* units of work. It is 1, and no
-    thread starts, unless numpy's BLAS is held to one thread (the first of
-    BLAS_THREAD_VARS set to a positive count is 1, read as OpenBLAS reads
-    them); then it is the number of CPUs this process may run on, at most
-    *units*. A multi-threaded BLAS keeps its idle threads spinning on the
-    other CPUs, so workers there would only slow it down."""
-    if units < 2:
+    thread starts, unless numpy's OpenBLAS runs one thread (its own count,
+    read now, is 1); then it is the number of CPUs this process may run on,
+    at most *units*. A multi-threaded BLAS keeps its idle threads spinning
+    on the other CPUs, so workers there would only slow it down; another
+    BLAS, whose count is not read, runs one worker."""
+    if (units < 2 or _blas_threads is None or _blas_threads() != 1
+            or not hasattr(os, "sched_getaffinity")):
         return 1
-    for var in BLAS_THREAD_VARS:
-        match = _BLAS_COUNT.match(os.environ.get(var, ""))
-        threads = int(match[1]) if match else 0
-        if threads > 0:
-            if threads > 1 or not hasattr(os, "sched_getaffinity"):
-                return 1
-            return min(units, len(os.sched_getaffinity(0)))
-    return 1
+    return min(units, len(os.sched_getaffinity(0)))
 
 
 def _run_units(make_worker, units: list, parallel: bool = True) -> list:

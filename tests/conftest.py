@@ -5,25 +5,34 @@ import os
 import numpy as np
 import pytest
 
-from framefuse import FrameFeatures
-from framefuse.errors import BLAS_THREAD_VARS
+from framefuse import FrameFeatures, errors
 from framefuse.features import _block_offset
+
+# numpy's OpenBLAS's own thread-count getter, kept before any test fakes it
+_REAL_BLAS_THREADS = errors._blas_threads
+
+
+@pytest.fixture(autouse=True)
+def blas_threads_kept():
+    """Fails a test that leaves OpenBLAS's real thread count other than it
+    found it: the count is process-wide and sets W for every later test."""
+    def count():
+        return _REAL_BLAS_THREADS and _REAL_BLAS_THREADS()
+    before = count()
+    yield
+    assert count() == before, "the test changed numpy's BLAS thread count"
 
 
 @pytest.fixture
 def set_workers(monkeypatch):
     """A function that sets W, the worker count of every stage that shares
-    units of work among threads, through the worker rule itself: for one
-    worker no BLAS thread variable is set; for more, OPENBLAS_NUM_THREADS
-    is 1 and os.sched_getaffinity reports that many CPUs. Each call
-    replaces the last, and the test's end undoes them all."""
+    units of work among threads, through the worker rule itself: the BLAS's
+    thread count reads 1 and os.sched_getaffinity reports *workers* CPUs.
+    Each call replaces the last, and the test's end undoes them all."""
     def set_to(workers):
-        for var in BLAS_THREAD_VARS:
-            monkeypatch.delenv(var, raising=False)
-        if workers > 1:
-            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
-                                raising=False)
+        monkeypatch.setattr(errors, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
+                            raising=False)
     return set_to
 
 

@@ -162,11 +162,15 @@ def test_compress_weights_without_fusion_exit_2_before_reading(tmp_path, capsys,
 # 1-CPU box); the first line names that count. The probe runs at two unit
 # sizes: at 4 KiB every stage cuts units of one scene or at most two frames
 # of both files; at 128 KiB large.fvt's 36 KiB frames are read three a unit
-# and still merged a scene a unit.
+# and still merged a scene a unit. Its third argument is the BLAS threads the
+# variables set, or "set": then it sets one through OpenBLAS's own setter.
 _BLAS_PROBE = """
 import contextlib, hashlib, io, sys
 from framefuse import errors, merge
 from framefuse.cli import main
+if sys.argv[3] == "set":
+    (getattr(errors._linalg, "scipy_openblas_set_num_threads64_", None)
+     or errors._linalg.openblas_set_num_threads64_)(1)
 errors.UNIT_BYTES, merge.THREAD_MIN_FRAME_BYTES = int(sys.argv[2]), 0
 print("workers", errors._workers(8))
 out = sys.argv[1] + "/c.fvt"
@@ -190,18 +194,23 @@ def test_compress_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
     src = str(Path(__file__).resolve().parents[1] / "src")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    # one BLAS thread by the variables, two, and one set at run time with no
+    # variable set
+    for threads in ("1", "2", "set"):
+        env = {var: value for var, value in os.environ.items()
+               if var not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        if threads != "set":
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         for unit_bytes in (2**12, 2**17):
             proc = subprocess.run([sys.executable, "-c", _BLAS_PROBE, str(tmp_path),
-                                   str(unit_bytes)], env=env, capture_output=True, text=True,
-                                  timeout=300)
+                                   str(unit_bytes), threads], env=env, capture_output=True,
+                                  text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
             workers, *lines = proc.stdout.splitlines()
-            assert workers == f"workers {min(8, cpus) if threads == '1' else 1}"
+            assert workers == f"workers {1 if threads == '2' else min(8, cpus)}"
             digests.append(lines)
-    assert len(digests[0]) == 24
+    assert len(digests) == 6 and len(digests[0]) == 24
     assert all(lines == digests[0] for lines in digests)
 
 

@@ -5,11 +5,14 @@ regroups its scores as q.(wq.wk^T).x^T, which rounds differently, so it
 must match within ATTNPOOL_TOL."""
 
 import gc
+import os
 import re
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +29,6 @@ from framefuse import (
     merge_scene,
 )
 from framefuse import errors, merge
-from framefuse.errors import BLAS_THREAD_VARS
 from framefuse.merge import STRATEGIES
 from framefuse.pipeline import SELECTIONS
 
@@ -493,28 +495,16 @@ def test_merge_scenes_bytes_do_not_depend_on_workers(set_workers, seed, k, s, sp
             assert got.tobytes() == want.tobytes(), (strategy, attn_seed, workers)
 
 
-@pytest.mark.parametrize("variables, workers", [
-    ({}, 1),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 2),
-    ({"GOTO_NUM_THREADS": "1"}, 2),
-    ({"OMP_NUM_THREADS": "1"}, 2),
-    ({"OPENBLAS_NUM_THREADS": "2"}, 1),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
-    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),
-    ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
-    ({"OMP_NUM_THREADS": "many"}, 1),
-    # read as OpenBLAS reads them, with C atoi: ASCII whitespace, a sign,
-    # ASCII digits, and 0 for anything else
-    *(({"OPENBLAS_NUM_THREADS": value}, 2) for value in ("1.5", "+1", "1abc", " 1", "01")),
-    *(({"OPENBLAS_NUM_THREADS": value}, 1) for value in ("\u00b2", "\u0661", "0", "-1")),
+@pytest.mark.parametrize("blas_threads, cpus, workers", [
+    (1, 2, 2),
+    (1, 16, 8),  # capped at the unit count
+    (2, 2, 1),
+    (None, 2, 1),  # another BLAS: no getter
+    (1, 1, 1),
 ])
-def test_merge_workers_follow_the_blas_thread_variables(monkeypatch, set_workers, variables,
-                                                        workers):
-    set_workers(2)  # two CPUs to run on; then only this case's variables are set
-    for var in BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    for var, value in variables.items():
-        monkeypatch.setenv(var, value)
+def test_merge_workers_follow_the_blas_thread_count(monkeypatch, blas_threads, cpus, workers):
+    monkeypatch.setattr(errors, "_blas_threads", blas_threads and (lambda: blas_threads))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     assert errors._workers(8) == workers
     assert errors._workers(1) == 1  # capped at the unit count
     # a merge of four one-scene units starts W - 1 threads, and none for a
@@ -526,13 +516,79 @@ def test_merge_workers_follow_the_blas_thread_variables(monkeypatch, set_workers
         real_start(thread)
     monkeypatch.setattr(threading.Thread, "start", start)
     monkeypatch.setattr(errors, "UNIT_BYTES", 1)
-    for n_patches, threads in ((32, workers - 1), (31, 0)):
+    for n_patches, threads in ((32, min(4, workers) - 1), (31, 0)):
         frames = np.ones((4, n_patches, 1024), dtype=np.float32)
         assert (n_patches * 1024 * 8 >= merge.THREAD_MIN_FRAME_BYTES) == (n_patches == 32)
         out = merge.merge_scenes(frames, np.arange(4).reshape(4, 1), "tavg",
                                  np.empty((4, n_patches, 1024)))
         assert (out == 1.0).all() and len(started) == threads
         started.clear()
+
+
+# the variables OpenBLAS reads its thread count from when numpy loads it
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# numpy's OpenBLAS's own setter of the thread count the worker rule reads
+_set_blas_threads = (getattr(errors._linalg, "scipy_openblas_set_num_threads64_", None)
+                     or getattr(errors._linalg, "openblas_set_num_threads64_", None))
+
+
+def test_merge_workers_ignore_a_blas_variable_set_after_import(monkeypatch):
+    # OpenBLAS read its variables when numpy loaded it, so a variable set
+    # now leaves it on two threads, and W at 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    threads = errors._blas_threads()
+    try:
+        _set_blas_threads(2)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert errors._blas_threads() == 2
+        assert errors._workers(8) == 1
+    finally:
+        _set_blas_threads(threads)
+
+
+def test_merge_workers_follow_a_blas_count_set_at_run_time(monkeypatch):
+    # a count of 1 set through OpenBLAS's setter, as threadpoolctl sets it,
+    # with no variable set, gives W = the CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    for var in _BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    threads = errors._blas_threads()
+    try:
+        _set_blas_threads(1)
+        assert errors._workers(8) == 2
+    finally:
+        _set_blas_threads(threads)
+
+
+@pytest.mark.parametrize("variables, workers", [
+    ({}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2),
+    ({"GOTO_NUM_THREADS": "1"}, 2),
+    ({"OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "", "GOTO_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OMP_NUM_THREADS": "many"}, 1),
+    # OpenBLAS reads them with C atoi: ASCII whitespace, a sign, ASCII
+    # digits, and 0 for anything else
+    *(({"OPENBLAS_NUM_THREADS": value}, 2) for value in ("1.5", "+1", "1abc", " 1", "01")),
+    *(({"OPENBLAS_NUM_THREADS": value}, 1) for value in ("\u00b2", "\u0661", "0", "-1")),
+])
+def test_merge_workers_follow_the_blas_thread_variables(variables, workers):
+    # variables set before the process starts reach W through OpenBLAS's own
+    # count: W is the CPUs (*workers* on two) where that count reads 1, and
+    # on one CPU it is 1 whatever the variables
+    env = {var: value for var, value in os.environ.items() if var not in _BLAS_VARS}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env.update(variables, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c",
+                           "from framefuse import errors; print(errors._workers(8))"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    assert int(proc.stdout) == (min(8, cpus) if workers == 2 else 1)
 
 
 class _UnitFailure(Exception):

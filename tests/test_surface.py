@@ -289,6 +289,34 @@ def test_only_errors_works_out_the_workers():
     assert found == []
 
 
+_ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _reads_the_environment(node) -> bool:
+    """Whether *node* reaches os.environ or os.getenv, by attribute or import."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(alias.name in _ENVIRONMENT for alias in node.names)
+    return isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT
+
+
+def _imports_ctypes(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "ctypes" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ctypes"
+
+
+def test_no_module_reads_the_environment():
+    # W follows numpy's OpenBLAS's own thread count, which errors.py alone
+    # reads through ctypes; no variable is read
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+                  if _reads_the_environment(node)
+                  or path.name != "errors.py" and _imports_ctypes(node)]
+    assert found == []
+
+
 def test_only_errors_states_the_worker_rule():
     # when W is 1 is said in errors._workers and README "Workers" alone;
     # another docstring points there instead of restating it
