@@ -17,9 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import errors
+from . import parallel
 from .errors import (FormatError, ParameterError, _check_array, _check_count, _check_real,
-                     _check_seed, _read_json, _run_units)
+                     _check_seed, _read_json)
+from .parallel import _run_units
 
 MAGIC = b"FVT1"
 FORMAT_VERSION = 1
@@ -170,14 +171,14 @@ def _read_frames(fh, path: Path, dims: tuple[int, int, int], keep) -> np.ndarray
     dropped.
 
     The payload is cut into units of whole frames, at most
-    ``errors.UNIT_BYTES`` and _IOV_MAX frames. A worker reads a unit with
+    ``parallel.UNIT_BYTES`` and _IOV_MAX frames. A worker reads a unit with
     one os.preadv, which puts its kept frames straight into their rows of
     the result and its skipped frames, packed, into the worker's own
     buffer, then checks that buffer in one call, with a mask of a quarter
     of its bytes. The units are cut from the file alone: a unit skips at
-    most as many frames as fit in ``errors.CACHE_BYTES`` (at least one),
+    most as many frames as fit in ``parallel.CACHE_BYTES`` (at least one),
     so that they are still in L2 when they are checked, and a buffer holds
-    that many. ``errors._run_units`` shares the units among its W workers,
+    that many. ``parallel._run_units`` shares the units among its W workers,
     so the buffers hold at most W times CACHE_BYTES, or W frames if a frame
     is larger. The first failure in unit order is raised."""
     n_frames, n_patches, dim = dims
@@ -185,8 +186,8 @@ def _read_frames(fh, path: Path, dims: tuple[int, int, int], keep) -> np.ndarray
     expected = n_frames * frame_bytes
     data = np.empty((len(keep), n_patches, dim), dtype="<f4")
     out = memoryview(data.reshape(-1).view(np.uint8))
-    unit_skips = max(1, errors.CACHE_BYTES // frame_bytes)
-    unit_frames = max(1, min(_IOV_MAX, errors.UNIT_BYTES // frame_bytes))
+    unit_skips = max(1, parallel.CACHE_BYTES // frame_bytes)
+    unit_frames = max(1, min(_IOV_MAX, parallel.UNIT_BYTES // frame_bytes))
     # each unit: its payload offset and its pieces, in file order: a byte
     # count of skipped frames, or a view of the rows of a run of kept frames
     units = []
@@ -272,9 +273,9 @@ def load_features(path: str | Path, sample: int | None = None) -> FrameFeatures:
     still read and checked: every value must be finite, and the sidecar's
     timestamps are checked over all frames before they are subset. The
     payload is read and checked in units of whole frames, on the W workers
-    of ``errors._run_units`` (README "Workers"). Kept frames go straight
+    of ``parallel._run_units`` (README "Workers"). Kept frames go straight
     into the result; skipped frames pass through one buffer per worker,
-    each at most ``errors.CACHE_BYTES`` (the L2 block) or one frame,
+    each at most ``parallel.CACHE_BYTES`` (the L2 block) or one frame,
     whichever is larger, so a sampled load holds the kept frames plus W
     such buffers. The units, and so the result, do not depend on W, and a
     failure is the first in file order among the units read.

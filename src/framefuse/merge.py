@@ -18,9 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import errors
-from .errors import (ParameterError, _check_array, _check_count, _check_real, _check_seed,
-                     _run_units)
+from . import parallel
+from .errors import ParameterError, _check_array, _check_count, _check_real, _check_seed
+from .parallel import _run_units
 
 STRATEGIES = ("tavg", "fusion", "attnpool", "bsm")
 
@@ -353,7 +353,7 @@ def merge_scenes(
     passed the seed rule.
 
     The scenes are cut into units of as many scenes as have
-    ``errors.UNIT_BYTES`` of float64 frames (at least one); ``attnpool``
+    ``parallel.UNIT_BYTES`` of float64 frames (at least one); ``attnpool``
     runs its query GEMM once per unit, which is faster than once per scene
     and keeps its two (unit, n_patches, dim) buffers from growing with k.
     W workers, the calling thread and W - 1 threads, each take units in
@@ -365,7 +365,7 @@ def merge_scenes(
     scenes of frames for ``bsm``, and a scene plus a unit's middle frames
     and their projections for ``attnpool``.
 
-    W is worked out, never set, by ``errors._run_units`` (README
+    W is worked out, never set, by ``parallel._run_units`` (README
     "Workers"), and is 1 for a frame under THREAD_MIN_FRAME_BYTES of
     float64. A failure in any unit is raised here, after every worker has
     stopped: the first failure in unit order.
@@ -373,7 +373,7 @@ def merge_scenes(
     k, s = members.shape
     _, n_patches, dim = frames.shape
     frame_bytes = n_patches * dim * 8
-    group = max(1, min(k, errors.UNIT_BYTES // frame_bytes))
+    group = max(1, min(k, parallel.UNIT_BYTES // frame_bytes))
     if strategy == "tavg":
         worker = functools.partial(_tavg, frames, s)
     elif strategy == "fusion":

@@ -134,7 +134,7 @@ def compress(
     allocates once per call and worker, and each merged map is written
     into the float32 output; no batch of scenes is gathered, so memory
     does not grow with cfg.scenes_k. The scenes merge on the W workers of
-    ``errors._run_units`` (README "Workers"), on one for small frames (see
+    ``parallel._run_units`` (README "Workers"), on one for small frames (see
     :func:`merge.merge_scenes`), and the output does not depend on W.
 
     *weights* are the fusion weights, of shape (supplements_r + 1,

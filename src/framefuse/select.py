@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import errors
-from .errors import (ParameterError, _check_array, _check_count, _check_real, _check_seed,
-                     _run_units)
+from . import parallel
+from .errors import ParameterError, _check_array, _check_count, _check_real, _check_seed
 from .features import FrameFeatures
+from .parallel import _run_units
 
 SUPPLEMENT_MODES = ("similar", "dissimilar")
 
@@ -100,8 +100,8 @@ class Clustering:
 def representative_features(features: FrameFeatures) -> np.ndarray:
     """Mean of each frame's patch tokens, shape (n_frames, dim), float64.
 
-    The frames are averaged in units of ``errors.UNIT_BYTES`` (at least
-    one frame) on the W workers that ``errors._run_units`` works out
+    The frames are averaged in units of ``parallel.UNIT_BYTES`` (at least
+    one frame) on the W workers that ``parallel._run_units`` works out
     (README "Workers").
     Each frame's mean is taken on its own, so the result does not depend on
     the units or the workers.
@@ -109,7 +109,7 @@ def representative_features(features: FrameFeatures) -> np.ndarray:
     data = features.data
     n_frames, n_patches, dim = data.shape
     out = np.empty((n_frames, dim))
-    rows = max(1, errors.UNIT_BYTES // (n_patches * dim * data.itemsize))
+    rows = max(1, parallel.UNIT_BYTES // (n_patches * dim * data.itemsize))
     units = [(data[start:start + rows], out[start:start + rows])
              for start in range(0, n_frames, rows)]
     _run_units(lambda: _frame_means, units)
@@ -125,14 +125,14 @@ def pairwise_sqdist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
     Uses the direct form sum((p - c)**2), which cannot round below zero,
     a block of rows at a time so that its (rows, m, dim) temporary, at
-    least one row, stays within the L2 block ``errors.CACHE_BYTES``
+    least one row, stays within the L2 block ``parallel.CACHE_BYTES``
     however large n, m and dim grow. Each row's result does not depend on
     the blocking.
     """
     n, dim = points.shape
     m = centers.shape[0]
     out = np.empty((n, m))
-    rows = max(1, errors.CACHE_BYTES // (m * dim * 8))
+    rows = max(1, parallel.CACHE_BYTES // (m * dim * 8))
     for start in range(0, n, rows):
         diff = points[start:start + rows, None, :] - centers[None, :, :]
         np.square(diff, out=diff)
@@ -210,7 +210,7 @@ def _own_sqdist(points: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> 
     # rows at a time like pairwise_sqdist
     n, dim = points.shape
     own_d2 = np.empty(n)
-    step = max(1, errors.CACHE_BYTES // (dim * 8))
+    step = max(1, parallel.CACHE_BYTES // (dim * 8))
     for start in range(0, n, step):
         diff = points[start:start + step] - centers[assign[start:start + step]]
         np.square(diff, out=diff)
@@ -250,7 +250,7 @@ def _init_center_indices(reps: np.ndarray, m: int, rng: np.random.Generator,
     """
     n = reps.shape[0]
     chosen = [int(rng.integers(n))]
-    d2 = ((reps - reps[chosen[0]]) ** 2).sum(axis=1)
+    d2 = pairwise_sqdist(reps, reps[chosen[0]:chosen[0] + 1])[:, 0]
     if pp is None:
         pp = np.einsum("ij,ij->i", reps, reps)
     rechecked = 0

@@ -5,11 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from framefuse import FrameFeatures, errors
+from framefuse import FrameFeatures, parallel
 from framefuse.features import _block_offset
 
 # numpy's OpenBLAS's own thread-count getter, kept before any test fakes it
-_REAL_BLAS_THREADS = errors._blas_threads
+_REAL_BLAS_THREADS = parallel._blas_threads
 
 
 @pytest.fixture(autouse=True)
@@ -30,7 +30,7 @@ def set_workers(monkeypatch):
     thread count reads 1 and os.sched_getaffinity reports *workers* CPUs.
     Each call replaces the last, and the test's end undoes them all."""
     def set_to(workers):
-        monkeypatch.setattr(errors, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(parallel, "_blas_threads", lambda: 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
                             raising=False)
     return set_to

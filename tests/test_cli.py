@@ -166,13 +166,13 @@ def test_compress_weights_without_fusion_exit_2_before_reading(tmp_path, capsys,
 # variables set, or "set": then it sets one through OpenBLAS's own setter.
 _BLAS_PROBE = """
 import contextlib, hashlib, io, sys
-from framefuse import errors, merge
+from framefuse import merge, parallel
 from framefuse.cli import main
 if sys.argv[3] == "set":
-    (getattr(errors._linalg, "scipy_openblas_set_num_threads64_", None)
-     or errors._linalg.openblas_set_num_threads64_)(1)
-errors.UNIT_BYTES, merge.THREAD_MIN_FRAME_BYTES = int(sys.argv[2]), 0
-print("workers", errors._workers(8))
+    (getattr(parallel._linalg, "scipy_openblas_set_num_threads64_", None)
+     or parallel._linalg.openblas_set_num_threads64_)(1)
+parallel.UNIT_BYTES, merge.THREAD_MIN_FRAME_BYTES = int(sys.argv[2]), 0
+print("workers", parallel._workers(8))
 out = sys.argv[1] + "/c.fvt"
 for path, frames in (("small.fvt", "48"), ("large.fvt", "96")):
     for select in ("uniform", "kmeans", "bsm"):
@@ -467,7 +467,7 @@ def _assert_compress_holds_its_sample(tmp_path, capsys):
     import tracemalloc
 
     from framefuse import FrameFeatures, save_features
-    from framefuse.errors import UNIT_BYTES
+    from framefuse.parallel import UNIT_BYTES
 
     n_frames, n_patches, dim, sample = 3000, 16, 256, 96
     data = np.random.default_rng(9).standard_normal((n_frames, n_patches, dim), dtype=np.float32)
@@ -505,7 +505,7 @@ def test_compress_out_of_range_frames_holds_no_frames(tmp_path, capsys, config, 
     import tracemalloc
 
     from framefuse import FrameFeatures, save_features
-    from framefuse.errors import UNIT_BYTES
+    from framefuse.parallel import UNIT_BYTES
 
     n_frames, n_patches, dim = 3000, 16, 256
     data = np.random.default_rng(10).standard_normal((n_frames, n_patches, dim),

@@ -20,7 +20,7 @@ from framefuse import (
     representative_features,
     save_features,
 )
-from framefuse import errors, features
+from framefuse import errors, features, parallel
 from framefuse.features import HEADER_SIZE
 from reference import planted_block_labels
 
@@ -180,7 +180,7 @@ def test_load_peak_under_1_1_payloads(tmp_path):
     assert peak < 1.1 * data.nbytes, f"peak {peak / data.nbytes:.2f} payloads"
 
 
-_UNIT_VALUES = errors.UNIT_BYTES // 8  # values in a unit of the check
+_UNIT_VALUES = parallel.UNIT_BYTES // 8  # values in a unit of the check
 
 
 # the first and the last value, two inside the first unit, and the last of
@@ -333,7 +333,7 @@ def test_sampled_load_out_of_range(tmp_path):
 # skipped, each in a unit of its own, and frame 3 holds the payload's 4 MiB
 # mark
 _FRAME = (384, 1024)
-_CHUNK_VALUES = errors.UNIT_BYTES // 4
+_CHUNK_VALUES = parallel.UNIT_BYTES // 4
 _FRAME_VALUES = _FRAME[0] * _FRAME[1]
 
 
@@ -345,7 +345,7 @@ _FRAME_VALUES = _FRAME[0] * _FRAME[1]
 ])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_sampled_load_rejects_non_finite_unsampled_frames(tmp_path, where, bad):
-    assert errors.UNIT_BYTES % (4 * _FRAME_VALUES) != 0
+    assert parallel.UNIT_BYTES % (4 * _FRAME_VALUES) != 0
     data = np.zeros((8, *_FRAME), dtype=np.float32)
     data.reshape(-1)[where] = bad
     path = tmp_path / "bad.fvt"
@@ -381,7 +381,7 @@ def _assert_sampled_load_holds_the_sample_and_one_chunk(tmp_path):
     finally:
         tracemalloc.stop()
     assert loaded.data.tobytes() == data[::32].tobytes()
-    bound = loaded.data.nbytes + errors.UNIT_BYTES + 2**18
+    bound = loaded.data.nbytes + parallel.UNIT_BYTES + 2**18
     assert peak < bound, f"peak {peak} bytes, bound {bound}"
     assert data.nbytes > 4 * bound
 
@@ -448,8 +448,8 @@ def test_unit_reader_matches_the_plain_reader(tmp_path, monkeypatch, set_workers
     keep = _keep(pattern, n_frames, rng)
     # unit and buffer sizes that whole frames do not fill, unless spare is 0
     frame_bytes = n_patches * dim * 4
-    monkeypatch.setattr(errors, "CACHE_BYTES", unit_frames * frame_bytes + spare)
-    monkeypatch.setattr(errors, "UNIT_BYTES", chunk_frames * frame_bytes + spare)
+    monkeypatch.setattr(parallel, "CACHE_BYTES", unit_frames * frame_bytes + spare)
+    monkeypatch.setattr(parallel, "UNIT_BYTES", chunk_frames * frame_bytes + spare)
     try:
         want = reference.read_frames(path, keep)
     except ParameterError as exc:
@@ -483,7 +483,7 @@ def test_unit_reader_resumes_short_reads(tmp_path, monkeypatch, set_workers):
         return real_preadv(fd, [views[0][:max(1, len(views[0]) // 2)]], offset)
 
     monkeypatch.setattr(os, "preadv", short_preadv)
-    monkeypatch.setattr(errors, "CACHE_BYTES", 3 * 96 + 5)
+    monkeypatch.setattr(parallel, "CACHE_BYTES", 3 * 96 + 5)
     keep = features.uniform_sample_indices(40, 13)
     for workers in (1, 2, 3):
         set_workers(workers)
@@ -498,8 +498,8 @@ def test_unit_reader_cuts_its_units_from_the_file_alone(tmp_path, monkeypatch, s
     frame_bytes = 4 * 16 * 4
     path = tmp_path / "f.fvt"
     _write_raw(path, np.random.default_rng(13).standard_normal((60, 4, 16)))
-    monkeypatch.setattr(errors, "CACHE_BYTES", 8 * frame_bytes)
-    monkeypatch.setattr(errors, "UNIT_BYTES", 12 * frame_bytes)
+    monkeypatch.setattr(parallel, "CACHE_BYTES", 8 * frame_bytes)
+    monkeypatch.setattr(parallel, "UNIT_BYTES", 12 * frame_bytes)
     cut = []
     real_run_units = features._run_units
 
@@ -569,8 +569,8 @@ def test_load_and_representatives_under_contention(tmp_path, monkeypatch, set_wo
     _write_raw(path, data, [0.25 * i for i in range(90)])
     keep = features.uniform_sample_indices(90, 37)
     want_data, want_ts = reference.read_frames(path, keep)
-    monkeypatch.setattr(errors, "CACHE_BYTES", 96)  # one skipped frame
-    monkeypatch.setattr(errors, "UNIT_BYTES", 4 * 96)  # four frames
+    monkeypatch.setattr(parallel, "CACHE_BYTES", 96)  # one skipped frame
+    monkeypatch.setattr(parallel, "UNIT_BYTES", 4 * 96)  # four frames
     set_workers(4)
     before = threading.active_count()
     interval = sys.getswitchinterval()
@@ -594,8 +594,8 @@ _UNIT_FRAME_BYTES = 64
 
 
 def _units_of_one_skipped_frame(monkeypatch):
-    monkeypatch.setattr(errors, "CACHE_BYTES", _UNIT_FRAME_BYTES)
-    monkeypatch.setattr(errors, "UNIT_BYTES", 4 * _UNIT_FRAME_BYTES)
+    monkeypatch.setattr(parallel, "CACHE_BYTES", _UNIT_FRAME_BYTES)
+    monkeypatch.setattr(parallel, "UNIT_BYTES", 4 * _UNIT_FRAME_BYTES)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -604,7 +604,7 @@ def test_unit_reader_checks_every_skipped_run_of_a_unit(tmp_path, monkeypatch, s
                                                         workers, bad):
     # every other frame kept and units of two skipped frames: each unit holds
     # two runs of skipped frames, packed one after the other in the buffer
-    monkeypatch.setattr(errors, "CACHE_BYTES", 2 * _UNIT_FRAME_BYTES)
+    monkeypatch.setattr(parallel, "CACHE_BYTES", 2 * _UNIT_FRAME_BYTES)
     set_workers(workers)
     path = tmp_path / "f.fvt"
     for frame in range(1, 12, 2):
@@ -685,7 +685,7 @@ def test_representatives_do_not_depend_on_workers(monkeypatch, set_workers, n_fr
     data[0, :, 0] = -0.0  # a column of -0.0 averages to +0.0, in every unit
     features_ = FrameFeatures(data.astype(np.float32))
     want = features_.data.mean(axis=1, dtype=np.float64)
-    monkeypatch.setattr(errors, "UNIT_BYTES", 2 * 5 * 3 * 4 + 1)  # 2 frames
+    monkeypatch.setattr(parallel, "UNIT_BYTES", 2 * 5 * 3 * 4 + 1)  # 2 frames
     for workers in (1, 2, 3):
         set_workers(workers)
         got = representative_features(features_)
@@ -696,7 +696,7 @@ def test_representatives_do_not_depend_on_workers(monkeypatch, set_workers, n_fr
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("where", ["first", "unit boundary", "last", None])
 def test_all_finite_finds_a_bad_value_anywhere(monkeypatch, set_workers, workers, where):
-    monkeypatch.setattr(errors, "UNIT_BYTES", 40 * 8)  # units of 40 values, whatever the dtype
+    monkeypatch.setattr(parallel, "UNIT_BYTES", 40 * 8)  # units of 40 values, whatever the dtype
     set_workers(workers)
     for dtype in (np.float32, np.float64):
         for bad in (np.nan, np.inf, -np.inf):

@@ -28,7 +28,7 @@ from framefuse import (
     fit_fusion_weights,
     merge_scene,
 )
-from framefuse import errors, merge
+from framefuse import merge, parallel
 from framefuse.merge import STRATEGIES
 from framefuse.pipeline import SELECTIONS
 
@@ -104,8 +104,8 @@ def test_compress_matches_per_scene_reference(case):
                          seed=case["seed"] % 1000)
 
     # attnpool runs its query GEMM for chunk_scenes scenes at a time
-    saved = errors.UNIT_BYTES
-    errors.UNIT_BYTES = case["chunk_scenes"] * shape[0] * shape[1] * 8
+    saved = parallel.UNIT_BYTES
+    parallel.UNIT_BYTES = case["chunk_scenes"] * shape[0] * shape[1] * 8
     try:
         try:
             want = reference.compress(features, cfg, weights)
@@ -115,7 +115,7 @@ def test_compress_matches_per_scene_reference(case):
             return
         got = compress(features, cfg, weights)
     finally:
-        errors.UNIT_BYTES = saved
+        parallel.UNIT_BYTES = saved
 
     assert got.frame_timestamps == want.frame_timestamps
     assert got.data.dtype == np.float32 and got.data.shape == want.data.shape
@@ -400,7 +400,7 @@ def test_compress_bytes_do_not_depend_on_merge_chunk_bytes(monkeypatch, strategy
     want = compress(features, cfg).data.tobytes()
     frame_bytes = n_patches * dim * 8
     for chunk in (1, frame_bytes, 3 * frame_bytes + 1, k * frame_bytes, 2**40):
-        monkeypatch.setattr(errors, "UNIT_BYTES", chunk)
+        monkeypatch.setattr(parallel, "UNIT_BYTES", chunk)
         assert compress(features, cfg).data.tobytes() == want, chunk
 
 
@@ -422,14 +422,14 @@ def _assert_merge_memory_flat(monkeypatch, set_workers, strategy, workers):
     set_workers(workers)
     if workers > 1:
         # units of 4 scenes, so that k = 8 has two units as well
-        monkeypatch.setattr(errors, "UNIT_BYTES", 4 * frame_bytes)
+        monkeypatch.setattr(parallel, "UNIT_BYTES", 4 * frame_bytes)
     # one worker's buffers: a float64 scene, its tokens and bsm's two work
     # buffers of that size, and attnpool's middle frames with their projections
-    allowance = workers * (4 * scene_bytes + 2 * errors.UNIT_BYTES)
+    allowance = workers * (4 * scene_bytes + 2 * parallel.UNIT_BYTES)
     rng = np.random.default_rng(34)
     assert frame_bytes >= merge.THREAD_MIN_FRAME_BYTES
     for k in (8, 32):
-        assert errors._workers(k // 4) == workers
+        assert parallel._workers(k // 4) == workers
         features = FrameFeatures(rng.standard_normal((k * s, n_patches, dim), dtype=np.float32))
         cfg = CompressConfig(k * s, k, s - 1, merging=strategy)
         tracemalloc.start()
@@ -451,10 +451,10 @@ def _merge_on(set_workers, workers, frames, members, strategy, weights, seed, ch
     frame_bytes = frames.shape[1] * frames.shape[2] * 8
     set_workers(workers)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(errors, "UNIT_BYTES", chunk_scenes * frame_bytes)
+        mp.setattr(parallel, "UNIT_BYTES", chunk_scenes * frame_bytes)
         mp.setattr(merge, "THREAD_MIN_FRAME_BYTES", 0)
         units = -(-len(members) // chunk_scenes)
-        assert errors._workers(units) == min(workers, units)
+        assert parallel._workers(units) == min(workers, units)
         out = np.full((len(members), *frames.shape[1:]), np.nan)
         return merge.merge_scenes(frames, members, strategy, out, weights, seed)
 
@@ -503,10 +503,10 @@ def test_merge_scenes_bytes_do_not_depend_on_workers(set_workers, seed, k, s, sp
     (1, 1, 1),
 ])
 def test_merge_workers_follow_the_blas_thread_count(monkeypatch, blas_threads, cpus, workers):
-    monkeypatch.setattr(errors, "_blas_threads", blas_threads and (lambda: blas_threads))
+    monkeypatch.setattr(parallel, "_blas_threads", blas_threads and (lambda: blas_threads))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert errors._workers(8) == workers
-    assert errors._workers(1) == 1  # capped at the unit count
+    assert parallel._workers(8) == workers
+    assert parallel._workers(1) == 1  # capped at the unit count
     # a merge of four one-scene units starts W - 1 threads, and none for a
     # frame too small for threads
     started = []
@@ -515,7 +515,7 @@ def test_merge_workers_follow_the_blas_thread_count(monkeypatch, blas_threads, c
         started.append(thread)
         real_start(thread)
     monkeypatch.setattr(threading.Thread, "start", start)
-    monkeypatch.setattr(errors, "UNIT_BYTES", 1)
+    monkeypatch.setattr(parallel, "UNIT_BYTES", 1)
     for n_patches, threads in ((32, min(4, workers) - 1), (31, 0)):
         frames = np.ones((4, n_patches, 1024), dtype=np.float32)
         assert (n_patches * 1024 * 8 >= merge.THREAD_MIN_FRAME_BYTES) == (n_patches == 32)
@@ -529,20 +529,20 @@ def test_merge_workers_follow_the_blas_thread_count(monkeypatch, blas_threads, c
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 # numpy's OpenBLAS's own setter of the thread count the worker rule reads
-_set_blas_threads = (getattr(errors._linalg, "scipy_openblas_set_num_threads64_", None)
-                     or getattr(errors._linalg, "openblas_set_num_threads64_", None))
+_set_blas_threads = (getattr(parallel._linalg, "scipy_openblas_set_num_threads64_", None)
+                     or getattr(parallel._linalg, "openblas_set_num_threads64_", None))
 
 
 def test_merge_workers_ignore_a_blas_variable_set_after_import(monkeypatch):
     # OpenBLAS read its variables when numpy loaded it, so a variable set
     # now leaves it on two threads, and W at 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    threads = errors._blas_threads()
+    threads = parallel._blas_threads()
     try:
         _set_blas_threads(2)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert errors._blas_threads() == 2
-        assert errors._workers(8) == 1
+        assert parallel._blas_threads() == 2
+        assert parallel._workers(8) == 1
     finally:
         _set_blas_threads(threads)
 
@@ -553,10 +553,10 @@ def test_merge_workers_follow_a_blas_count_set_at_run_time(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     for var in _BLAS_VARS:
         monkeypatch.delenv(var, raising=False)
-    threads = errors._blas_threads()
+    threads = parallel._blas_threads()
     try:
         _set_blas_threads(1)
-        assert errors._workers(8) == 2
+        assert parallel._workers(8) == 2
     finally:
         _set_blas_threads(threads)
 
@@ -584,7 +584,7 @@ def test_merge_workers_follow_the_blas_thread_variables(variables, workers):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env.update(variables, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c",
-                           "from framefuse import errors; print(errors._workers(8))"],
+                           "from framefuse import parallel; print(parallel._workers(8))"],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -621,7 +621,7 @@ def test_merge_scenes_raises_the_first_failed_unit_after_all_workers_stop(monkey
     frames = np.random.default_rng(40).standard_normal((k * s, 2, 3))
     set_workers(workers)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(errors, "UNIT_BYTES", 1)  # a unit per scene
+        mp.setattr(parallel, "UNIT_BYTES", 1)  # a unit per scene
         mp.setattr(merge, "THREAD_MIN_FRAME_BYTES", 0)
         before = threading.active_count()
         with pytest.raises(_UnitFailure, match="^unit 3$"):
@@ -656,7 +656,7 @@ def test_merge_workers_take_every_unit_exactly_once_under_contention(monkeypatch
     want = merge.merge_scenes(frames, members, "bsm", np.empty((k, 4, 8)))
     monkeypatch.setattr(merge, "_bsm", counting_bsm)
     set_workers(4)
-    monkeypatch.setattr(errors, "UNIT_BYTES", 1)
+    monkeypatch.setattr(parallel, "UNIT_BYTES", 1)
     monkeypatch.setattr(merge, "THREAD_MIN_FRAME_BYTES", 0)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -17,7 +17,7 @@ from framefuse import (
     select_scenes_bsm,
     select_scenes_kmeans,
 )
-from framefuse import errors, select
+from framefuse import parallel, select
 from framefuse.select import Scene, nearest_centers, pairwise_sqdist, select_supplements
 
 
@@ -311,14 +311,14 @@ def test_pairwise_sqdist_equals_direct_form():
         # blocks of one row and blocks that do not divide n; the own
         # distances of nearest_centers take blocks of block_rows * m rows
         for block_rows in (1, 3):
-            saved = errors.CACHE_BYTES
-            errors.CACHE_BYTES = block_rows * m * dim * 8
+            saved = parallel.CACHE_BYTES
+            parallel.CACHE_BYTES = block_rows * m * dim * 8
             try:
                 assert pairwise_sqdist(points, centers).tobytes() == want.tobytes()
                 assign, own_d2 = nearest_centers(points, centers)
                 assert own_d2.tobytes() == want[np.arange(n), assign].tobytes()
             finally:
-                errors.CACHE_BYTES = saved
+                parallel.CACHE_BYTES = saved
 
 
 def test_pairwise_sqdist_memory_bounded():
@@ -340,6 +340,21 @@ def test_pairwise_sqdist_memory_bounded():
     assert d2.shape == (n, m)
     j = int(rng.integers(m))
     assert np.array_equal(d2[:, j], ((points - centers[j]) ** 2).sum(axis=1))
+
+
+def test_kmeans_holds_less_than_its_input():
+    import tracemalloc
+
+    # the seeding's first distances are taken in L2 blocks, so no (n, dim)
+    # float64 temporary, as large as the input, is built
+    reps = representative_features(generate_synthetic(SyntheticSpec(1800, 4, 1024, 72, seed=1)))
+    tracemalloc.start()
+    try:
+        kmeans(reps, 64, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.8 * reps.nbytes, f"peak {peak / reps.nbytes:.3f} of the input"
 
 
 def _rows(rng, n, dim, kind):
@@ -453,22 +468,25 @@ def _drifting_scenes(seed, n=512, dim=1024, n_scenes=72, patches=16):
 
 def test_kmeans_never_falls_back_to_direct_form(monkeypatch):
     # deterministic guard against a silent return to the n*m*dim sweep:
-    # in kmeans, pairwise_sqdist runs only for rows the expanded form
-    # cannot settle, and on drifting-scene features there are none
+    # in kmeans, pairwise_sqdist runs once for the seeding's first center,
+    # one center against every row, and otherwise only for rows the
+    # expanded form cannot settle, and on drifting-scene features there
+    # are none
     calls = []
     original = select.pairwise_sqdist
 
     def recording(points, centers):
-        calls.append(points.shape[0])
+        calls.append((points.shape[0], centers.shape[0]))
         return original(points, centers)
 
     monkeypatch.setattr(select, "pairwise_sqdist", recording)
-    clustering = kmeans(_drifting_scenes(42), 48, seed=42)
+    reps = _drifting_scenes(42)
+    clustering = kmeans(reps, 48, seed=42)
     assert clustering.iterations_run > 1
-    assert calls == []
+    assert calls == [(len(reps), 1)]
     # the recorder sees the fallback when it does run: all-zero rows tie
     nearest_centers(np.zeros((5, 4)), np.zeros((2, 4)))
-    assert calls == [5]
+    assert calls == [(len(reps), 1), (5, 2)]
 
 
 def _seeding_rows(rng, n, dim, kind):

@@ -216,7 +216,7 @@ def test_one_size_constant_a_concept():
     # a unit of work shared among workers, a block of work memory kept in
     # L2, and the frame size below which a merge stays on one worker
     assert {c for c in _size_constants() if c[1].endswith("_BYTES")} == {
-        ("errors", "UNIT_BYTES"), ("errors", "CACHE_BYTES"), ("merge", "THREAD_MIN_FRAME_BYTES")}
+        ("parallel", "UNIT_BYTES"), ("parallel", "CACHE_BYTES"), ("merge", "THREAD_MIN_FRAME_BYTES")}
 
 
 def test_readme_python_api_example_runs(tmp_path, monkeypatch, capsys):
@@ -267,22 +267,28 @@ def test_one_json_reader_and_one_file_writer():
 
 
 
+_WORKER_RULE = {"_workers", "_blas_threads"}
+
+
 def _works_out_workers(node) -> bool:
-    """Whether *node* imports threading or refers to errors._workers."""
+    """Whether *node* imports threading or ctypes, or refers to
+    parallel._workers or parallel._blas_threads."""
     if isinstance(node, ast.Import):
-        return any(alias.name.split(".")[0] == "threading" for alias in node.names)
+        return any(alias.name.split(".")[0] in ("threading", "ctypes") for alias in node.names)
     if isinstance(node, ast.ImportFrom):
-        return node.module == "threading" or any(alias.name == "_workers" for alias in node.names)
-    return (isinstance(node, ast.Name) and node.id == "_workers"
-            or isinstance(node, ast.Attribute) and node.attr == "_workers")
+        return ((node.module or "").split(".")[0] in ("threading", "ctypes")
+                or any(alias.name in _WORKER_RULE for alias in node.names))
+    return (isinstance(node, ast.Name) and node.id in _WORKER_RULE
+            or isinstance(node, ast.Attribute) and node.attr in _WORKER_RULE)
 
 
 def test_only_errors_works_out_the_workers():
-    # errors._run_units works out W and starts every worker thread; a stage
-    # passes it a worker factory and its units
+    # parallel._run_units works out W from OpenBLAS's own thread count,
+    # read through ctypes, and starts every worker thread; a stage passes
+    # it a worker factory and its units
     found = []
     for path in sorted(SOURCE.glob("*.py")):
-        if path.name != "errors.py":
+        if path.name != "parallel.py":
             tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
             found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
                       if _works_out_workers(node)]
@@ -299,30 +305,22 @@ def _reads_the_environment(node) -> bool:
     return isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT
 
 
-def _imports_ctypes(node) -> bool:
-    if isinstance(node, ast.Import):
-        return any(alias.name.split(".")[0] == "ctypes" for alias in node.names)
-    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ctypes"
-
-
 def test_no_module_reads_the_environment():
-    # W follows numpy's OpenBLAS's own thread count, which errors.py alone
-    # reads through ctypes; no variable is read
+    # W follows numpy's OpenBLAS's own thread count; no variable is read
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
-                  if _reads_the_environment(node)
-                  or path.name != "errors.py" and _imports_ctypes(node)]
+                  if _reads_the_environment(node)]
     assert found == []
 
 
 def test_only_errors_states_the_worker_rule():
-    # when W is 1 is said in errors._workers and README "Workers" alone;
+    # when W is 1 is said in parallel._workers and README "Workers" alone;
     # another docstring points there instead of restating it
     found = []
     for path in sorted(SOURCE.glob("*.py")):
-        if path.name != "errors.py":
+        if path.name != "parallel.py":
             tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
             found += [f"{path.name}:{getattr(node, 'lineno', 1)}" for node in ast.walk(tree)
                       if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
