@@ -8,6 +8,7 @@ files are written atomically and byte-identical across reruns. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Iterable
@@ -185,6 +186,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
+# parse_args leaves the parser as it found it, so a process builds the tree
+# once: building it took 0.78-0.88 ms, parsing a command 0.05-0.07 ms
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="framefuse",

@@ -203,6 +203,8 @@ def _fusion(frames, s, weights):
 def _attnpool(frames, s, qk, group):
     # The middle frame's projected features score every frame of its scene;
     # the query GEMM runs once for a unit's scenes, the rest scene by scene.
+    # Once the GEMM has run, scene i's middle frame mids[i] is free and
+    # holds its pooled map until it is cast into its row.
     _, n_patches, dim = frames.shape
     mids, z = np.empty((2, group, n_patches, dim))
     x = np.empty((s, n_patches, dim))
@@ -221,43 +223,68 @@ def _attnpool(frames, s, qk, group):
             logits -= logits.max(axis=0)
             w = np.exp(logits)
             w /= w.sum(axis=0)
-            rows[i] = np.einsum("sl,sld->ld", w, x)
+            rows[i] = np.einsum("sl,sld->ld", w, x, out=mids[i])
     return merge
 
 
 def _bsm(frames, s):
     _, n_patches, dim = frames.shape
-    tokens = np.empty((n_patches, s, dim))
-    unit, spare = np.empty((2, s * n_patches, dim))
+    unit = np.empty((s * n_patches, dim))
+    spare = np.empty((-(-s * n_patches // 2), dim))
 
     def merge(scenes, rows):
         for scene, row in zip(scenes, rows):
-            # patch-major: each patch's temporal copies alternate partitions
-            for j, f in enumerate(scene):
-                tokens[:, j] = frames[f]
-            _pair_merge(tokens.reshape(s * n_patches, dim), row, unit, spare)
+            _pair_merge(frames, scene, row, unit, spare)
     return merge
 
 
-def _pair_merge(tok: np.ndarray, out: np.ndarray, unit: np.ndarray,
+def _pair_merge(frames: np.ndarray, scene: np.ndarray, out: np.ndarray, unit: np.ndarray,
                 spare: np.ndarray) -> None:
-    # bsm rounds on trusted float64 tokens (t0, dim), down to the rows of
-    # out, written in the order of the earliest original index each token
-    # absorbed. tok, unit and spare are (t0, dim) work buffers, all
-    # overwritten: each round reads its tokens from tok and writes the next
-    # round's into spare, then the two swap; unit holds the squares, then
-    # the unit rows, then the merged A tokens and the B tokens they touch.
-    t_cur = tok.shape[0]
+    # bsm rounds on the t0 = s * L tokens of the trusted frames[scene],
+    # patch-major so that each patch's temporal copies alternate partitions:
+    # token i is row i // s of frame scene[i % s]. They merge down to the
+    # rows of out, in the order of the earliest original index each absorbed.
+    # unit (t0, dim) and spare (ceil(t0 / 2), dim) are float64 work buffers.
+    # A round's first t rows of unit hold its unit rows (round 1's tokens
+    # before them), then the merged A tokens and the B tokens they touch.
+    # Round 1 gathers from the frames, later rounds from the last round's
+    # tokens, which alternate between spare and the upper floor(t0 / 2) rows
+    # of unit: only round 2 has as many as ceil(t0 / 2), read from spare.
+    s = len(scene)
+    if s == 1:  # no round
+        out[...] = frames[scene[0]]
+        return
+    t_cur = s * frames.shape[1]
     sizes = np.ones(t_cur)
     first = np.arange(t_cur)  # earliest original index absorbed by each token
-    sized = False  # every size is 1 until a round has merged
+    tok, other, cur = unit[spare.shape[0]:], spare, None  # cur is None in round 1
+
+    def take(idx, dst):
+        # the tokens idx of this round into dst; round 1 casts them from the
+        # frames. mode="clip" because every index is in range and the
+        # default mode buffers out
+        if cur is None:
+            dst[...] = frames[scene[idx % s], idx // s]
+        else:
+            np.take(cur, idx, axis=0, out=dst, mode="clip")
+        return dst
+
     while t_cur > out.shape[0]:
         step = min(t_cur - out.shape[0], max(1, t_cur // 2))
-        cur, u = tok[:t_cur], unit[:t_cur]
-        # the same values as cur / max(np.linalg.norm(cur, axis=1), 1e-12)
-        np.multiply(cur, cur, out=u)
-        norms = np.sqrt(u.sum(axis=1))
-        np.divide(cur, np.maximum(norms, 1e-12)[:, None], out=u)
+        u = unit[:t_cur]
+        if cur is None:  # frame j's tokens are the rows j::s
+            for j, f in enumerate(scene):
+                u[j::s] = frames[f]
+        x = u if cur is None else cur
+        # the same values as x / max(np.linalg.norm(x, axis=1), 1e-12); the
+        # squares pass through other, which is free until the next round's
+        # tokens are written, a block that stays in cache at a time
+        sums = np.empty(t_cur)
+        block = max(1, min(other.shape[0], parallel.CACHE_BYTES // unit[0].nbytes))
+        for b0 in range(0, t_cur, block):
+            rows = x[b0:b0 + block]
+            sums[b0:b0 + block] = np.multiply(rows, rows, out=other[:len(rows)]).sum(axis=1)
+        np.divide(x, np.maximum(np.sqrt(sums), 1e-12)[:, None], out=u)
         scores = u[0::2] @ u[1::2].T  # A rows (even) against B rows (odd)
         best_b = scores.argmax(axis=1)  # ties break to the lowest B position
         order = np.argsort(-scores[np.arange(best_b.size), best_b], kind="stable")
@@ -281,11 +308,8 @@ def _pair_merge(tok: np.ndarray, out: np.ndarray, unit: np.ndarray,
         rank[by_dst] = np.arange(step) - (np.cumsum(counts) - counts)[dst[by_dst]]
         src = 2 * merged[np.lexsort((slot[dst], rank))]
         b_rows = 2 * touched + 1
-        # mode="clip" because every index is in range and the default mode
-        # buffers out
-        contrib = np.take(cur, src, axis=0, out=u[:step], mode="clip")
-        acc = np.take(cur, b_rows, axis=0, out=u[step:step + touched.size], mode="clip")
-        if sized:
+        contrib, acc = take(src, u[:step]), take(b_rows, u[step:step + touched.size])
+        if cur is not None:  # every size is 1 in round 1
             acc *= sizes[b_rows, None]
             contrib *= sizes[src, None]
         lo = 0
@@ -299,17 +323,18 @@ def _pair_merge(tok: np.ndarray, out: np.ndarray, unit: np.ndarray,
         np.minimum.at(new_first, dst, first[2 * merged])
 
         # the next round's tokens: the kept A tokens in order, then every B
-        nxt = spare[:kept.size + t_cur // 2]
-        np.take(cur, 2 * kept, axis=0, out=nxt[:kept.size], mode="clip")
-        new_b = nxt[kept.size:]
-        new_b[...] = cur[1::2]
+        nxt = other[:kept.size + t_cur // 2]
+        take(2 * kept, nxt[:kept.size])
+        new_b = take(np.arange(1, t_cur, 2), nxt[kept.size:])
         new_b[touched] = acc
         sizes = np.concatenate([sizes[2 * kept], new_sizes])
         first = np.concatenate([first[2 * kept], new_first])
-        sized = True
-        tok, spare = spare, tok
+        tok, other = other, tok
         t_cur = nxt.shape[0]
-    out[...] = tok[:t_cur][np.argsort(first, kind="stable")]
+        cur = tok[:t_cur]
+    # reordered into the free first rows of unit, then cast into out
+    out[...] = np.take(cur, np.argsort(first, kind="stable"), axis=0, out=unit[:t_cur],
+                       mode="clip")
 
 
 def merge_scenes(
@@ -361,9 +386,12 @@ def merge_scenes(
     *out*, so the output does not depend on W. Each worker reads its
     scenes' member frames by index into float64 work buffers of its own,
     allocated once per call, so memory grows with W but not with k. A
-    worker's buffers hold one frame for ``tavg``, two for ``fusion``, three
-    scenes of frames for ``bsm``, and a scene plus a unit's middle frames
-    and their projections for ``attnpool``.
+    worker's buffers hold one frame for ``tavg``, two for ``fusion``, and a
+    scene plus a unit's middle frames and their projections for
+    ``attnpool``. For ``bsm`` they are an (s*n_patches, dim) and a
+    (ceil(s*n_patches / 2), dim) array, and a merge holds besides them its
+    round-1 scores and at most s*n_patches // 2 tokens at a time, gathered
+    in the frames' dtype.
 
     W is worked out, never set, by ``parallel._run_units`` (README
     "Workers"), and is 1 for a frame under THREAD_MIN_FRAME_BYTES of

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import reference
 from framefuse import CompressConfig, ParameterError, compress, load_features
+import framefuse.cli as cli
 from framefuse.cli import main
 
 
@@ -383,6 +384,37 @@ def test_console_entry_point_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert load_features(out).n_frames == 12
+
+
+def test_main_builds_its_parser_once_and_answers_as_separate_processes(tmp_path, capsys,
+                                                                       monkeypatch):
+    # compress, synth, compress in one process give what each gives in a
+    # process of its own: exit codes, stdout, stderr and output bytes
+    assert run(gen_args(tmp_path / "f.fvt", frames=48), capsys)[0] == 0
+    write_manifest(tmp_path / "clips.json")
+    calls = [
+        ["compress", "../f.fvt", "--k", "6", "--r", "1", "--merge", "bsm", "-o", "a.fvt"],
+        ["synth", "../clips.json", "-o", "records.json"],
+        ["compress", "../f.fvt", "--k", "4", "--r", "2", "--select", "kmeans",
+         "--merge", "attnpool", "--frames", "24", "-o", "b.fvt"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    apart, together = tmp_path / "apart", tmp_path / "together"
+    apart.mkdir()
+    together.mkdir()
+    want = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "framefuse.cli", *argv], cwd=apart,
+                              env=env, capture_output=True, text=True, timeout=120)
+        want.append((proc.returncode, proc.stdout, proc.stderr))
+    monkeypatch.chdir(together)
+    cli.build_parser.cache_clear()
+    assert [run(argv, capsys) for argv in calls] == want
+    assert want[0][0] == 0 and "packed 40 clips" in want[1][2]
+    assert cli.build_parser.cache_info().misses == 1
+    for name in ("a.fvt", "records.json", "b.fvt"):
+        assert (together / name).read_bytes() == (apart / name).read_bytes(), name
 
 
 def test_missing_input_file_exits_1(tmp_path, capsys):

@@ -423,8 +423,10 @@ def _assert_merge_memory_flat(monkeypatch, set_workers, strategy, workers):
     if workers > 1:
         # units of 4 scenes, so that k = 8 has two units as well
         monkeypatch.setattr(parallel, "UNIT_BYTES", 4 * frame_bytes)
-    # one worker's buffers: a float64 scene, its tokens and bsm's two work
-    # buffers of that size, and attnpool's middle frames with their projections
+    # one worker's buffers, float64: bsm's unit (one scene) and spare (half
+    # one) with its round-1 scores and float32 gathers, or attnpool's scene
+    # with a unit's middle frames and their projections; the merge memory
+    # test below bounds each of them closely
     allowance = workers * (4 * scene_bytes + 2 * parallel.UNIT_BYTES)
     rng = np.random.default_rng(34)
     assert frame_bytes >= merge.THREAD_MIN_FRAME_BYTES
@@ -443,6 +445,67 @@ def _assert_merge_memory_flat(monkeypatch, set_workers, strategy, workers):
             f"{allowance / 2**20:.1f} MiB"
     # the float32 scenes of k = 32 gathered at once would not fit
     assert 32 * scene_bytes // 2 > allowance
+
+
+@pytest.mark.parametrize("strategy", ["bsm", "attnpool"])
+def test_merge_work_memory_per_worker(set_workers, strategy):
+    # one merge_scenes call on one worker, float32 scenes of 3x144x256; a
+    # token array is the s*L*D float64 values of one scene
+    s, n_patches, dim, k = 3, 144, 256, 16
+    set_workers(1)
+    rng = np.random.default_rng(35)
+    frames = rng.standard_normal((k * s, n_patches, dim), dtype=np.float32)
+    members = np.arange(k * s).reshape(k, s)
+    out = np.empty((k, n_patches, dim), dtype=np.float32)
+    frame_bytes = n_patches * dim * 8
+    assert frame_bytes >= merge.THREAD_MIN_FRAME_BYTES and parallel._workers(2) == 1
+    if strategy == "bsm":
+        # unit, spare (half a token array) and float32 gathers of at most
+        # half a scene need 1.75 token arrays, plus the round-1 scores; a
+        # float64 copy of the tokens besides them would not fit
+        t0 = s * n_patches
+        bound = 2.25 * t0 * dim * 8 + (t0 - t0 // 2) * (t0 // 2) * 8
+    else:
+        # mids, z and x: 2 * group + s float64 frames, and no other frame
+        merge._attn_qk(dim, 0)
+        group = min(k, parallel.UNIT_BYTES // frame_bytes)
+        bound = (2 * group + s) * frame_bytes
+    tracemalloc.start()
+    try:
+        merge.merge_scenes(frames, members, strategy, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.01 * bound, f"{peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+
+
+def _bsm_rounds(s, n_patches):
+    t, rounds = s * n_patches, 0
+    while t > n_patches:
+        t -= min(t - n_patches, max(1, t // 2))
+        rounds += 1
+    return rounds
+
+
+@pytest.mark.parametrize("kind", ["random", "duplicates", "all-zero"])
+@pytest.mark.parametrize("s, n_patches, dim, rounds", [
+    (5, 4, 3, 3),
+    (6, 3, 4, 3),  # round 3 writes its tokens into spare again
+    (3, 5, 2, 2),  # an odd token count: round 1 keeps an A token
+    (5, 3, 3, 3),
+])
+def test_merge_scenes_bsm_of_float32_frames_matches_reference(set_workers, s, n_patches, dim,
+                                                              rounds, kind):
+    assert _bsm_rounds(s, n_patches) == rounds
+    rng = np.random.default_rng(36)
+    k = 4
+    n = k * s + 2
+    frames = _frames(rng, n, n_patches, dim, kind).astype(np.float32)
+    members = rng.permutation(n)[:k * s].reshape(k, s)
+    want = np.stack([reference.merge_scene(frames[m], "bsm") for m in members])
+    for workers in (1, 2):
+        got = _merge_on(set_workers, workers, frames, members, "bsm", None, 0, 1)
+        assert got.tobytes() == want.tobytes(), workers
 
 
 def _merge_on(set_workers, workers, frames, members, strategy, weights, seed, chunk_scenes):
