@@ -169,19 +169,19 @@ def _attn_qk(dim: int, seed: int) -> np.ndarray:
 
 
 # Each strategy allocates one worker's buffers and returns that worker's
-# merge(scenes, rows): it merges the scenes of a (g, s) member table into
-# the g rows given, reading frames by index and writing nothing else.
+# merge(scene, row): it merges the frames of one scene, a row of member
+# indices, into its output row, reading frames by index and writing
+# nothing else.
 def _tavg(frames, s):
     acc = np.empty(frames.shape[1:])
 
-    def merge(scenes, rows):
-        for scene, row in zip(scenes, rows):
-            # the first frame plus +0.0, as numpy's mean starts from +0.0: a
-            # column of -0.0 frames averages to +0.0
-            np.add(frames[scene[0]], 0.0, out=acc)
-            for f in scene[1:]:
-                np.add(acc, frames[f], out=acc)
-            np.divide(acc, s, out=row)
+    def merge(scene, row):
+        # the first frame plus +0.0, as numpy's mean starts from +0.0: a
+        # column of -0.0 frames averages to +0.0
+        np.add(frames[scene[0]], 0.0, out=acc)
+        for f in scene[1:]:
+            np.add(acc, frames[f], out=acc)
+        np.divide(acc, s, out=row)
     return merge
 
 
@@ -189,41 +189,34 @@ def _fusion(frames, s, weights):
     w = [np.float64(1.0 / s)] * s if weights is None else weights
     acc, prod = np.empty((2, *frames.shape[1:]))
 
-    def merge(scenes, rows):
-        for scene, row in zip(scenes, rows):
-            np.multiply(frames[scene[0]], w[0], out=acc)
-            np.add(acc, 0.0, out=acc)  # as numpy's sum adds to a +0.0 start
-            for f, w_f in zip(scene[1:], w[1:]):
-                np.multiply(frames[f], w_f, out=prod)
-                np.add(acc, prod, out=acc)
-            row[...] = acc
+    def merge(scene, row):
+        np.multiply(frames[scene[0]], w[0], out=acc)
+        np.add(acc, 0.0, out=acc)  # as numpy's sum adds to a +0.0 start
+        for f, w_f in zip(scene[1:], w[1:]):
+            np.multiply(frames[f], w_f, out=prod)
+            np.add(acc, prod, out=acc)
+        row[...] = acc
     return merge
 
 
-def _attnpool(frames, s, qk, group):
-    # The middle frame's projected features score every frame of its scene;
-    # the query GEMM runs once for a unit's scenes, the rest scene by scene.
-    # Once the GEMM has run, scene i's middle frame mids[i] is free and
-    # holds its pooled map until it is cast into its row.
+def _attnpool(frames, s, qk):
+    # The middle frame's projected features, z, score every frame of the
+    # scene buffer x; once the scores are taken, z is free and holds the
+    # pooled map until it is cast into its row.
     _, n_patches, dim = frames.shape
-    mids, z = np.empty((2, group, n_patches, dim))
     x = np.empty((s, n_patches, dim))
+    z = np.empty((n_patches, dim))
     scale = math.sqrt(dim)
 
-    def merge(scenes, rows):
-        g = len(scenes)
-        for i, f in enumerate(scenes[:, s // 2]):
-            mids[i] = frames[f]
-        np.matmul(mids[:g].reshape(g * n_patches, dim), qk,
-                  out=z[:g].reshape(g * n_patches, dim))
-        for i, scene in enumerate(scenes):
-            for j, f in enumerate(scene):
-                x[j] = frames[f]
-            logits = np.einsum("sld,ld->sl", x, z[i]) / scale
-            logits -= logits.max(axis=0)
-            w = np.exp(logits)
-            w /= w.sum(axis=0)
-            rows[i] = np.einsum("sl,sld->ld", w, x, out=mids[i])
+    def merge(scene, row):
+        for j, f in enumerate(scene):
+            x[j] = frames[f]
+        np.matmul(x[s // 2], qk, out=z)
+        w = np.einsum("sld,ld->sl", x, z) / scale
+        w -= w.max(axis=0)
+        np.exp(w, out=w)
+        w /= w.sum(axis=0)
+        row[...] = np.einsum("sl,sld->ld", w, x, out=z)
     return merge
 
 
@@ -231,15 +224,11 @@ def _bsm(frames, s):
     _, n_patches, dim = frames.shape
     unit = np.empty((s * n_patches, dim))
     spare = np.empty((-(-s * n_patches // 2), dim))
-
-    def merge(scenes, rows):
-        for scene, row in zip(scenes, rows):
-            _pair_merge(frames, scene, row, unit, spare)
-    return merge
+    return functools.partial(_pair_merge, frames, unit, spare)
 
 
-def _pair_merge(frames: np.ndarray, scene: np.ndarray, out: np.ndarray, unit: np.ndarray,
-                spare: np.ndarray) -> None:
+def _pair_merge(frames: np.ndarray, unit: np.ndarray, spare: np.ndarray, scene: np.ndarray,
+                out: np.ndarray) -> None:
     # bsm rounds on the t0 = s * L tokens of the trusted frames[scene],
     # patch-major so that each patch's temporal copies alternate partitions:
     # token i is row i // s of frame scene[i % s]. They merge down to the
@@ -377,43 +366,36 @@ def merge_scenes(
     (s, n_patches, dim) or None, and for ``attnpool`` an int *seed* that
     passed the seed rule.
 
-    The scenes are cut into units of as many scenes as have
-    ``parallel.UNIT_BYTES`` of float64 frames (at least one); ``attnpool``
-    runs its query GEMM once per unit, which is faster than once per scene
-    and keeps its two (unit, n_patches, dim) buffers from growing with k.
-    W workers, the calling thread and W - 1 threads, each take units in
-    turn from one shared counter and write only those units' rows of
-    *out*, so the output does not depend on W. Each worker reads its
-    scenes' member frames by index into float64 work buffers of its own,
-    allocated once per call, so memory grows with W but not with k. A
-    worker's buffers hold one frame for ``tavg``, two for ``fusion``, and a
-    scene plus a unit's middle frames and their projections for
-    ``attnpool``. For ``bsm`` they are an (s*n_patches, dim) and a
-    (ceil(s*n_patches / 2), dim) array, and a merge holds besides them its
-    round-1 scores and at most s*n_patches // 2 tokens at a time, gathered
-    in the frames' dtype.
+    Each scene is a unit of work. W workers, the calling thread and W - 1
+    threads, each take scenes in turn from one shared counter and write
+    only those scenes' rows of *out*, so the output does not depend on W.
+    Each worker reads its scenes' member frames by index into float64 work
+    buffers of its own, allocated once per call, so memory grows with W but
+    not with k. A worker's buffers hold one frame for ``tavg``, two for
+    ``fusion``, and s + 1 for ``attnpool``: the scene, and its middle
+    frame's projection, which then holds the pooled map. For ``bsm`` they
+    are an (s*n_patches, dim) and a (ceil(s*n_patches / 2), dim) array,
+    and a merge holds besides them its round-1 scores and at most
+    s*n_patches // 2 tokens at a time, gathered in the frames' dtype.
 
     W is worked out, never set, by ``parallel._run_units`` (README
     "Workers"), and is 1 for a frame under THREAD_MIN_FRAME_BYTES of
-    float64. A failure in any unit is raised here, after every worker has
-    stopped: the first failure in unit order.
+    float64. A failure in any scene is raised here, after every worker has
+    stopped: the first failure in scene order.
     """
-    k, s = members.shape
+    s = members.shape[1]
     _, n_patches, dim = frames.shape
-    frame_bytes = n_patches * dim * 8
-    group = max(1, min(k, parallel.UNIT_BYTES // frame_bytes))
     if strategy == "tavg":
         worker = functools.partial(_tavg, frames, s)
     elif strategy == "fusion":
         worker = functools.partial(_fusion, frames, s, weights)
     elif strategy == "attnpool":
         # built here, so that no two workers build it at once
-        worker = functools.partial(_attnpool, frames, s, _attn_qk(dim, seed), group)
+        worker = functools.partial(_attnpool, frames, s, _attn_qk(dim, seed))
     else:
         worker = functools.partial(_bsm, frames, s)
-    units = [(members[start:start + group], out[start:start + group])
-             for start in range(0, k, group)]
-    _run_units(worker, units, parallel=frame_bytes >= THREAD_MIN_FRAME_BYTES)
+    _run_units(worker, list(zip(members, out)),
+               parallel=n_patches * dim * 8 >= THREAD_MIN_FRAME_BYTES)
     return out
 
 

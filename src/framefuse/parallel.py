@@ -8,13 +8,14 @@ import threading
 
 from numpy.linalg import _umath_linalg
 
-# Bytes of one unit of work of every stage that shares units among workers
-# (_run_units): a finiteness check, a load, the representative averages and
-# the merge engine. Each numpy call and each hand-over of the interpreter
-# lock between workers costs, so units are large: two workers checked 118
-# MB of float32 in 8-10 ms with one np.isfinite call a unit, against 10-12
-# ms with one call per 2**16 values. Stages read it as parallel.UNIT_BYTES
-# when they run, so that one name sets them all.
+# Bytes of one unit of work of the stages that share units among workers
+# (_run_units) but the merge engine, whose unit is a scene: a finiteness
+# check, a load and the representative averages. Each numpy call and each
+# hand-over of the interpreter lock between workers costs, so units are
+# large: two workers checked 118 MB of float32 in 8-10 ms with one
+# np.isfinite call a unit, against 10-12 ms with one call per 2**16
+# values. Stages read it as parallel.UNIT_BYTES when they run, so that one
+# name sets them all.
 UNIT_BYTES = 4 * 2**20
 
 # Bytes of work memory that one thread keeps in the CPU's 2 MiB L2 cache

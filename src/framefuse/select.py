@@ -287,10 +287,11 @@ def kmeans(
     until the largest center displacement drops below *tol* or *max_iters*
     is reached; a cluster that empties is re-seeded at the point farthest
     from its assigned center. Returned assignments are consistent with the
-    returned centers (ties break to the lowest center index). Logs one
-    DEBUG line to ``framefuse.select``: m, iterations, convergence, inertia
-    and the rows that seeding and the nearest-center searches recomputed
-    in the direct form.
+    returned centers (ties break to the lowest center index). Rows whose
+    sums or squared distances could overflow float64 are rejected. Logs
+    one DEBUG line to ``framefuse.select``: m, iterations, convergence,
+    inertia and the rows that seeding and the nearest-center searches
+    recomputed in the direct form.
     """
     reps = _check_array("representative features", reps, np.float64, 2)
     n = reps.shape[0]
@@ -303,6 +304,19 @@ def kmeans(
 
     rng = np.random.default_rng(seed)
     pp = np.einsum("ij,ij->i", reps, reps)  # the rows' squared norms, for every search
+    # k-means sums rows, and squared distances from rows to centers: means,
+    # in the rows' box give or take n * eps * max|value| a coordinate. So
+    # reject rows for which n * max|value| or n times that box's squared
+    # diagonal (or 4n times the largest squared norm, the cheap bound tried
+    # first) passes half the float64 range: every such sum stays finite.
+    limit = np.finfo(np.float64).max / 2
+    with np.errstate(over="ignore"):
+        if not 4 * n * pp.max() <= limit:
+            hi, lo = reps.max(axis=0), reps.min(axis=0)
+            size = n * max(hi.max(), -lo.min())
+            if not max(size, n * np.square(hi - lo + np.finfo(float).eps * size).sum()) <= limit:
+                raise ParameterError("representative features too large for k-means: sums of "
+                                     "their values or squared distances could overflow float64")
     chosen, seed_rechecked = _init_center_indices(reps, m, rng, pp)
     centers = reps[chosen].copy()
     iterations = 0

@@ -70,7 +70,6 @@ def compress_cases(draw):
                                       "identical"])),
         "custom_weights": merging == "fusion" and draw(st.booleans()),
         "timestamps": draw(st.booleans()),
-        "chunk_scenes": draw(st.integers(1, k)),
         "seed": draw(st.integers(0, 2**32 - 1)),
     }
 
@@ -78,7 +77,7 @@ def compress_cases(draw):
 def _case(selection, merging, k, r, n, n_patches, dim, kind, **extra):
     case = {"selection": selection, "merging": merging, "k": k, "r": r,
             "input_frames": n, "n": n, "n_patches": n_patches, "dim": dim, "kind": kind,
-            "custom_weights": False, "timestamps": True, "chunk_scenes": 1, "seed": 7}
+            "custom_weights": False, "timestamps": True, "seed": 7}
     case.update(extra)
     return case
 
@@ -89,7 +88,7 @@ def _case(selection, merging, k, r, n, n_patches, dim, kind, **extra):
 @example(case=_case("kmeans", "bsm", 5, 0, 5, 1, 1, "random"))
 @example(case=_case("bsm", "attnpool", 3, 0, 3, 1, 1, "duplicates"))
 @example(case=_case("uniform", "fusion", 2, 2, 6, 1, 1, "random", custom_weights=True))
-@example(case=_case("uniform", "bsm", 4, 3, 16, 2, 3, "all-zero", chunk_scenes=3))
+@example(case=_case("uniform", "bsm", 4, 3, 16, 2, 3, "all-zero"))
 @example(case=_case("uniform", "attnpool", 2, 1, 4, 3, 5, "identical"))
 @example(case=_case("kmeans", "tavg", 2, 2, 6, 2, 2, "all-zero"))
 def test_compress_matches_per_scene_reference(case):
@@ -103,19 +102,13 @@ def test_compress_matches_per_scene_reference(case):
                          selection=case["selection"], merging=case["merging"],
                          seed=case["seed"] % 1000)
 
-    # attnpool runs its query GEMM for chunk_scenes scenes at a time
-    saved = parallel.UNIT_BYTES
-    parallel.UNIT_BYTES = case["chunk_scenes"] * shape[0] * shape[1] * 8
     try:
-        try:
-            want = reference.compress(features, cfg, weights)
-        except ParameterError as exc:  # e.g. cosine similarity of zero frames
-            with pytest.raises(ParameterError, match=re.escape(str(exc))):
-                compress(features, cfg, weights)
-            return
-        got = compress(features, cfg, weights)
-    finally:
-        parallel.UNIT_BYTES = saved
+        want = reference.compress(features, cfg, weights)
+    except ParameterError as exc:  # e.g. cosine similarity of zero frames
+        with pytest.raises(ParameterError, match=re.escape(str(exc))):
+            compress(features, cfg, weights)
+        return
+    got = compress(features, cfg, weights)
 
     assert got.frame_timestamps == want.frame_timestamps
     assert got.data.dtype == np.float32 and got.data.shape == want.data.shape
@@ -350,6 +343,23 @@ def _first_round_passes(scene):
     return int(np.bincount((unit[0::2] @ unit[1::2].T).argmax(axis=1)).max())
 
 
+def _scaled_copies(rng, s, n_patches, dim):
+    # about 70% of the tokens are one token times powers of two, among
+    # distinct ones: their cosines are exactly 1, so their scores tie with
+    # different norms, and the distinct tokens' scores lie below
+    scene = 2.0 ** rng.integers(-4, 5, (s, n_patches, 1)) * rng.standard_normal(dim)
+    own = rng.random((s, n_patches)) > 0.7
+    scene[own] = rng.standard_normal((own.sum(), dim))
+    return scene
+
+
+def _tiny_norms(rng, s, n_patches, dim):
+    # norms between 1e-11 and 1e-4, below and above no clamp but 1e-12
+    tokens = rng.standard_normal((s, n_patches, dim))
+    tokens /= np.linalg.norm(tokens, axis=2, keepdims=True)
+    return tokens * 10.0 ** rng.uniform(-11, -4, (s, n_patches, 1))
+
+
 _LARGE_SCENES = {
     # 432 tokens: round 1 merges every A token in several scatter passes,
     # round 2 merges 72 of 108 and keeps 36
@@ -359,6 +369,12 @@ _LARGE_SCENES = {
     "s = 1": lambda rng: _drifting(rng, 1, 144, 64),
     "L = 1": lambda rng: _drifting(rng, 9, 1, 64),
     "signed zeros": lambda rng: _with_signed_zeros(_drifting(rng, 3, 24, 16)),
+    # attnpool's logits reach the thousands, where exp overflows unshifted
+    "large magnitude": lambda rng: 100.0 * _drifting(rng, 5, 6, 16),
+    # 4 * 12 tokens: round 1 ranks 24 A tokens, more than a sort takes by
+    # insertion, most of them tied
+    "scaled copies": lambda rng: _scaled_copies(rng, 4, 12, 8),
+    "tiny norms": lambda rng: _tiny_norms(rng, 3, 12, 8),
 }
 
 
@@ -368,6 +384,11 @@ def test_merge_scene_matches_reference_on_large_and_degenerate_scenes(name):
     scene = _LARGE_SCENES[name](rng)
     if name.startswith("drifting"):
         assert _first_round_passes(scene) >= 2
+    if name == "large magnitude":
+        s, _, dim = scene.shape
+        proj = attn_projections(dim, 3)
+        logits = np.einsum("ld,mld->ml", scene[s // 2] @ proj.wq, scene @ proj.wk)
+        assert (logits / np.sqrt(dim)).max() > 709  # exp(710) overflows
     for strategy in ("tavg", "fusion", "bsm"):
         want = reference.merge_scene(scene, strategy)
         assert merge_scene(scene, strategy).tobytes() == want.tobytes(), strategy
@@ -393,6 +414,8 @@ def test_compress_of_signed_zeros_matches_reference():
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_compress_bytes_do_not_depend_on_merge_chunk_bytes(monkeypatch, strategy):
+    # UNIT_BYTES cuts compress's finiteness checks and representative
+    # averages; the merge's unit is a scene whatever it is
     rng = np.random.default_rng(33)
     k, s, n_patches, dim = 7, 3, 36, 64
     features = FrameFeatures(_frames(rng, k * s, n_patches, dim, "random"))
@@ -405,33 +428,29 @@ def test_compress_bytes_do_not_depend_on_merge_chunk_bytes(monkeypatch, strategy
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_compress_merge_memory_does_not_grow_with_k(monkeypatch, set_workers, strategy):
-    _assert_merge_memory_flat(monkeypatch, set_workers, strategy, workers=1)
+def test_compress_merge_memory_does_not_grow_with_k(set_workers, strategy):
+    _assert_merge_memory_flat(set_workers, strategy, workers=1)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
-def test_compress_merge_memory_on_two_workers_does_not_grow_with_k(monkeypatch, set_workers,
-                                                                   strategy):
-    _assert_merge_memory_flat(monkeypatch, set_workers, strategy, workers=2)
+def test_compress_merge_memory_on_two_workers_does_not_grow_with_k(set_workers, strategy):
+    _assert_merge_memory_flat(set_workers, strategy, workers=2)
 
 
-def _assert_merge_memory_flat(monkeypatch, set_workers, strategy, workers):
+def _assert_merge_memory_flat(set_workers, strategy, workers):
     s, n_patches, dim = 3, 144, 256
     frame_bytes = n_patches * dim * 8
     scene_bytes = s * frame_bytes
     set_workers(workers)
-    if workers > 1:
-        # units of 4 scenes, so that k = 8 has two units as well
-        monkeypatch.setattr(parallel, "UNIT_BYTES", 4 * frame_bytes)
     # one worker's buffers, float64: bsm's unit (one scene) and spare (half
     # one) with its round-1 scores and float32 gathers, or attnpool's scene
-    # with a unit's middle frames and their projections; the merge memory
-    # test below bounds each of them closely
-    allowance = workers * (4 * scene_bytes + 2 * parallel.UNIT_BYTES)
+    # and one frame; the merge memory test below bounds each of them
+    # closely
+    allowance = workers * 4 * scene_bytes
     rng = np.random.default_rng(34)
     assert frame_bytes >= merge.THREAD_MIN_FRAME_BYTES
     for k in (8, 32):
-        assert parallel._workers(k // 4) == workers
+        assert parallel._workers(k) == workers
         features = FrameFeatures(rng.standard_normal((k * s, n_patches, dim), dtype=np.float32))
         cfg = CompressConfig(k * s, k, s - 1, merging=strategy)
         tracemalloc.start()
@@ -466,10 +485,11 @@ def test_merge_work_memory_per_worker(set_workers, strategy):
         t0 = s * n_patches
         bound = 2.25 * t0 * dim * 8 + (t0 - t0 // 2) * (t0 // 2) * 8
     else:
-        # mids, z and x: 2 * group + s float64 frames, and no other frame
+        # x and z: s + 1 float64 frames, and no other frame; four
+        # (s, n_patches) float64 arrays cover the scores, the temporaries of
+        # their softmax and the k scenes' views (17 KiB in all)
         merge._attn_qk(dim, 0)
-        group = min(k, parallel.UNIT_BYTES // frame_bytes)
-        bound = (2 * group + s) * frame_bytes
+        bound = (s + 1) * frame_bytes + 4 * s * n_patches * 8
     tracemalloc.start()
     try:
         merge.merge_scenes(frames, members, strategy, out)
@@ -504,20 +524,16 @@ def test_merge_scenes_bsm_of_float32_frames_matches_reference(set_workers, s, n_
     members = rng.permutation(n)[:k * s].reshape(k, s)
     want = np.stack([reference.merge_scene(frames[m], "bsm") for m in members])
     for workers in (1, 2):
-        got = _merge_on(set_workers, workers, frames, members, "bsm", None, 0, 1)
+        got = _merge_on(set_workers, workers, frames, members, "bsm", None, 0)
         assert got.tobytes() == want.tobytes(), workers
 
 
-def _merge_on(set_workers, workers, frames, members, strategy, weights, seed, chunk_scenes):
-    # merge_scenes on *workers* workers, with units of chunk_scenes scenes
-    # and no frame too small for threads
-    frame_bytes = frames.shape[1] * frames.shape[2] * 8
+def _merge_on(set_workers, workers, frames, members, strategy, weights, seed):
+    # merge_scenes on *workers* workers, with no frame too small for threads
     set_workers(workers)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(parallel, "UNIT_BYTES", chunk_scenes * frame_bytes)
         mp.setattr(merge, "THREAD_MIN_FRAME_BYTES", 0)
-        units = -(-len(members) // chunk_scenes)
-        assert parallel._workers(units) == min(workers, units)
+        assert parallel._workers(len(members)) == min(workers, len(members))
         out = np.full((len(members), *frames.shape[1:]), np.nan)
         return merge.merge_scenes(frames, members, strategy, out, weights, seed)
 
@@ -533,14 +549,13 @@ def _merge_on(set_workers, workers, frames, members, strategy, weights, seed, ch
     n_patches=st.integers(1, 5),
     dim=st.integers(1, 6),
     kind=st.sampled_from(["random", "duplicates", "zeros", "all-zero", "identical"]),
-    chunk_scenes=st.integers(1, 3),
 )
-@example(seed=0, k=1, s=1, spare=0, n_patches=1, dim=1, kind="random", chunk_scenes=1)
-@example(seed=1, k=6, s=1, spare=0, n_patches=2, dim=3, kind="duplicates", chunk_scenes=1)
-@example(seed=2, k=5, s=3, spare=0, n_patches=3, dim=2, kind="all-zero", chunk_scenes=2)
-@example(seed=3, k=1, s=4, spare=2, n_patches=2, dim=2, kind="identical", chunk_scenes=1)
+@example(seed=0, k=1, s=1, spare=0, n_patches=1, dim=1, kind="random")
+@example(seed=1, k=6, s=1, spare=0, n_patches=2, dim=3, kind="duplicates")
+@example(seed=2, k=5, s=3, spare=0, n_patches=3, dim=2, kind="all-zero")
+@example(seed=3, k=1, s=4, spare=2, n_patches=2, dim=2, kind="identical")
 def test_merge_scenes_bytes_do_not_depend_on_workers(set_workers, seed, k, s, spare, n_patches,
-                                                      dim, kind, chunk_scenes):
+                                                      dim, kind):
     # the one-worker run is the oracle; spare = 0 merges every frame once
     rng = np.random.default_rng(seed)
     n = k * s + spare
@@ -550,7 +565,7 @@ def test_merge_scenes_bytes_do_not_depend_on_workers(set_workers, seed, k, s, sp
             ("fusion", rng.uniform(-1.0, 1.0, (s, n_patches, dim)), 0),
             ("attnpool", None, 0), ("attnpool", None, 5), ("bsm", None, 0)]
     for strategy, weights, attn_seed in runs:
-        args = (frames, members, strategy, weights, attn_seed, chunk_scenes)
+        args = (frames, members, strategy, weights, attn_seed)
         want = _merge_on(set_workers, 1, *args)
         assert np.isfinite(want).all()
         for workers in (2, 3):
@@ -570,15 +585,14 @@ def test_merge_workers_follow_the_blas_thread_count(monkeypatch, blas_threads, c
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     assert parallel._workers(8) == workers
     assert parallel._workers(1) == 1  # capped at the unit count
-    # a merge of four one-scene units starts W - 1 threads, and none for a
-    # frame too small for threads
+    # a merge of four scenes starts W - 1 threads, and none for a frame too
+    # small for threads
     started = []
 
     def start(thread, real_start=threading.Thread.start):
         started.append(thread)
         real_start(thread)
     monkeypatch.setattr(threading.Thread, "start", start)
-    monkeypatch.setattr(parallel, "UNIT_BYTES", 1)
     for n_patches, threads in ((32, min(4, workers) - 1), (31, 0)):
         frames = np.ones((4, n_patches, 1024), dtype=np.float32)
         assert (n_patches * 1024 * 8 >= merge.THREAD_MIN_FRAME_BYTES) == (n_patches == 32)
@@ -661,22 +675,22 @@ class _UnitFailure(Exception):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_merge_scenes_raises_the_first_failed_unit_after_all_workers_stop(monkeypatch,
                                                                           set_workers, workers):
-    # units 3 and 5 fail, and unit 3 only after a pause, so that with two
-    # or more workers unit 5 fails first; unit 3 is the one raised
+    # scenes 3 and 5 fail, and scene 3 only after a pause, so that with two
+    # or more workers scene 5 fails first; scene 3 is the one raised
     real_tavg = merge._tavg
     threads_seen = []
 
     def failing_tavg(frames, s):
         merge_unit = real_tavg(frames, s)
 
-        def merge_or_fail(scenes, rows):
+        def merge_or_fail(scene, row):
             threads_seen.append(threading.active_count())
-            unit = scenes[0, 0] // s
+            unit = scene[0] // s
             if unit == 3:
                 time.sleep(0.05)
             if unit in (3, 5):
                 raise _UnitFailure(f"unit {unit}")
-            merge_unit(scenes, rows)
+            merge_unit(scene, row)
         return merge_or_fail
 
     monkeypatch.setattr(merge, "_tavg", failing_tavg)
@@ -684,7 +698,6 @@ def test_merge_scenes_raises_the_first_failed_unit_after_all_workers_stop(monkey
     frames = np.random.default_rng(40).standard_normal((k * s, 2, 3))
     set_workers(workers)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(parallel, "UNIT_BYTES", 1)  # a unit per scene
         mp.setattr(merge, "THREAD_MIN_FRAME_BYTES", 0)
         before = threading.active_count()
         with pytest.raises(_UnitFailure, match="^unit 3$"):
@@ -708,9 +721,9 @@ def test_merge_workers_take_every_unit_exactly_once_under_contention(monkeypatch
     def counting_bsm(frames, s):
         merge_unit = real_bsm(frames, s)
 
-        def merge_and_count(scenes, rows):
-            taken.append(int(scenes[0, 0]))
-            merge_unit(scenes, rows)
+        def merge_and_count(scene, row):
+            taken.append(int(scene[0]))
+            merge_unit(scene, row)
         return merge_and_count
 
     k, s = 64, 3
@@ -719,7 +732,6 @@ def test_merge_workers_take_every_unit_exactly_once_under_contention(monkeypatch
     want = merge.merge_scenes(frames, members, "bsm", np.empty((k, 4, 8)))
     monkeypatch.setattr(merge, "_bsm", counting_bsm)
     set_workers(4)
-    monkeypatch.setattr(parallel, "UNIT_BYTES", 1)
     monkeypatch.setattr(merge, "THREAD_MIN_FRAME_BYTES", 0)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -450,6 +450,27 @@ def test_nearest_centers_overflowing_expanded_form():
     _assert_same_clustering(kmeans(huge, 3, seed=41), reference.kmeans(huge, 3, seed=41))
 
 
+@pytest.mark.parametrize("scale", [1e152, 1e153, 1e154, 1e155])
+def test_kmeans_rejects_rows_whose_squared_distances_overflow(scale):
+    # at 1e153 the seeding's sum of squared distances overflows, from 1e154
+    # each of them: numpy's rng.choice used to raise a ValueError
+    reps = scale * np.random.default_rng(42).standard_normal((40, 8))
+    if scale == 1e152:
+        _assert_same_clustering(kmeans(reps, 3, seed=43), reference.kmeans(reps, 3, seed=43))
+    else:
+        with pytest.raises(ParameterError, match="could overflow float64"):
+            kmeans(reps, 3, seed=43)
+
+
+@pytest.mark.parametrize("n", [8, 100])
+def test_kmeans_rejects_rows_whose_sums_overflow(n):
+    # equal rows, 0 apart: a cluster's mean sums 100 * 1e307, which
+    # overflows, and the mean of 8 is an ulp off the rows, 1e291, whose
+    # square overflows
+    with pytest.raises(ParameterError, match="could overflow float64"):
+        kmeans(np.full((n, 4), 1e307), 2)
+
+
 def _drifting_scenes(seed, n=512, dim=1024, n_scenes=72, patches=16):
     """Representative features of a video whose scenes each drift slowly
     along a random direction, plus per-patch noise averaged over patches."""
