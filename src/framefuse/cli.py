@@ -15,8 +15,6 @@ from collections.abc import Iterable
 from itertools import chain
 from pathlib import Path
 
-import numpy as np
-
 from .captions import (
     DEFAULT_RECORD_FRAMES,
     _records_json_parts,
@@ -134,7 +132,7 @@ def cmd_compress(args) -> int:
     )
     weights = None
     if args.weights is not None:
-        weights = load_features(args.weights).data.astype(np.float64)
+        weights = load_features(args.weights).data
     if features is None:  # a valid config here wants more frames than the file has
         _check_input_frames(cfg, n_frames)
     out = compress(features, cfg, weights)

@@ -94,9 +94,10 @@ def _check_array(name: str, value, dtype, ndim: int) -> np.ndarray:
     """The one rule for every real array: a regular (not ragged) shape,
     integer or float values (not bool, complex, string or object), rank
     *ndim*, every dim at least 1 and every value finite. Returns a
-    C-contiguous *dtype* array, *value* itself when it already is one.
-    Finiteness is checked by _all_finite, in units, so no mask of the whole
-    array is built."""
+    C-contiguous *dtype* array, *value* itself when it already is one;
+    *dtype* None keeps the value's dtype, or float64 if that is wider
+    (longdouble). Finiteness is checked by _all_finite, in units, so no
+    mask of the whole array is built."""
     try:
         array = np.asarray(value)
     except ValueError:  # numpy's "inhomogeneous shape" for nested sequences
@@ -107,6 +108,7 @@ def _check_array(name: str, value, dtype, ndim: int) -> np.ndarray:
         raise ParameterError(f"{name} must be rank {ndim}, got rank {array.ndim}")
     if min(array.shape) < 1:
         raise ParameterError(f"{name} dims must be >= 1, got {array.shape}")
+    dtype = np.float64 if dtype is None and array.dtype.itemsize > 8 else dtype
     array = np.ascontiguousarray(array, dtype=dtype)
     if not _all_finite(array.reshape(-1)):  # "frame features contain", "target contains"
         raise ParameterError(f"{name} contain{'' if name[-1] == 's' else 's'} non-finite values")

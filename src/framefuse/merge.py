@@ -34,7 +34,7 @@ THREAD_MIN_FRAME_BYTES = 256 * 2**10
 
 
 def _as_scene(scene) -> np.ndarray:
-    return _check_array("scene", scene, np.float64, 3)
+    return _check_array("scene", scene, None, 3)
 
 
 def fusion_weights_for(strategy: str, weights: np.ndarray | None,
@@ -79,31 +79,30 @@ def fit_fusion_weights(
 
     The scenes and targets are checked once, by the array rule (integer or
     float values, every one finite), and the scenes must be all of one
-    shape. The scenes are copied into a (c, s, L, D) batch. Each step
-    takes every residual from one :func:`merge_scenes` call and the
-    gradient upstream * frame a scene at a time, summed in scene order, so
-    that no temporary of the batch's size is built.
+    shape. Each list is stacked in its own dtype (float64 if wider) and
+    read as float64 as it is used. Each step takes the float64 residuals
+    from one :func:`merge_scenes` call and the gradient upstream * frame a
+    scene at a time, summed in scene order: no stack-sized temporary.
     """
     if not scenes or len(scenes) != len(targets):
         raise ParameterError("scenes and targets must be nonempty lists of equal length")
     lr = _check_real("learning rate", lr, 0, strict=True)
     steps = _check_count("steps", steps, 0)
-    # check every input, holding one float64 copy of one of them at a time
-    scene_shapes = [_as_scene(sc).shape for sc in scenes]
-    target_shapes = [_check_array("target", t, np.float64, 2).shape for t in targets]
-    shape = scene_shapes[0]
-    for sc_shape, t_shape in zip(scene_shapes, target_shapes):
+    # check each input, holding one converted copy at a time, then stack the caller's values
+    sc_checks = [(a.shape, a.dtype) for a in map(_as_scene, scenes)]
+    t_checks = [(a.shape, a.dtype) for t in targets for a in [_check_array("target", t, None, 2)]]
+    shape = sc_checks[0][0]
+    for (sc_shape, _), (t_shape, _) in zip(sc_checks, t_checks):
         if sc_shape != shape:
             raise ParameterError(f"scene shape {sc_shape} differs from {shape}")
         if t_shape != shape[1:]:
             raise ParameterError(f"target shape {t_shape} does not match {shape[1:]}")
     n = len(scenes)
-    x, t = np.empty((n, *shape)), np.empty((n, *shape[1:]))
-    for i in range(n):
-        x[i], t[i] = scenes[i], targets[i]
+    x = np.stack(scenes, dtype=functools.reduce(np.promote_types, [d for _, d in sc_checks]))
+    t = np.stack(targets, dtype=functools.reduce(np.promote_types, [d for _, d in t_checks]))
 
     frames, members = x.reshape(-1, *shape[1:]), np.arange(n * shape[0]).reshape(n, -1)
-    resid = np.empty_like(t)  # each step's residuals overwrite the last step's
+    resid = np.empty(t.shape)  # float64; each step's residuals overwrite the last step's
 
     def loss_at(w):
         merge_scenes(frames, members, "fusion", resid, w)
@@ -361,10 +360,10 @@ def merge_scenes(
       the current tokens merge per round. The tokens left are ordered by
       the earliest original index each absorbed and reshaped.
 
-    Trusts its input: a strategy of STRATEGIES, finite frames of any float
-    dtype, indices in range, for ``fusion`` float64 *weights* of shape
-    (s, n_patches, dim) or None, and for ``attnpool`` an int *seed* that
-    passed the seed rule.
+    Trusts its input: a strategy of STRATEGIES, finite frames of any
+    integer or float dtype up to 8 bytes, indices in range, for ``fusion``
+    float64 *weights* of shape (s, n_patches, dim) or None, and for
+    ``attnpool`` an int *seed* that passed the seed rule.
 
     Each scene is a unit of work. W workers, the calling thread and W - 1
     threads, each take scenes in turn from one shared counter and write

@@ -1,4 +1,4 @@
-"""Mutation audit of the merge engine's numerics.
+"""Mutation audit of the merge engine's and scene selection's numerics.
 
     python tests/mutation_audit.py
 
@@ -7,10 +7,11 @@ a change that keeps the code running but is wrong on some input. The audit
 copies the checkout, without its .git and caches, into a temporary
 directory, runs the tier-1 suite there with ``-x`` once unchanged, then
 once per mutant, and prints ``killed``
-(a test failed) or ``survived`` (all passed) for each. It exits 1 when a
-mutant survives, the unchanged suite fails, or an old text does not
-occur exactly once in its module. It is not a test file, so pytest does
-not collect it.
+(a test failed) or ``survived`` (all passed) for each. A mutant that no
+input can tell apart is listed as equivalent, with the reason, which the
+audit prints in place of running it. It exits 1 when a mutant survives,
+the unchanged suite fails, or an old text does not occur exactly once in
+its module. It is not a test file, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -21,25 +22,53 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SKIPPED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
                                  ".perfbench-work")
 
-# (name, module under src/framefuse/, old text, new text)
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # under src/framefuse/
+    old: str
+    new: str
+    equivalent: str | None = None  # why no input tells it apart, if none can
+
+
 MUTANTS = [
-    ("attnpool max shift", "merge.py",
-     "        w -= w.max(axis=0)\n", ""),
-    ("bsm stable sort", "merge.py",
-     'np.argsort(-scores[np.arange(best_b.size), best_b], kind="stable")',
-     "np.argsort(-scores[np.arange(best_b.size), best_b])"),
-    ("bsm norm clamp", "merge.py",
-     "np.maximum(np.sqrt(sums), 1e-12)", "np.maximum(np.sqrt(sums), 1e-3)"),
-    ("tavg +0.0 start", "merge.py",
-     "np.add(frames[scene[0]], 0.0, out=acc)", "acc[...] = frames[scene[0]]"),
-    ("bsm minimum.at", "merge.py",
-     "np.minimum.at(new_first, dst, first[2 * merged])",
-     "np.maximum.at(new_first, dst, first[2 * merged])"),
+    Mutant("attnpool max shift", "merge.py",
+           "        w -= w.max(axis=0)\n", ""),
+    Mutant("bsm stable sort", "merge.py",
+           'np.argsort(-scores[np.arange(best_b.size), best_b], kind="stable")',
+           "np.argsort(-scores[np.arange(best_b.size), best_b])"),
+    Mutant("bsm norm clamp", "merge.py",
+           "np.maximum(np.sqrt(sums), 1e-12)", "np.maximum(np.sqrt(sums), 1e-3)"),
+    Mutant("tavg +0.0 start", "merge.py",
+           "np.add(frames[scene[0]], 0.0, out=acc)", "acc[...] = frames[scene[0]]"),
+    Mutant("bsm minimum.at", "merge.py",
+           "np.minimum.at(new_first, dst, first[2 * merged])",
+           "np.maximum.at(new_first, dst, first[2 * merged])"),
+    Mutant("kmeans stops at shift == tol", "select.py",
+           "if shift < tol:", "if shift <= tol:"),
+    Mutant("expanded-form bound an eighth as wide", "select.py",
+           "err *= 2 * gamma", "err *= gamma / 4"),
+    Mutant("candidates exclude lo == min(hi)", "select.py",
+           "candidates = lo <= hi.min(", "candidates = lo < hi.min(",
+           "a center whose lower bound equals the least upper bound could be the "
+           "nearest only if its direct-form distance equalled that lower bound, but the "
+           "bound is 2 gamma (|p| + |c|)^2 wide and the expanded form's error was at "
+           "most 0.45 gamma (|p| + |c|)^2 on 3,000 adversarial inputs"),
+    Mutant("supplement ties to the later frame", "select.py",
+           "np.lexsort((cand, key))", "np.lexsort((-cand, key))"),
+    Mutant("last window ends at n - 1", "select.py",
+           "if i + 1 < len(rep_list) else n\n", "if i + 1 < len(rep_list) else n - 1\n"),
+    Mutant("seeding skips rows with non-finite bounds", "select.py",
+           "~((lo[:, 0] > d2) & np.isfinite(hi[:, 0]))", "~(lo[:, 0] > d2)",
+           "unreachable past kmeans's overflow guard: an accepted row's distances "
+           "stay below half the float64 maximum, so wherever the expanded form or its "
+           "bound overflows, lo is NaN or -inf and lo > d2 already fails"),
 ]
 
 
@@ -54,10 +83,10 @@ def _passes(tree: Path) -> bool:
 
 
 def main() -> int:
-    for name, module, old, _ in MUTANTS:
-        found = (ROOT / "src" / "framefuse" / module).read_text().count(old)
+    for m in MUTANTS:
+        found = (ROOT / "src" / "framefuse" / m.module).read_text().count(m.old)
         if found != 1:
-            print(f"{name}: its old text occurs {found} times in {module}, not once")
+            print(f"{m.name}: its old text occurs {found} times in {m.module}, not once")
             return 1
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "checkout"
@@ -66,16 +95,19 @@ def main() -> int:
             print("the unchanged suite fails; no mutant was run")
             return 1
         survived = 0
-        for name, module, old, new in MUTANTS:
-            path = tree / "src" / "framefuse" / module
+        for m in MUTANTS:
+            if m.equivalent:
+                print(f"{m.name}: equivalent: {m.equivalent}", flush=True)
+                continue
+            path = tree / "src" / "framefuse" / m.module
             text = path.read_text()
-            path.write_text(text.replace(old, new))
+            path.write_text(text.replace(m.old, m.new))
             try:
                 alive = _passes(tree)
             finally:
                 path.write_text(text)
             survived += alive
-            print(f"{name}: {'survived' if alive else 'killed'}", flush=True)
+            print(f"{m.name}: {'survived' if alive else 'killed'}", flush=True)
     return 1 if survived else 0
 
 

@@ -184,6 +184,68 @@ def test_fit_fusion_weights_unstable_lr_equals_reference():
     assert 0 < int(np.argmin(history)) < len(history) - 1
 
 
+def _of_dtype(rng, shape, dtype):
+    # values in [-4, 4] ([0, 8] unsigned); longdouble ones carry bits past
+    # float64's, which the array rule rounds away as the reference does
+    dtype = np.dtype(dtype)
+    if dtype.kind in "iu":
+        low = -4 if dtype.kind == "i" else 0
+        return rng.integers(low, low + 9, shape).astype(dtype)
+    values = rng.uniform(-4.0, 4.0, shape).astype(dtype)
+    if dtype.itemsize > 8:
+        values += values * np.longdouble(2.0**-60)
+    return values
+
+
+_DTYPES = ["float16", "float32", "float64", "int32", "int64", "uint8", "longdouble"]
+_MIXED = ["float32", "float64", "int64"]
+
+
+def _scenes_of(rng, case, c, shape):
+    # c scenes of shape and their targets as *case* gives them: arrays of
+    # one dtype, nested lists, or mixed float32, float64 and int64 scenes
+    # with float16 targets
+    if case == "nested lists":
+        return ([rng.uniform(-4.0, 4.0, shape).tolist() for _ in range(c)],
+                [rng.uniform(-4.0, 4.0, shape[1:]).tolist() for _ in range(c)])
+    if case == "mixed":
+        return ([_of_dtype(rng, shape, _MIXED[i % 3]) for i in range(c)],
+                [_of_dtype(rng, shape[1:], np.float16) for _ in range(c)])
+    return ([_of_dtype(rng, shape, case) for _ in range(c)],
+            [_of_dtype(rng, shape[1:], case) for _ in range(c)])
+
+
+@pytest.mark.parametrize("case", _DTYPES + ["nested lists", "mixed"])
+def test_fit_fusion_weights_of_each_dtype_equals_reference(case):
+    # the scenes and targets are stacked in their own dtype and read as
+    # float64, which is what the reference's float64 copies hold
+    rng = np.random.default_rng(14)
+    scenes, targets = _scenes_of(rng, case, 5, (3, 4, 6))
+    bound = max(float((np.asarray(sc, dtype=np.float64) ** 2).sum(axis=0).max())
+                for sc in scenes)
+    for lr_scale, steps in ((1.0, 4), (6.0, 4)):  # a stable and an unstable rate
+        _assert_same_fit(scenes, targets, lr_scale / bound, steps)
+
+
+@pytest.mark.parametrize("case", _DTYPES + ["nested lists", "mixed"])
+def test_merge_scene_of_each_dtype_matches_reference(case):
+    rng = np.random.default_rng(15)
+    if case == "mixed":  # a list of float32, float64 and int64 frames
+        scene = [_of_dtype(rng, (4, 6), dtype) for dtype in _MIXED]
+    else:
+        scene = _scenes_of(rng, case, 1, (3, 4, 6))[0][0]
+    if isinstance(scene, np.ndarray) and scene.dtype.itemsize <= 8:
+        assert merge._as_scene(scene) is scene  # checked in place, not copied
+    for strategy in ("tavg", "fusion", "bsm"):
+        want = reference.merge_scene(scene, strategy)
+        assert merge_scene(scene, strategy).tobytes() == want.tobytes(), strategy
+    weights = rng.standard_normal(np.shape(scene))
+    assert merge_scene(scene, "fusion", weights=weights).tobytes() == \
+        reference.fusion(scene, weights).tobytes()
+    got = merge_scene(scene, "attnpool", seed=2)
+    assert np.abs(got - reference.merge_scene(scene, "attnpool", seed=2)).max() <= ATTNPOOL_TOL
+
+
 def test_fit_fusion_weights_validates_each_scene_once(monkeypatch):
     calls = []
     real = merge._as_scene
@@ -214,13 +276,40 @@ def test_fit_fusion_weights_builds_no_batch_sized_temporary():
     finally:
         tracemalloc.stop()
     scene_bytes = s * n_patches * dim * 8
-    batch, target_stack = c * scene_bytes, c * n_patches * dim * 8
-    # the float64 batch, the targets and the residuals, plus a few
-    # scene-sized arrays (weights, best weights, gradient, its terms); one
-    # (c, s, L, D) temporary more would break it
-    bound = batch + 2 * target_stack + 6 * scene_bytes
-    assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
-    assert batch > bound - peak
+    stack, target_stack = c * scene_bytes // 2, c * n_patches * dim * 4
+    resid = 2 * target_stack
+    # the float32 stacks of the scenes and the targets, the float64
+    # residuals, and a few float64 scene-sized arrays (weights, best
+    # weights, gradient, its terms); a float64 copy of the scenes, or one
+    # (c, s, L, D) temporary more, would break it
+    bound = stack + target_stack + resid + 6 * scene_bytes
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+    assert stack > bound - peak
+    want_w, want_history = reference.fit_fusion_weights(scenes, targets, 1e-3, 3)
+    assert np.array_equal(w, want_w) and history == want_history
+
+
+def test_fit_fusion_weights_stacks_strided_scenes_without_copying_them_first():
+    # float64 scenes given as strided views: each is checked through one
+    # contiguous copy at a time, then read from the view into the stack, so
+    # the converted copies of all of them are never held beside the stack
+    c, s, n_patches, dim = 12, 3, 32, 256
+    rng = np.random.default_rng(16)
+    scenes = [rng.standard_normal((s, n_patches, 2 * dim))[:, :, ::2] for _ in range(c)]
+    targets = [sc[1] for sc in scenes]
+    tracemalloc.start()
+    try:
+        w, history = fit_fusion_weights(scenes, targets, lr=1e-3, steps=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    scene_bytes = s * n_patches * dim * 8
+    stack, target_stack = c * scene_bytes, c * n_patches * dim * 8
+    # the float64 stacks, the residuals and a few scene-sized arrays, as
+    # above; the converted copies of all the scenes besides would break it
+    bound = stack + 2 * target_stack + 6 * scene_bytes
+    assert peak < bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+    assert stack > bound - peak
     want_w, want_history = reference.fit_fusion_weights(scenes, targets, 1e-3, 3)
     assert np.array_equal(w, want_w) and history == want_history
 

@@ -191,6 +191,24 @@ def test_supplements_dissimilar_mode_picks_bottom():
     assert bottom.scenes[0].members == (2, 3)  # frame 2 is least similar
 
 
+def test_supplements_break_similarity_ties_to_the_earlier_frame():
+    # frames 1 and 3 are one vector, the most similar to the representative
+    # at 5, and frames 0 and 4 another, the least similar; integer values
+    # keep every dot product exact, so their scores tie
+    reps = np.array([[-1, 0], [4, 2], [0, 1], [4, 2], [-1, 0], [2, 1]], dtype=np.float64)
+    assert select_supplements(reps, [5], 1, mode="similar").scenes[0].members == (1, 5)
+    assert select_supplements(reps, [5], 1, mode="dissimilar").scenes[0].members == (0, 5)
+
+
+def test_supplements_pad_the_last_scene_forward_through_the_last_frame():
+    # the scene at 4 has one free history frame, 3, and pads from 5 and 6,
+    # the frames after it up to the end; frame 6 is the one like frame 4
+    reps = np.array([[0, 1], [1, 1], [1, 2], [0, 1], [1, 0], [-1, 0], [1, 0]], dtype=np.float64)
+    ss = select_supplements(reps, [2, 4], 2)
+    assert [scene.members for scene in ss.scenes] == [(0, 1, 2), (3, 4, 6)]
+    assert len(ss.warnings) == 1 and ss.warnings[0].startswith("scene at frame 4:")
+
+
 def test_supplements_padding_warns():
     rng = np.random.default_rng(22)
     reps = rng.standard_normal((10, 4))
@@ -430,6 +448,29 @@ def test_kmeans_equals_direct_form_oracle(case, max_iters):
     _assert_same_clustering(got, want)
     assert (select._distinct_representatives(reps, got.centers)
             == reference.distinct_representatives(reps, want.centers))
+
+
+def test_nearest_centers_keeps_a_direct_form_tie_the_expanded_form_splits():
+    # two centers an ulp apart: the point's direct-form distances to them
+    # round equal, so the lower index is nearest, while the expanded form
+    # errs by about 0.4 gamma (|p| + |c|)^2 and tells them apart; a bound of
+    # a quarter gamma (|p| + |c|)^2 would settle the row on the other one
+    points = np.array([[-0.19065013892763072]])
+    centers = np.array([[0.3739698731595847], [0.3739698731595846]])
+    d2 = pairwise_sqdist(points, centers)
+    assert d2[0, 0] == d2[0, 1] and centers[0, 0] != centers[1, 0]
+    assert nearest_centers(points, centers)[0].tolist() == [0]
+
+
+def test_kmeans_stops_only_once_the_shift_is_below_tol():
+    # one center seeded at 0 or 2 moves by exactly 1 to their mean, then by
+    # 0: a shift equal to tol is not below it, so tol 1 stops after the
+    # second step and tol 0 never stops early
+    reps = np.array([[0.0], [2.0]])
+    for tol, iterations, converged in ((1.0, 2, True), (0.0, 4, False)):
+        got = kmeans(reps, 1, max_iters=4, tol=tol, seed=44)
+        _assert_same_clustering(got, reference.kmeans(reps, 1, max_iters=4, tol=tol, seed=44))
+        assert (got.iterations_run, got.converged) == (iterations, converged)
 
 
 def test_nearest_centers_overflowing_expanded_form():

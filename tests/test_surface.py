@@ -282,7 +282,7 @@ def _works_out_workers(node) -> bool:
             or isinstance(node, ast.Attribute) and node.attr in _WORKER_RULE)
 
 
-def test_only_errors_works_out_the_workers():
+def test_only_parallel_works_out_the_workers():
     # parallel._run_units works out W from OpenBLAS's own thread count,
     # read through ctypes, and starts every worker thread; a stage passes
     # it a worker factory and its units
@@ -315,7 +315,7 @@ def test_no_module_reads_the_environment():
     assert found == []
 
 
-def test_only_errors_states_the_worker_rule():
+def test_only_parallel_states_the_worker_rule():
     # when W is 1 is said in parallel._workers and README "Workers" alone;
     # another docstring points there instead of restating it
     found = []
