@@ -14,8 +14,6 @@ from .errors import ParameterError, _check_count, _check_seed
 from .features import FrameFeatures, uniform_sample_indices
 from .merge import STRATEGIES, fusion_weights_for, merge_scenes
 from .select import (
-    Scene,
-    SceneSet,
     nearest_centers,
     representative_features,
     select_scenes_bsm,
@@ -78,33 +76,24 @@ class CompressConfig:
                       else value for key, value in doc.items()})
 
 
-def group_uniform_scenes(indices: list[int], scene_size: int) -> SceneSet:
-    """Chunk consecutive indices into scenes of scene_size >= 1; the middle member represents."""
-    if len(indices) % scene_size != 0:
-        raise ParameterError(
-            f"{len(indices)} frames do not divide into scenes of {scene_size}"
-        )
-    scenes = []
-    for start in range(0, len(indices), scene_size):
-        chunk = [int(i) for i in indices[start:start + scene_size]]
-        scenes.append(Scene(representative=chunk[scene_size // 2], members=tuple(chunk)))
-    return SceneSet(scenes=tuple(scenes), r=scene_size - 1, warnings=())
-
-
-def _select(features: FrameFeatures, idx: np.ndarray, cfg: CompressConfig) -> SceneSet:
-    # scene members index the sampled frames idx
-    if cfg.selection == "uniform":
-        if cfg.input_frames != cfg.scenes_k * (cfg.supplements_r + 1):
-            raise ParameterError(
-                "uniform selection requires input_frames == scenes_k*(supplements_r+1); "
-                f"got {cfg.input_frames} != {cfg.scenes_k}*{cfg.supplements_r + 1}"
-            )
-        return group_uniform_scenes(list(range(cfg.input_frames)), cfg.supplements_r + 1)
+def _select(features: FrameFeatures, idx: np.ndarray,
+            cfg: CompressConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, s) member table and the k representatives, as positions in
+    the sample *idx*; each warning of the selection is logged."""
+    s = cfg.supplements_r + 1
+    if cfg.selection == "uniform":  # consecutive chunks, the middle member represents
+        members = np.arange(cfg.input_frames).reshape(-1, s)
+        return members, members[:, s // 2]
     # a sample of every frame is the identity: select on the validated input
     sub = features if len(idx) == features.n_frames else FrameFeatures(features.data[idx])
     if cfg.selection == "kmeans":
-        return select_scenes_kmeans(sub, cfg.scenes_k, cfg.supplements_r, seed=cfg.seed)
-    return select_scenes_bsm(sub, cfg.scenes_k, cfg.supplements_r)
+        scene_set = select_scenes_kmeans(sub, cfg.scenes_k, cfg.supplements_r, seed=cfg.seed)
+    else:
+        scene_set = select_scenes_bsm(sub, cfg.scenes_k, cfg.supplements_r)
+    for warning in scene_set.warnings:
+        logger.warning("%s", warning)
+    return (np.array([scene.members for scene in scene_set.scenes]),
+            np.array([scene.representative for scene in scene_set.scenes]))
 
 
 def _check_input_frames(cfg: CompressConfig, n_frames: int) -> None:
@@ -121,9 +110,9 @@ def compress(
 ) -> FrameFeatures:
     """Compress a feature tensor to exactly cfg.scenes_k merged frames.
 
-    Uniformly samples cfg.input_frames frames, groups them into scenes by
-    the configured selection, merges each scene with the configured
-    strategy, and stacks the merged maps in representative order.
+    Uniformly samples cfg.input_frames frames, groups them into a (k, s)
+    table of scene members by the configured selection, merges each scene
+    with the configured strategy, and stacks the maps in representative order.
     Deterministic for identical (input, config, seed). A tensor of exactly
     cfg.input_frames frames, such as ``load_features(path,
     sample=cfg.input_frames)`` returns, samples the identity, so it
@@ -138,26 +127,30 @@ def compress(
     :func:`merge.merge_scenes`), and the output does not depend on W.
 
     *weights* are the fusion weights, of shape (supplements_r + 1,
-    n_patches, dim); they are rejected with any other cfg.merging.
+    n_patches, dim); they are rejected with any other cfg.merging. The
+    frame count, uniform selection's exact budget, then *weights* are
+    checked before selection runs.
 
     Each warning of the selection (a scene padded from outside its history
     window; frame numbers count the sampled frames) is logged at WARNING.
     """
     _check_input_frames(cfg, features.n_frames)
-    idx = np.asarray(uniform_sample_indices(features.n_frames, cfg.input_frames))
-    scene_set = _select(features, idx, cfg)
-    for warning in scene_set.warnings:
-        logger.warning("%s", warning)
-    members = idx[np.array([scene.members for scene in scene_set.scenes])]  # (k, s)
-    k, s = members.shape
+    s = cfg.supplements_r + 1
+    if cfg.selection == "uniform" and cfg.input_frames != cfg.scenes_k * s:
+        raise ParameterError(
+            "uniform selection requires input_frames == scenes_k*(supplements_r+1); "
+            f"got {cfg.input_frames} != {cfg.scenes_k}*{s}"
+        )
     _, n_patches, dim = features.data.shape
     weights = fusion_weights_for(cfg.merging, weights, (s, n_patches, dim))
-    out = merge_scenes(features.data, members, cfg.merging,
-                       np.empty((k, n_patches, dim), dtype=np.float32), weights, cfg.seed)
+    idx = np.asarray(uniform_sample_indices(features.n_frames, cfg.input_frames))
+    members, reps = _select(features, idx, cfg)
+    out = merge_scenes(features.data, idx[members], cfg.merging,
+                       np.empty((len(members), n_patches, dim), dtype=np.float32),
+                       weights, cfg.seed)
     out_ts = None
     if features.frame_timestamps is not None:
-        out_ts = tuple(features.frame_timestamps[idx[scene.representative]]
-                       for scene in scene_set.scenes)
+        out_ts = tuple(features.frame_timestamps[i] for i in idx[reps])
     return FrameFeatures(out, out_ts)
 
 

@@ -236,11 +236,10 @@ def nearest_centers(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray
 
 
 def _init_center_indices(reps: np.ndarray, m: int, rng: np.random.Generator,
-                         pp: np.ndarray | None = None) -> tuple[list[int], int]:
+                         pp: np.ndarray) -> tuple[list[int], int]:
     """k-means++ seeding over data rows (Arthur and Vassilvitskii, SODA
     2007): always m distinct rows. Also returns how many row-center pairs
-    were recomputed in the direct form. *pp* holds the rows' squared norms,
-    computed here when the caller does not pass them.
+    were recomputed in the direct form. *pp* holds the rows' squared norms.
 
     Each row's d2 stays bit-identical to the minimum of its direct-form
     distances to the chosen rows, so the sampling probabilities are too: a
@@ -251,8 +250,6 @@ def _init_center_indices(reps: np.ndarray, m: int, rng: np.random.Generator,
     n = reps.shape[0]
     chosen = [int(rng.integers(n))]
     d2 = pairwise_sqdist(reps, reps[chosen[0]:chosen[0] + 1])[:, 0]
-    if pp is None:
-        pp = np.einsum("ij,ij->i", reps, reps)
     rechecked = 0
     while len(chosen) < m:
         total = float(d2.sum())

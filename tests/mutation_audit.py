@@ -1,4 +1,5 @@
-"""Mutation audit of the merge engine's and scene selection's numerics.
+"""Mutation audit of the merge engine's and scene selection's numerics,
+and of how compress maps scene members back to the input's frames.
 
     python tests/mutation_audit.py
 
@@ -69,6 +70,12 @@ MUTANTS = [
            "unreachable past kmeans's overflow guard: an accepted row's distances "
            "stay below half the float64 maximum, so wherever the expanded form or its "
            "bound overflows, lo is NaN or -inf and lo > d2 already fails"),
+    Mutant("merge reads sample positions as frame numbers", "pipeline.py",
+           "merge_scenes(features.data, idx[members],", "merge_scenes(features.data, members,"),
+    Mutant("uniform scene represented by its first member", "pipeline.py",
+           "members[:, s // 2]", "members[:, 0]"),
+    Mutant("timestamps read at sample positions", "pipeline.py",
+           "for i in idx[reps])", "for i in reps)"),
 ]
 
 

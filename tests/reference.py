@@ -32,6 +32,8 @@ from framefuse import (
     Clustering,
     FrameFeatures,
     ParameterError,
+    Scene,
+    SceneSet,
     attn_projections,
     representative_features,
     select_scenes_bsm,
@@ -39,7 +41,6 @@ from framefuse import (
 )
 from framefuse.captions import MAX_DURATION_S, MIN_DURATION_S
 from framefuse.features import uniform_sample_indices
-from framefuse.pipeline import group_uniform_scenes
 
 
 def as_scene(scene):
@@ -198,7 +199,9 @@ def compress(features, cfg, weights=None):
     if cfg.selection == "uniform":
         if cfg.input_frames != cfg.scenes_k * (cfg.supplements_r + 1):
             raise ParameterError("uniform selection requires an exact budget")
-        scene_set = group_uniform_scenes(list(range(cfg.input_frames)), cfg.supplements_r + 1)
+        s = cfg.supplements_r + 1
+        scene_set = SceneSet(tuple(Scene(start + s // 2, tuple(range(start, start + s)))
+                                   for start in range(0, cfg.input_frames, s)), s - 1)
     elif cfg.selection == "kmeans":
         scene_set = select_scenes_kmeans(sub, cfg.scenes_k, cfg.supplements_r, seed=cfg.seed)
     else:

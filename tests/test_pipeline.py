@@ -15,7 +15,7 @@ from framefuse import (
     select_scenes_kmeans,
 )
 from framefuse.features import uniform_sample_indices
-from framefuse.pipeline import _proxy, group_uniform_scenes
+from framefuse.pipeline import _proxy
 from reference import planted_block_labels, reconstruction_proxy
 
 
@@ -45,24 +45,6 @@ def test_uniform_sample_errors():
         uniform_sample_indices(5, 6)
     with pytest.raises(ParameterError):
         uniform_sample_indices(5, 0)
-
-
-def test_group_uniform_96_by_3():
-    ss = group_uniform_scenes(list(range(96)), 3)
-    assert ss.k == 32
-    assert all(len(s.members) == 3 for s in ss.scenes)
-    assert ss.scenes[0].members == (0, 1, 2)
-    assert ss.scenes[0].representative == 1  # middle member
-
-
-def test_group_uniform_chunks():
-    ss = group_uniform_scenes([0, 1, 2, 3, 4, 5], 3)
-    assert [s.members for s in ss.scenes] == [(0, 1, 2), (3, 4, 5)]
-
-
-def test_group_uniform_divisibility_error():
-    with pytest.raises(ParameterError):
-        group_uniform_scenes(list(range(7)), 3)
 
 
 def test_compress_config_validation():
@@ -228,6 +210,19 @@ def test_fusion_weights_passed_through():
     first_members = [0, 3, 6, 9]
     for produced, m in zip(out.data.astype(np.float64), first_members):
         assert np.allclose(produced, f.data[m].astype(np.float64), atol=1e-6)
+
+
+def test_compress_checks_weights_before_selection_runs(monkeypatch):
+    from framefuse import pipeline
+
+    def fail(*args, **kwargs):
+        pytest.fail("selection ran before the weights were checked")
+
+    monkeypatch.setattr(pipeline, "select_scenes_kmeans", fail)
+    f = generate_synthetic(SyntheticSpec(12, 3, 4, 2, 0.1, seed=19))
+    cfg = CompressConfig(12, 4, 2, selection="kmeans", merging="fusion")
+    with pytest.raises(ParameterError, match="weights shape"):
+        compress(f, cfg, weights=np.ones((2, 3, 4)))
 
 
 def test_reconstruction_proxy_zero_for_self():

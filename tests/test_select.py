@@ -580,7 +580,8 @@ def test_init_center_indices_equals_direct_form_oracle(case):
                          case["kind"])
     with np.errstate(over="ignore"):
         chosen, _ = select._init_center_indices(reps, case["m"],
-                                                np.random.default_rng(case["seed"]))
+                                                np.random.default_rng(case["seed"]),
+                                                np.einsum("ij,ij->i", reps, reps))
         want = reference.init_center_indices(reps, case["m"],
                                              np.random.default_rng(case["seed"]))
     assert chosen == want
@@ -591,7 +592,8 @@ def test_seeding_rechecks_few_pairs():
     # deterministic guard against a silent return to a direct-form pass
     # per center: on drifting-scene features the bound settles most pairs
     reps = _drifting_scenes(42)
-    chosen, rechecked = select._init_center_indices(reps, 48, np.random.default_rng(42))
+    chosen, rechecked = select._init_center_indices(reps, 48, np.random.default_rng(42),
+                                                    np.einsum("ij,ij->i", reps, reps))
     assert chosen == reference.init_center_indices(reps, 48, np.random.default_rng(42))
     assert rechecked < 0.25 * 512 * 47, rechecked
 
@@ -704,7 +706,8 @@ def test_kmeans_debug_line_inertia(caplog):
 def test_kmeans_debug_line_seeding_rechecked(caplog):
     reps = _drifting_scenes(5, n=128, dim=32, n_scenes=8)
     _, fields = _kmeans_debug_fields(caplog, reps, 8, seed=5)
-    _, rechecked = select._init_center_indices(reps, 8, np.random.default_rng(5))
+    _, rechecked = select._init_center_indices(reps, 8, np.random.default_rng(5),
+                                               np.einsum("ij,ij->i", reps, reps))
     assert fields["seeding_rechecked"] == str(rechecked)
     caplog.clear()
     # two groups of three equal rows: the second center can only lower d2
