@@ -54,13 +54,6 @@ def fusion_weights_for(strategy: str, weights: np.ndarray | None,
     return weights
 
 
-def _weight_gradient(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    # the gradient of the fused output w.r.t. the weights, contracted with
-    # the loss gradient at the output: x (..., s, L, D) and upstream
-    # (..., L, D) give upstream times every frame
-    return upstream[..., None, :, :] * x
-
-
 def fit_fusion_weights(
     scenes: list[np.ndarray],
     targets: list[np.ndarray],
@@ -77,31 +70,23 @@ def fit_fusion_weights(
     per-coordinate sum of squared frame values) the loss is non-increasing
     and the best iterate is the last.
 
-    The scenes and targets are checked once, by the array rule (integer or
-    float values, every one finite), and the scenes must be all of one
-    shape. Each list is stacked in its own dtype (float64 if wider) and
-    read as float64 as it is used. Each step takes the float64 residuals
-    from one :func:`merge_scenes` call and the gradient upstream * frame a
-    scene at a time, summed in scene order: no stack-sized temporary.
+    *scenes* (c, s, n_patches, dim) and *targets* (c, n_patches, dim) may
+    each be a list, a nested list or one array. Each is checked once, as
+    one stack, by the array rule (integer or float values, every one
+    finite), kept in its own dtype (float64 if wider) and read as float64
+    as it is used. Each step takes the float64 residuals from one
+    :func:`merge_scenes` call and the gradient residual * frame a scene at
+    a time, summed in scene order: no stack-sized temporary.
     """
-    if not scenes or len(scenes) != len(targets):
-        raise ParameterError("scenes and targets must be nonempty lists of equal length")
     lr = _check_real("learning rate", lr, 0, strict=True)
     steps = _check_count("steps", steps, 0)
-    # check each input, holding one converted copy at a time, then stack the caller's values
-    sc_checks = [(a.shape, a.dtype) for a in map(_as_scene, scenes)]
-    t_checks = [(a.shape, a.dtype) for t in targets for a in [_check_array("target", t, None, 2)]]
-    shape = sc_checks[0][0]
-    for (sc_shape, _), (t_shape, _) in zip(sc_checks, t_checks):
-        if sc_shape != shape:
-            raise ParameterError(f"scene shape {sc_shape} differs from {shape}")
-        if t_shape != shape[1:]:
-            raise ParameterError(f"target shape {t_shape} does not match {shape[1:]}")
-    n = len(scenes)
-    x = np.stack(scenes, dtype=functools.reduce(np.promote_types, [d for _, d in sc_checks]))
-    t = np.stack(targets, dtype=functools.reduce(np.promote_types, [d for _, d in t_checks]))
+    x = _check_array("scenes", scenes, None, 4)
+    t = _check_array("targets", targets, None, 3)
+    n, s, n_patches, dim = x.shape
+    if t.shape != (n, n_patches, dim):
+        raise ParameterError(f"targets shape {t.shape} does not match scenes shape {x.shape}")
 
-    frames, members = x.reshape(-1, *shape[1:]), np.arange(n * shape[0]).reshape(n, -1)
+    frames, members = x.reshape(-1, n_patches, dim), np.arange(n * s).reshape(n, s)
     resid = np.empty(t.shape)  # float64; each step's residuals overwrite the last step's
 
     def loss_at(w):
@@ -111,12 +96,13 @@ def fit_fusion_weights(
         return sum(0.5 * float((r * r).sum()) for r in resid) / n
 
     def gradient():
-        grad = _weight_gradient(x[0], resid[0])
+        # n * dloss/dw: the sum of each scene's (L, D) residual times its frames
+        grad = resid[0] * x[0]
         for i in range(1, n):
-            grad += _weight_gradient(x[i], resid[i])
+            grad += resid[i] * x[i]
         return grad
 
-    w = np.full(shape, 1.0 / shape[0])
+    w = np.full((s, n_patches, dim), 1.0 / s)
     best_loss = loss_at(w)
     best_w = w
     history = [best_loss]

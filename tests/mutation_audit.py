@@ -1,5 +1,7 @@
-"""Mutation audit of the merge engine's and scene selection's numerics,
-and of how compress maps scene members back to the input's frames.
+"""Mutation audit of the merge engine's, the fusion fitter's and scene
+selection's numerics, of how compress maps scene members back to the
+input's frames, and of the feature reader, the worker runner, caption
+packing and the seed rule.
 
     python tests/mutation_audit.py
 
@@ -76,6 +78,29 @@ MUTANTS = [
            "members[:, s // 2]", "members[:, 0]"),
     Mutant("timestamps read at sample positions", "pipeline.py",
            "for i in idx[reps])", "for i in reps)"),
+    Mutant("fitter drops the scene and target count check", "merge.py",
+           "if t.shape != (n, n_patches, dim):", "if t.shape[1:] != (n_patches, dim):"),
+    Mutant("fitter gradient reads the first scene's frames", "merge.py",
+           "grad += resid[i] * x[i]", "grad += resid[i] * x[0]"),
+    Mutant("reader checks half its skipped values", "features.py",
+           "np.isfinite(scratch[:filled // 4])", "np.isfinite(scratch[:filled // 8])"),
+    Mutant("reader ignores trailing bytes", "features.py",
+           "if os.pread(fd, 1, HEADER_SIZE + expected):", "if False:"),
+    Mutant("equal timestamps accepted", "features.py",
+           "if any(b <= a for a, b in", "if any(b < a for a, b in"),
+    Mutant("runner raises the last failure", "parallel.py",
+           "raise failures[min(failures)]", "raise failures[max(failures)]"),
+    Mutant("W not capped at the unit count", "parallel.py",
+           "return min(units, len(os.sched_getaffinity(0)))",
+           "return len(os.sched_getaffinity(0))"),
+    Mutant("word count misses a leading word", "captions.py",
+           'marks.count(b" x") + marks.startswith(b"x")', 'marks.count(b" x")'),
+    Mutant("MM:SS rounds just below half up", "captions.py",
+           "total = math.floor(seconds + 0.5)", "total = math.floor(seconds + 0.49)"),
+    Mutant("packing closes a record that would end at max_s", "captions.py",
+           "if total + duration > max_s:", "if total + duration >= max_s:"),
+    Mutant("seed rule accepts bools", "errors.py",
+           "if isinstance(seed, bool) or not", "if not"),
 ]
 
 

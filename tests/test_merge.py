@@ -178,7 +178,7 @@ def test_fit_parameter_errors():
     for bad in (np.nan, np.inf):
         target = np.zeros((2, 2))
         target[1, 0] = bad
-        with pytest.raises(ParameterError, match="target contains non-finite values"):
+        with pytest.raises(ParameterError, match="targets contain non-finite values"):
             fit_fusion_weights([sc, sc], [np.zeros((2, 2)), target], lr=0.1, steps=1)
 
 

@@ -247,19 +247,34 @@ def test_merge_scene_of_each_dtype_matches_reference(case):
 
 
 def test_fit_fusion_weights_validates_each_scene_once(monkeypatch):
+    # the scenes and the targets are each checked once, as one stack
     calls = []
-    real = merge._as_scene
+    real = merge._check_array
 
-    def counting(scene):
-        calls.append(np.shape(scene))
-        return real(scene)
+    def counting(name, value, dtype, ndim):
+        calls.append((name, np.shape(value)))
+        return real(name, value, dtype, ndim)
 
-    monkeypatch.setattr(merge, "_as_scene", counting)
+    monkeypatch.setattr(merge, "_check_array", counting)
     rng = np.random.default_rng(12)
     scenes = [rng.standard_normal((2, 3, 4)) for _ in range(4)]
     targets = [rng.standard_normal((3, 4)) for _ in range(4)]
     fit_fusion_weights(scenes, targets, lr=0.01, steps=6)
-    assert calls == [(2, 3, 4)] * 4
+    assert calls == [("scenes", (4, 2, 3, 4)), ("targets", (4, 3, 4))]
+
+
+def test_fit_fusion_weights_takes_lists_or_one_array():
+    # a list of scenes and the same scenes as one (c, s, L, D) array, each
+    # with the targets as a list and as one (c, L, D) array, fit alike
+    rng = np.random.default_rng(17)
+    scenes = [_of_dtype(rng, (3, 4, 6), np.float32) for _ in range(5)]
+    targets = [_of_dtype(rng, (4, 6), np.float32) for _ in range(5)]
+    want_w, want_history = reference.fit_fusion_weights(scenes, targets, 0.02, 4)
+    for sc in (scenes, np.stack(scenes)):
+        for t in (targets, np.stack(targets)):
+            w, history = fit_fusion_weights(sc, t, lr=0.02, steps=4)
+            assert w.tobytes() == want_w.tobytes()
+            assert np.array(history).tobytes() == np.array(want_history).tobytes()
 
 
 def test_fit_fusion_weights_builds_no_batch_sized_temporary():

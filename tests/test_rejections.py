@@ -54,9 +54,13 @@ def _nan_scene():
     (lambda: merge_scene(_nan_scene(), "tavg"), "non-finite"),
     (lambda: fit_fusion_weights([SCENE], [SCENE[0]], lr=0.1, steps=-1), "steps must be >= 0"),
     (lambda: fit_fusion_weights([SCENE, SCENE[:2]], [SCENE[0], SCENE[0]], lr=0.1, steps=1),
-     "scene shape .* differs"),
+     "scenes must have a regular shape"),
     (lambda: fit_fusion_weights([SCENE], [SCENE[0, :1]], lr=0.1, steps=1),
-     "target shape .* does not match"),
+     "targets shape .* does not match scenes shape"),
+    (lambda: fit_fusion_weights([SCENE, SCENE], [SCENE[0]], lr=0.1, steps=1),
+     "targets shape .* does not match scenes shape"),
+    (lambda: fit_fusion_weights([SCENE], [SCENE[0], SCENE[0]], lr=0.1, steps=1),
+     "targets shape .* does not match scenes shape"),
     (lambda: attn_projections(0), "dim must be >= 1"),
     (lambda: CompressConfig(12, 0, 0), "scenes_k must be >= 1"),
     (lambda: CompressConfig(12, 4, -1), "supplements_r must be >= 0"),
@@ -76,8 +80,9 @@ def _nan_scene():
     (lambda: select_scenes_bsm(FEATURES, 2, -1), "r must be >= 0"),
 ], ids=[
     "features-zero-dim", "spec-seed", "merge-rank-2", "merge-nan", "fit-steps",
-    "fit-scene-shapes", "fit-target-shape", "attn-dim-0", "config-k-0", "config-r-neg",
-    "config-seed", "config-missing", "sceneset-order", "sceneset-members", "kmeans-rank-1",
+    "fit-scene-shapes", "fit-target-shape", "fit-more-scenes", "fit-more-targets",
+    "attn-dim-0", "config-k-0", "config-r-neg", "config-seed", "config-missing",
+    "sceneset-order", "sceneset-members", "kmeans-rank-1",
     "kmeans-max-iters", "kmeans-tol-neg", "kmeans-tol-nan", "select-kmeans-k-0",
     "select-kmeans-r-neg", "select-kmeans-tol-nan", "select-bsm-k-0", "select-bsm-r-neg",
 ])
@@ -255,10 +260,11 @@ ARRAYS = {
         ("weights", INTS[:9].reshape(3, 3, 4),
          lambda a: compress(FEATURES, CompressConfig(12, 4, 2, merging="fusion"), a)),
     ("fit_fusion_weights", "scenes"):
-        ("scene", INTS[:6].reshape(3, 2, 4),
-         lambda a: fit_fusion_weights([a], [SCENE[0]], lr=0.01, steps=2)),
+        ("scenes", INTS.reshape(2, 3, 2, 4),
+         lambda a: fit_fusion_weights(a, [SCENE[0], SCENE[1]], lr=0.01, steps=2)),
     ("fit_fusion_weights", "targets"):
-        ("target", INTS[:2], lambda a: fit_fusion_weights([SCENE], [a], lr=0.01, steps=2)),
+        ("targets", INTS[:4].reshape(2, 2, 4),
+         lambda a: fit_fusion_weights([SCENE, SCENE], a, lr=0.01, steps=2)),
 }
 
 
