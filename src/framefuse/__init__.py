@@ -8,7 +8,6 @@ from short-clip annotations.
 from .errors import FormatError, FrameFuseError, ParameterError
 from .features import (
     FrameFeatures,
-    SyntheticSpec,
     generate_synthetic,
     load_features,
     save_features,
@@ -37,7 +36,6 @@ __all__ = [
     "ParameterError",
     "Scene",
     "SceneSet",
-    "SyntheticSpec",
     "attn_projections",
     "bench",
     "compress",

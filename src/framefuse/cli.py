@@ -24,7 +24,6 @@ from .captions import (
 )
 from .errors import FrameFuseError, _read_json
 from .features import (
-    SyntheticSpec,
     generate_synthetic,
     load_features,
     save_features,
@@ -69,15 +68,8 @@ def _check_table_output(args) -> None:
 
 
 def cmd_gen(args) -> int:
-    spec = SyntheticSpec(
-        n_frames=args.frames,
-        n_patches=args.patches,
-        dim=args.dim,
-        n_scenes=args.scenes,
-        noise_sigma=args.noise,
-        seed=args.seed,
-    )
-    features = generate_synthetic(spec)
+    features = generate_synthetic(args.frames, args.patches, args.dim, args.scenes,
+                                  args.noise, args.seed)
     save_features(features, args.output)
     print(f"wrote {args.output} shape={features.n_frames}x{features.n_patches}x{features.dim}")
     return 0

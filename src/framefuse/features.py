@@ -312,28 +312,6 @@ def _read_checked(path: str | Path, pick) -> tuple[int, FrameFeatures | None]:
     return dims[0], FrameFeatures(data, timestamps) if len(keep) else None
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Recipe for a deterministic tensor with planted scene structure."""
-
-    n_frames: int
-    n_patches: int
-    dim: int
-    n_scenes: int
-    noise_sigma: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("n_frames", "n_patches", "dim", "n_scenes"):
-            object.__setattr__(self, name, _check_count(name, getattr(self, name), 1))
-        if self.n_scenes > self.n_frames:
-            raise ParameterError(
-                f"n_scenes {self.n_scenes} exceeds n_frames {self.n_frames}"
-            )
-        object.__setattr__(self, "noise_sigma", _check_real("noise_sigma", self.noise_sigma, 0))
-        object.__setattr__(self, "seed", _check_seed(self.seed))
-
-
 def _block_offset(b: int, dim: int, scale: float) -> np.ndarray:
     # axis-aligned offsets: blocks get orthogonal directions first, then
     # opposite signs, then larger magnitudes, so any two block means sit at
@@ -346,25 +324,36 @@ def _block_offset(b: int, dim: int, scale: float) -> np.ndarray:
     return offset
 
 
-def generate_synthetic(spec: SyntheticSpec) -> FrameFeatures:
+def generate_synthetic(n_frames: int, n_patches: int, dim: int, n_scenes: int,
+                       noise_sigma: float = 0.1, seed: int = 0) -> FrameFeatures:
     """Generate frames in contiguous blocks around well-separated base patterns.
 
-    Each block's base pattern has a per-dim mean over patches equal to an
-    axis-aligned offset of length at least ``(10*noise_sigma + 1) *
-    sqrt(dim)``, so block means in representative space are pairwise
-    separated by at least ``10 * noise_sigma * sqrt(dim)`` and point in
-    distinguishable directions. Frames are the base pattern plus i.i.d.
-    Gaussian noise of std ``noise_sigma``. Pure function of the spec,
-    including the seed. Each float64 block is written straight into the
-    float32 tensor, which rounds as ``astype`` does.
+    The four sizes pass the count rule at minimum 1, *n_scenes* may not
+    exceed *n_frames*, *noise_sigma* passes the real rule at minimum 0 and
+    *seed* the seed rule, checked in that order. Each block's base pattern
+    has a per-dim mean over patches equal to an axis-aligned offset of
+    length at least ``(10*noise_sigma + 1) * sqrt(dim)``, so block means in
+    representative space are pairwise separated by at least
+    ``10 * noise_sigma * sqrt(dim)`` and point in distinguishable
+    directions. Frames are the base pattern plus i.i.d. Gaussian noise of
+    std ``noise_sigma``. Pure function of the arguments, including the
+    seed. Each float64 block is written straight into the float32 tensor,
+    which rounds as ``astype`` does.
     """
-    rng = np.random.default_rng(spec.seed)
-    scale = (10.0 * spec.noise_sigma + 1.0) * math.sqrt(spec.dim)
-    data = np.empty((spec.n_frames, spec.n_patches, spec.dim), dtype=np.float32)
-    for b, block in enumerate(np.array_split(np.arange(spec.n_frames), spec.n_scenes)):
-        texture = rng.standard_normal((spec.n_patches, spec.dim))
+    n_frames = _check_count("n_frames", n_frames, 1)
+    n_patches = _check_count("n_patches", n_patches, 1)
+    dim = _check_count("dim", dim, 1)
+    n_scenes = _check_count("n_scenes", n_scenes, 1)
+    if n_scenes > n_frames:
+        raise ParameterError(f"n_scenes {n_scenes} exceeds n_frames {n_frames}")
+    noise_sigma = _check_real("noise_sigma", noise_sigma, 0)
+    rng = np.random.default_rng(_check_seed(seed))
+    scale = (10.0 * noise_sigma + 1.0) * math.sqrt(dim)
+    data = np.empty((n_frames, n_patches, dim), dtype=np.float32)
+    for b, block in enumerate(np.array_split(np.arange(n_frames), n_scenes)):
+        texture = rng.standard_normal((n_patches, dim))
         texture -= texture.mean(axis=0, keepdims=True)  # keeps block means exact
-        base = texture + _block_offset(b, spec.dim, scale)
-        noise = rng.standard_normal((len(block), spec.n_patches, spec.dim))
-        data[block] = base + spec.noise_sigma * noise
+        base = texture + _block_offset(b, dim, scale)
+        noise = rng.standard_normal((len(block), n_patches, dim))
+        data[block] = base + noise_sigma * noise
     return FrameFeatures(data)

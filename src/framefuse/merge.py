@@ -33,10 +33,6 @@ STRATEGIES = ("tavg", "fusion", "attnpool", "bsm")
 THREAD_MIN_FRAME_BYTES = 256 * 2**10
 
 
-def _as_scene(scene) -> np.ndarray:
-    return _check_array("scene", scene, None, 3)
-
-
 def fusion_weights_for(strategy: str, weights: np.ndarray | None,
                        scene_shape: tuple[int, ...]) -> np.ndarray | None:
     """*weights* as float64 for merging (s, n_patches, dim) scenes with
@@ -141,14 +137,16 @@ def attn_projections(dim: int, seed: int = 0) -> AttnProjections:
 
 # The product of one (dim, seed) is reused across merges; at dim 1024 it is
 # 8 MiB, so keep only the last, and not the wq and wk it came from. Only
-# seeds that passed the seed rule reach it.
+# seeds that passed the seed rule reach it. It is built in the one-thread
+# region whoever calls, so the cache holds the same bits under any count.
 @functools.lru_cache(maxsize=1)
 def _attn_qk(dim: int, seed: int) -> np.ndarray:
     """The read-only wq @ wk.T of ``attn_projections(dim, seed)``: the score
     of frame x against query q, (q @ wq) . (x @ wk), regrouped as
     (q @ qk) . x."""
     wq, wk = attn_projections(dim, seed)
-    qk = wq @ wk.T
+    with parallel._one_blas_thread():
+        qk = wq @ wk.T
     qk.flags.writeable = False
     return qk
 
@@ -363,10 +361,13 @@ def merge_scenes(
     and a merge holds besides them its round-1 scores and at most
     s*n_patches // 2 tokens at a time, gathered in the frames' dtype.
 
-    W is worked out, never set, by ``parallel._run_units`` (README
-    "Workers"), and is 1 for a frame under THREAD_MIN_FRAME_BYTES of
-    float64. A failure in any scene is raised here, after every worker has
-    stopped: the first failure in scene order.
+    The merge, and the build of wq @ wk.T, run inside
+    ``parallel._one_blas_thread``, so no product's bits depend on the
+    thread count the caller's linear algebra runs with. W is worked out,
+    never set, by ``parallel._run_units`` (README "Workers"), and is 1 for
+    a frame under THREAD_MIN_FRAME_BYTES of float64. A failure in any scene
+    is raised here, after every worker has stopped: the first failure in
+    scene order.
     """
     s = members.shape[1]
     _, n_patches, dim = frames.shape
@@ -379,8 +380,9 @@ def merge_scenes(
         worker = functools.partial(_attnpool, frames, s, _attn_qk(dim, seed))
     else:
         worker = functools.partial(_bsm, frames, s)
-    _run_units(worker, list(zip(members, out)),
-               parallel=n_patches * dim * 8 >= THREAD_MIN_FRAME_BYTES)
+    with parallel._one_blas_thread():
+        _run_units(worker, list(zip(members, out)),
+                   parallel=n_patches * dim * 8 >= THREAD_MIN_FRAME_BYTES)
     return out
 
 
@@ -403,7 +405,7 @@ def merge_scene(
     if strategy not in STRATEGIES:
         raise ParameterError(f"unknown merge strategy {strategy!r}, expected one of {STRATEGIES}")
     seed = _check_seed(seed)
-    scene = _as_scene(scene)
+    scene = _check_array("scene", scene, None, 3)
     s, n_patches, dim = scene.shape
     weights = fusion_weights_for(strategy, weights, scene.shape)
     out = np.empty((1, n_patches, dim))

@@ -1,7 +1,9 @@
 """The one runner that shares units of work among worker threads, the rule
-that works out how many workers there are, and the two sizes the stages
-cut their work by: a unit of work and a block of work memory kept in L2."""
+that works out how many workers there are, the region in which numpy's
+BLAS runs one thread, and the two sizes the stages cut their work by: a
+unit of work and a block of work memory kept in L2."""
 
+import contextlib
 import ctypes
 import os
 import threading
@@ -29,13 +31,26 @@ UNIT_BYTES = 4 * 2**20
 # they run, like UNIT_BYTES.
 CACHE_BYTES = 2**19
 
-# The thread-count getter of numpy's bundled OpenBLAS (numpy 2 wheels, then
-# numpy 1.x wheels), looked up once among the libraries that numpy's linalg
-# extension links; None under another BLAS. A call reads the count as it is
-# now: set by a variable before numpy loaded OpenBLAS, or by its setter since.
+# The thread-count getter and setter of numpy's bundled OpenBLAS (numpy 2
+# wheels, then numpy 1.x wheels), looked up once among the libraries that
+# numpy's linalg extension links; None under another BLAS. A call of the
+# getter reads the count as it is now: set by a variable before numpy
+# loaded OpenBLAS, or by the setter since. The worker rule reads
+# _blas_threads, which tests replace to fake a count; the one-thread region
+# reads _blas_get, so that it restores the real count.
 _linalg = ctypes.CDLL(_umath_linalg.__file__)
-_blas_threads = (getattr(_linalg, "scipy_openblas_get_num_threads64_", None)
-                 or getattr(_linalg, "openblas_get_num_threads64_", None))
+_blas_get, _blas_set = ((getattr(_linalg, f"scipy_openblas_{op}_num_threads64_", None)
+                         or getattr(_linalg, f"openblas_{op}_num_threads64_", None))
+                        for op in ("get", "set"))
+if _blas_set is not None:
+    _blas_get.restype, _blas_set.argtypes, _blas_set.restype = ctypes.c_int, [ctypes.c_int], None
+_blas_threads = _blas_get
+
+# The count is process-wide, so the region's entries and exits, on any of
+# a caller's threads, go through one lock.
+_region_lock = threading.Lock()
+_region_depth = 0  # entries still inside the region
+_region_found = None  # the count the first of them found
 
 
 def _workers(units: int) -> int:
@@ -49,6 +64,33 @@ def _workers(units: int) -> int:
             or not hasattr(os, "sched_getaffinity")):
         return 1
     return min(units, len(os.sched_getaffinity(0)))
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """A region in which numpy's OpenBLAS runs one thread, so that a BLAS
+    product's bits do not depend on the count the caller's process runs
+    with. The first entry sets the count to 1; the last exit, whether or
+    not the body raised, restores the count the first entry found, however
+    entries nest or overlap on a caller's threads. Meanwhile a BLAS call on
+    any thread of the process runs on one thread. Under another BLAS it
+    does nothing."""
+    global _region_depth, _region_found
+    if _blas_set is None:
+        yield
+        return
+    with _region_lock:
+        if _region_depth == 0:
+            _region_found = _blas_get()
+            _blas_set(1)
+        _region_depth += 1
+    try:
+        yield
+    finally:
+        with _region_lock:
+            _region_depth -= 1
+            if _region_depth == 0:
+                _blas_set(_region_found)
 
 
 def _run_units(make_worker, units: list, parallel: bool = True) -> list:

@@ -1,7 +1,8 @@
 """Mutation audit of the merge engine's, the fusion fitter's and scene
 selection's numerics, of how compress maps scene members back to the
-input's frames, and of the feature reader, the worker runner, caption
-packing and the seed rule.
+input's frames, and of the feature reader, the synthetic generator's
+checks, the worker runner, the one-thread BLAS region, caption packing
+and the seed rule.
 
     python tests/mutation_audit.py
 
@@ -82,6 +83,8 @@ MUTANTS = [
            "if t.shape != (n, n_patches, dim):", "if t.shape[1:] != (n_patches, dim):"),
     Mutant("fitter gradient reads the first scene's frames", "merge.py",
            "grad += resid[i] * x[i]", "grad += resid[i] * x[0]"),
+    Mutant("generator lets n_scenes exceed n_frames by one", "features.py",
+           "if n_scenes > n_frames:", "if n_scenes > n_frames + 1:"),
     Mutant("reader checks half its skipped values", "features.py",
            "np.isfinite(scratch[:filled // 4])", "np.isfinite(scratch[:filled // 8])"),
     Mutant("reader ignores trailing bytes", "features.py",
@@ -93,6 +96,11 @@ MUTANTS = [
     Mutant("W not capped at the unit count", "parallel.py",
            "return min(units, len(os.sched_getaffinity(0)))",
            "return len(os.sched_getaffinity(0))"),
+    Mutant("BLAS region restores nothing on exit", "parallel.py",
+           "                _blas_set(_region_found)\n", "                pass\n"),
+    Mutant("BLAS region ignores its depth count", "parallel.py",
+           "            if _region_depth == 0:\n                _blas_set(",
+           "            if True:\n                _blas_set("),
     Mutant("word count misses a leading word", "captions.py",
            'marks.count(b" x") + marks.startswith(b"x")', 'marks.count(b" x")'),
     Mutant("MM:SS rounds just below half up", "captions.py",

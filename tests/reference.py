@@ -309,11 +309,12 @@ def read_frames(path, keep):
     return data[list(keep)], timestamps
 
 
-def planted_block_labels(spec):
-    """Block label per frame of ``generate_synthetic(spec)``, whose blocks are
-    the ``np.array_split`` of the frames into ``spec.n_scenes`` pieces."""
-    labels = np.empty(spec.n_frames, dtype=np.int64)
-    for b, block in enumerate(np.array_split(np.arange(spec.n_frames), spec.n_scenes)):
+def planted_block_labels(n_frames, n_scenes):
+    """Block label per frame of ``generate_synthetic(n_frames, ..., n_scenes)``,
+    whose blocks are the ``np.array_split`` of the frames into *n_scenes*
+    pieces."""
+    labels = np.empty(n_frames, dtype=np.int64)
+    for b, block in enumerate(np.array_split(np.arange(n_frames), n_scenes)):
         labels[block] = b
     return labels
 

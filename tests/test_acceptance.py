@@ -12,7 +12,6 @@ import reference
 from conftest import uneven_planted
 from framefuse import (
     CompressConfig,
-    SyntheticSpec,
     attn_projections,
     bench,
     compress,
@@ -76,7 +75,7 @@ def test_criterion_02_gradient_matches_finite_differences():
 
 def test_criterion_03_token_budget_exactness():
     start = time.perf_counter()
-    f = generate_synthetic(SyntheticSpec(96, 16, 32, 4, 0.1, seed=43))
+    f = generate_synthetic(96, 16, 32, 4, 0.1, seed=43)
     combos = 0
     for selection in ("uniform", "kmeans", "bsm"):
         for merging in ("tavg", "fusion", "attnpool", "bsm"):
@@ -92,10 +91,8 @@ def test_criterion_04_kmeans_recovers_planted_partition():
     start = time.perf_counter()
     recovered = 0
     for seed in range(100):
-        spec = SyntheticSpec(n_frames=40, n_patches=6, dim=16, n_scenes=4,
-                             noise_sigma=0.05, seed=seed)
-        f = generate_synthetic(spec)
-        labels = reference.planted_block_labels(spec)
+        f = generate_synthetic(40, 6, 16, 4, noise_sigma=0.05, seed=seed)
+        labels = reference.planted_block_labels(40, 4)
         c = kmeans(representative_features(f), 4, seed=seed)
         mapping = {}
         exact = True
@@ -154,10 +151,8 @@ def test_criterion_07_scene_set_structure():
         n = int(rng.integers(2, 80))
         k = int(rng.integers(1, n + 1))
         r = int(rng.integers(0, n // k))
-        f = generate_synthetic(
-            SyntheticSpec(n, 2, 6, int(rng.integers(1, min(n, 5) + 1)), 0.1,
-                          seed=int(rng.integers(0, 2**31)))
-        )
+        f = generate_synthetic(n, 2, 6, int(rng.integers(1, min(n, 5) + 1)), 0.1,
+                               seed=int(rng.integers(0, 2**31)))
         for ss in (
             select_scenes_kmeans(f, k, r, seed=int(rng.integers(0, 2**31))),
             select_scenes_bsm(f, k, r),

@@ -170,8 +170,7 @@ import contextlib, hashlib, io, sys
 from framefuse import merge, parallel
 from framefuse.cli import main
 if sys.argv[3] == "set":
-    (getattr(parallel._linalg, "scipy_openblas_set_num_threads64_", None)
-     or parallel._linalg.openblas_set_num_threads64_)(1)
+    parallel._blas_set(1)
 parallel.UNIT_BYTES, merge.THREAD_MIN_FRAME_BYTES = int(sys.argv[2]), 0
 print("workers", parallel._workers(8))
 out = sys.argv[1] + "/c.fvt"

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 from fractions import Fraction
 
@@ -13,7 +14,6 @@ from framefuse import (
     FormatError,
     FrameFeatures,
     ParameterError,
-    SyntheticSpec,
     generate_synthetic,
     kmeans,
     load_features,
@@ -215,12 +215,11 @@ def test_timestamp_sidecar_roundtrip(tmp_path):
 def test_generate_synthetic_holds_no_float64_tensor():
     import tracemalloc
 
-    spec = SyntheticSpec(n_frames=64, n_patches=32, dim=256, n_scenes=16, seed=2)
     block_f64 = (64 // 16) * 32 * 256 * 8
-    generate_synthetic(SyntheticSpec(2, 1, 1, 1))  # numpy's one-time lazy set-up
+    generate_synthetic(2, 1, 1, 1)  # numpy's one-time lazy set-up
     tracemalloc.start()
     try:
-        f = generate_synthetic(spec)
+        f = generate_synthetic(64, 32, 256, 16, seed=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -230,38 +229,39 @@ def test_generate_synthetic_holds_no_float64_tensor():
 
 
 def test_synthetic_spec_validation():
-    with pytest.raises(ParameterError):
-        SyntheticSpec(n_frames=2, n_patches=1, dim=1, n_scenes=3)
-    with pytest.raises(ParameterError):
-        SyntheticSpec(n_frames=2, n_patches=1, dim=1, n_scenes=1, noise_sigma=-0.1)
-    with pytest.raises(ParameterError):
-        SyntheticSpec(n_frames=0, n_patches=1, dim=1, n_scenes=1)
+    # the count rule, then n_scenes <= n_frames, then the real rule, then
+    # the seed rule: each case also breaks every rule checked after it
+    for n_frames, n_scenes, message in (
+        (0, 3, "n_frames must be >= 1, got 0"),
+        (2, 3, "n_scenes 3 exceeds n_frames 2"),
+        (2, 1, "noise_sigma must be finite and >= 0, got -0.1"),
+    ):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            generate_synthetic(n_frames, 1, 1, n_scenes, noise_sigma=-0.1, seed=-1)
 
 
 def test_zero_noise_blocks_identical():
-    spec = SyntheticSpec(n_frames=4, n_patches=3, dim=5, n_scenes=2, noise_sigma=0.0, seed=9)
-    f = generate_synthetic(spec)
+    f = generate_synthetic(4, 3, 5, 2, noise_sigma=0.0, seed=9)
     assert np.array_equal(f.data[0], f.data[1])
     assert np.array_equal(f.data[2], f.data[3])
     assert not np.array_equal(f.data[1], f.data[2])
 
 
 def test_synthetic_deterministic():
-    spec = SyntheticSpec(n_frames=12, n_patches=4, dim=6, n_scenes=3, noise_sigma=0.2, seed=31)
-    a = generate_synthetic(spec)
-    b = generate_synthetic(spec)
+    a = generate_synthetic(12, 4, 6, 3, noise_sigma=0.2, seed=31)
+    b = generate_synthetic(12, 4, 6, 3, noise_sigma=0.2, seed=31)
     assert np.array_equal(a.data, b.data)
 
 
 def test_block_separation_contract():
     # planted block means must sit >= 10*sigma*sqrt(dim) apart in
     # representative space
-    spec = SyntheticSpec(n_frames=30, n_patches=8, dim=16, n_scenes=5, noise_sigma=0.3, seed=3)
-    f = generate_synthetic(spec)
+    sigma, dim = 0.3, 16
+    f = generate_synthetic(30, 8, dim, 5, noise_sigma=sigma, seed=3)
     reps = representative_features(f)
-    labels = planted_block_labels(spec)
+    labels = planted_block_labels(30, 5)
     means = np.stack([reps[labels == b].mean(axis=0) for b in range(5)])
-    floor = 10 * spec.noise_sigma * np.sqrt(spec.dim)
+    floor = 10 * sigma * np.sqrt(dim)
     for i in range(5):
         for j in range(i + 1,5):
             sep = np.linalg.norm(means[i] - means[j])
@@ -269,10 +269,9 @@ def test_block_separation_contract():
 
 
 def test_zero_noise_within_block_cosine():
-    spec = SyntheticSpec(n_frames=9, n_patches=4, dim=8, n_scenes=3, noise_sigma=0.0, seed=5)
-    f = generate_synthetic(spec)
+    f = generate_synthetic(9, 4, 8, 3, noise_sigma=0.0, seed=5)
     reps = representative_features(f)
-    labels = planted_block_labels(spec)
+    labels = planted_block_labels(9, 3)
     for b in range(3):
         rows = reps[labels == b]
         base = rows[0]
@@ -282,10 +281,9 @@ def test_zero_noise_within_block_cosine():
 
 
 def test_kmeans_recovers_planted_partition():
-    spec = SyntheticSpec(n_frames=24, n_patches=6, dim=12, n_scenes=3, noise_sigma=0.1, seed=11)
-    f = generate_synthetic(spec)
+    f = generate_synthetic(24, 6, 12, 3, noise_sigma=0.1, seed=11)
     reps = representative_features(f)
-    labels = planted_block_labels(spec)
+    labels = planted_block_labels(24, 3)
     clustering = kmeans(reps, 3, seed=2)
     # compare partitions up to relabeling
     mapping = {}

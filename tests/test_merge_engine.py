@@ -228,14 +228,22 @@ def test_fit_fusion_weights_of_each_dtype_equals_reference(case):
 
 
 @pytest.mark.parametrize("case", _DTYPES + ["nested lists", "mixed"])
-def test_merge_scene_of_each_dtype_matches_reference(case):
+def test_merge_scene_of_each_dtype_matches_reference(case, monkeypatch):
     rng = np.random.default_rng(15)
     if case == "mixed":  # a list of float32, float64 and int64 frames
         scene = [_of_dtype(rng, (4, 6), dtype) for dtype in _MIXED]
     else:
         scene = _scenes_of(rng, case, 1, (3, 4, 6))[0][0]
-    if isinstance(scene, np.ndarray) and scene.dtype.itemsize <= 8:
-        assert merge._as_scene(scene) is scene  # checked in place, not copied
+    checked = []
+    real = merge._check_array
+
+    def keeping(name, value, dtype, ndim):
+        result = real(name, value, dtype, ndim)
+        if name == "scene":
+            checked.append(result)
+        return result
+
+    monkeypatch.setattr(merge, "_check_array", keeping)
     for strategy in ("tavg", "fusion", "bsm"):
         want = reference.merge_scene(scene, strategy)
         assert merge_scene(scene, strategy).tobytes() == want.tobytes(), strategy
@@ -244,6 +252,9 @@ def test_merge_scene_of_each_dtype_matches_reference(case):
         reference.fusion(scene, weights).tobytes()
     got = merge_scene(scene, "attnpool", seed=2)
     assert np.abs(got - reference.merge_scene(scene, "attnpool", seed=2)).max() <= ATTNPOOL_TOL
+    assert len(checked) == 5
+    if isinstance(scene, np.ndarray) and scene.dtype.itemsize <= 8:
+        assert all(c is scene for c in checked)  # checked in place, not copied
 
 
 def test_fit_fusion_weights_validates_each_scene_once(monkeypatch):
@@ -333,10 +344,10 @@ def test_compress_validates_once_and_builds_no_sampled_copy(monkeypatch):
     # the input FrameFeatures is already validated, so no scene is checked
     # again; uniform selection needs no FrameFeatures of the sampled frames,
     # so the only one built is the output
-    def no_recheck(scene):
-        raise AssertionError("compress re-validated a scene")
+    def no_recheck(name, value, dtype, ndim):
+        raise AssertionError(f"compress re-validated the {name}")
 
-    monkeypatch.setattr(merge, "_as_scene", no_recheck)
+    monkeypatch.setattr(merge, "_check_array", no_recheck)
     built = []
     real_init = FrameFeatures.__post_init__
 
@@ -709,23 +720,18 @@ def test_merge_workers_follow_the_blas_thread_count(monkeypatch, blas_threads, c
 # the variables OpenBLAS reads its thread count from when numpy loads it
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-# numpy's OpenBLAS's own setter of the thread count the worker rule reads
-_set_blas_threads = (getattr(parallel._linalg, "scipy_openblas_set_num_threads64_", None)
-                     or getattr(parallel._linalg, "openblas_set_num_threads64_", None))
-
-
 def test_merge_workers_ignore_a_blas_variable_set_after_import(monkeypatch):
     # OpenBLAS read its variables when numpy loaded it, so a variable set
     # now leaves it on two threads, and W at 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     threads = parallel._blas_threads()
     try:
-        _set_blas_threads(2)
+        parallel._blas_set(2)
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         assert parallel._blas_threads() == 2
         assert parallel._workers(8) == 1
     finally:
-        _set_blas_threads(threads)
+        parallel._blas_set(threads)
 
 
 def test_merge_workers_follow_a_blas_count_set_at_run_time(monkeypatch):
@@ -736,10 +742,10 @@ def test_merge_workers_follow_a_blas_count_set_at_run_time(monkeypatch):
         monkeypatch.delenv(var, raising=False)
     threads = parallel._blas_threads()
     try:
-        _set_blas_threads(1)
+        parallel._blas_set(1)
         assert parallel._workers(8) == 2
     finally:
-        _set_blas_threads(threads)
+        parallel._blas_set(threads)
 
 
 @pytest.mark.parametrize("variables, workers", [
@@ -770,6 +776,104 @@ def test_merge_workers_follow_the_blas_thread_variables(variables, workers):
     assert proc.returncode == 0, proc.stderr
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     assert int(proc.stdout) == (min(8, cpus) if workers == 2 else 1)
+
+
+# merge_scene with attnpool of a 3x48x300 scene, as a hash: at D = 300
+# both Wq.Wk^T and the query product round differently on one OpenBLAS
+# thread and on two
+_ATTNPOOL_PROBE = """
+import hashlib
+import numpy as np
+from framefuse import merge_scene
+scene = np.random.default_rng(0).standard_normal((3, 48, 300))
+print(hashlib.sha256(merge_scene(scene, "attnpool", seed=1).tobytes()).hexdigest())
+"""
+
+
+def test_attnpool_bytes_do_not_depend_on_blas_threads():
+    # fresh processes on one OpenBLAS thread, on two, and on its default
+    # count, one a CPU
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for variables in ({"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}, {}):
+        env = {var: value for var, value in os.environ.items() if var not in _BLAS_VARS}
+        env.update(variables, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _ATTNPOOL_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests == digests[:1] * 3
+
+
+def test_one_blas_thread_region_restores_the_count_its_first_entry_found(monkeypatch):
+    # entered at two threads, nested, overlapped by another thread's entry
+    # and left by an exception: the count reads 1 until the last exit,
+    # which restores 2; without a setter the region sets nothing
+    threads = parallel._blas_get()
+    entered, leave = threading.Event(), threading.Event()
+
+    def other():
+        with parallel._one_blas_thread():
+            entered.set()
+            leave.wait(timeout=60)
+
+    try:
+        parallel._blas_set(2)
+        with parallel._one_blas_thread():
+            with parallel._one_blas_thread():
+                assert parallel._blas_get() == 1
+            assert parallel._blas_get() == 1
+            caller = threading.Thread(target=other)
+            caller.start()
+            assert entered.wait(timeout=60)
+        assert parallel._blas_get() == 1  # the other thread is still inside
+        leave.set()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert parallel._blas_get() == 2
+        with pytest.raises(KeyError):
+            with parallel._one_blas_thread():
+                raise KeyError
+        assert parallel._blas_get() == 2
+    finally:
+        leave.set()
+        parallel._blas_set(threads)
+    monkeypatch.setattr(parallel, "_blas_set", None)
+    with parallel._one_blas_thread():
+        assert parallel._blas_get() == threads
+
+
+def test_compress_on_more_threads_than_cpus_leaves_the_blas_count(monkeypatch):
+    # more caller threads than CPUs compress at once, switching as often as
+    # the interpreter allows, each merge on workers of its own: every output
+    # is the one-caller output, and the count found, 2, is the count left
+    monkeypatch.setattr(merge, "THREAD_MIN_FRAME_BYTES", 0)
+    features = FrameFeatures(np.random.default_rng(43).standard_normal((24, 4, 32)))
+    cfgs = [CompressConfig(24, 6, 1, "kmeans", merging, seed=2) for merging in STRATEGIES]
+    want = [compress(features, cfg).data.tobytes() for cfg in cfgs] * 4
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    results = {}
+
+    def run(i):
+        results[i] = [compress(features, cfg).data.tobytes() for cfg in cfgs * 4]
+
+    callers = [threading.Thread(target=run, args=(i,)) for i in range(2 * cpus + 2)]
+    threads = parallel._blas_get()
+    interval = sys.getswitchinterval()
+    try:
+        parallel._blas_set(2)
+        sys.setswitchinterval(1e-6)
+        for caller in callers:
+            caller.start()
+        deadline = time.monotonic() + 120
+        for caller in callers:
+            caller.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not any(caller.is_alive() for caller in callers)
+        assert parallel._blas_get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        parallel._blas_set(threads)
+    assert results == {i: want for i in range(len(callers))}
 
 
 class _UnitFailure(Exception):

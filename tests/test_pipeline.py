@@ -7,7 +7,6 @@ from framefuse import (
     CompressConfig,
     FrameFeatures,
     ParameterError,
-    SyntheticSpec,
     bench,
     compress,
     generate_synthetic,
@@ -83,7 +82,7 @@ def test_compress_config_from_dict_accepts_integral_floats():
 
 
 def test_compress_96_to_32_kmeans_fusion():
-    f = generate_synthetic(SyntheticSpec(96, 8, 16, 4, 0.1, seed=1))
+    f = generate_synthetic(96, 8, 16, 4, 0.1, seed=1)
     cfg = CompressConfig(96, 32, 2, selection="kmeans", merging="fusion", seed=2)
     out = compress(f, cfg)
     assert (out.n_frames, out.n_patches, out.dim) == (32, 8, 16)
@@ -101,10 +100,9 @@ def test_compress_identical_frames_any_config():
 
 
 def test_compress_planted_blocks_near_block_means():
-    spec = SyntheticSpec(n_frames=32, n_patches=4, dim=8, n_scenes=4,
-                         noise_sigma=0.1, seed=0)
-    f = generate_synthetic(spec)
-    labels = planted_block_labels(spec)
+    sigma = 0.1
+    f = generate_synthetic(32, 4, 8, 4, noise_sigma=sigma, seed=0)
+    labels = planted_block_labels(32, 4)
     block_means = np.stack(
         [f.data[labels == b].astype(np.float64).mean(axis=0) for b in range(4)]
     )
@@ -112,11 +110,11 @@ def test_compress_planted_blocks_near_block_means():
     out = compress(f, cfg)
     for produced in out.data.astype(np.float64):
         dev = np.abs(block_means - produced[None]).max(axis=(1, 2))
-        assert dev.min() <= 2 * spec.noise_sigma
+        assert dev.min() <= 2 * sigma
 
 
 def test_compress_deterministic_bytes():
-    f = generate_synthetic(SyntheticSpec(48, 4, 8, 3, 0.1, seed=7))
+    f = generate_synthetic(48, 4, 8, 3, 0.1, seed=7)
     cfg = CompressConfig(48, 6, 3, selection="kmeans", merging="attnpool", seed=8)
     a = compress(f, cfg)
     b = compress(f, cfg)
@@ -124,13 +122,13 @@ def test_compress_deterministic_bytes():
 
 
 def test_compress_uniform_requires_exact_budget():
-    f = generate_synthetic(SyntheticSpec(20, 2, 4, 2, 0.1, seed=9))
+    f = generate_synthetic(20, 2, 4, 2, 0.1, seed=9)
     with pytest.raises(ParameterError, match="uniform selection requires"):
         compress(f, CompressConfig(20, 4, 3, selection="uniform"))
 
 
 def test_compress_too_few_frames():
-    f = generate_synthetic(SyntheticSpec(10, 2, 4, 2, 0.1, seed=10))
+    f = generate_synthetic(10, 2, 4, 2, 0.1, seed=10)
     with pytest.raises(ParameterError, match="input frames"):
         compress(f, CompressConfig(12, 4, 2))
 
@@ -144,7 +142,7 @@ def test_compress_propagates_representative_timestamps():
 
 
 def test_compress_temporal_order():
-    base = generate_synthetic(SyntheticSpec(40, 3, 6, 4, 0.1, seed=12))
+    base = generate_synthetic(40, 3, 6, 4, 0.1, seed=12)
     f = FrameFeatures(base.data, tuple(float(i) for i in range(40)))
     for sel in ("uniform", "kmeans", "bsm"):
         cfg = CompressConfig(40, 5, 7, selection=sel, seed=13)
@@ -156,7 +154,7 @@ def test_compress_temporal_order():
 
 
 def test_token_budget_independent_of_input_frames():
-    f = generate_synthetic(SyntheticSpec(90, 4, 8, 3, 0.1, seed=14))
+    f = generate_synthetic(90, 4, 8, 3, 0.1, seed=14)
     for input_frames in (30, 60, 90):
         cfg = CompressConfig(input_frames, 10, 2, selection="kmeans", seed=15)
         out = compress(f, cfg)
@@ -164,7 +162,7 @@ def test_token_budget_independent_of_input_frames():
 
 
 def test_bench_identity_compression_zero_proxy():
-    f = generate_synthetic(SyntheticSpec(16, 3, 6, 2, 0.1, seed=16))
+    f = generate_synthetic(16, 3, 6, 2, 0.1, seed=16)
     cfg = CompressConfig(16, 16, 0, selection="uniform", merging="tavg")
     report = bench(f, [cfg])
     assert len(report) == 1
@@ -176,7 +174,7 @@ def test_bench_identity_compression_zero_proxy():
 
 
 def test_bench_tavg_equals_fusion_at_init():
-    f = generate_synthetic(SyntheticSpec(24, 3, 6, 3, 0.1, seed=17))
+    f = generate_synthetic(24, 3, 6, 3, 0.1, seed=17)
     cfgs = [
         CompressConfig(24, 8, 2, selection="kmeans", merging="tavg", seed=18),
         CompressConfig(24, 8, 2, selection="kmeans", merging="fusion", seed=18),
@@ -202,7 +200,7 @@ def test_bench_kmeans_beats_uniform_on_planted_uneven_blocks():
 
 
 def test_fusion_weights_passed_through():
-    f = generate_synthetic(SyntheticSpec(12, 3, 4, 2, 0.1, seed=19))
+    f = generate_synthetic(12, 3, 4, 2, 0.1, seed=19)
     cfg = CompressConfig(12, 4, 2, selection="uniform", merging="fusion")
     w = np.zeros((3, 3, 4))
     w[0] = 1.0  # one-hot on the first frame of each scene
@@ -219,14 +217,14 @@ def test_compress_checks_weights_before_selection_runs(monkeypatch):
         pytest.fail("selection ran before the weights were checked")
 
     monkeypatch.setattr(pipeline, "select_scenes_kmeans", fail)
-    f = generate_synthetic(SyntheticSpec(12, 3, 4, 2, 0.1, seed=19))
+    f = generate_synthetic(12, 3, 4, 2, 0.1, seed=19)
     cfg = CompressConfig(12, 4, 2, selection="kmeans", merging="fusion")
     with pytest.raises(ParameterError, match="weights shape"):
         compress(f, cfg, weights=np.ones((2, 3, 4)))
 
 
 def test_reconstruction_proxy_zero_for_self():
-    f = generate_synthetic(SyntheticSpec(8, 2, 4, 2, 0.1, seed=20))
+    f = generate_synthetic(8, 2, 4, 2, 0.1, seed=20)
     assert _proxy(representative_features(f), f) == 0.0
 
 
@@ -249,7 +247,7 @@ def test_reconstruction_proxy_equals_direct_form(kind, merging):
 def test_compress_logs_each_selection_warning(caplog):
     # 40 frames into 10 scenes of 4: kmeans leaves history windows short,
     # and select_scenes_kmeans reports each padded scene
-    f = generate_synthetic(SyntheticSpec(40, 4, 8, 4, 0.1, seed=0))
+    f = generate_synthetic(40, 4, 8, 4, 0.1, seed=0)
     expected = select_scenes_kmeans(f, 10, 3, seed=0).warnings
     assert len(expected) == 7
     with caplog.at_level("WARNING", logger="framefuse.pipeline"):
@@ -278,7 +276,7 @@ def test_kmeans_compress_accepts_zero_frames(zero_frames, merging):
 def test_bench_computes_the_original_representatives_once(monkeypatch):
     from framefuse import pipeline
 
-    f = generate_synthetic(SyntheticSpec(24, 3, 6, 3, 0.1, seed=23))
+    f = generate_synthetic(24, 3, 6, 3, 0.1, seed=23)
     cfgs = [CompressConfig(24, 8, 2, "kmeans", merging, seed=1)
             for merging in ("tavg", "fusion", "attnpool", "bsm")]
     calls = []
@@ -296,7 +294,7 @@ def test_bench_computes_the_original_representatives_once(monkeypatch):
 def test_select_uses_a_whole_tensor_sample_as_it_is(monkeypatch, selection):
     from framefuse import pipeline
 
-    f = generate_synthetic(SyntheticSpec(30, 3, 6, 3, 0.1, seed=24))
+    f = generate_synthetic(30, 3, 6, 3, 0.1, seed=24)
     name = f"select_scenes_{selection}"
     seen = []
     real = getattr(pipeline, name)

@@ -17,7 +17,6 @@ from framefuse import (
     ParameterError,
     Scene,
     SceneSet,
-    SyntheticSpec,
     attn_projections,
     compress,
     dataset_stats,
@@ -49,7 +48,7 @@ def _nan_scene():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: FrameFeatures(np.zeros((2, 3, 0), dtype=np.float32)), "dims must be >= 1"),
-    (lambda: SyntheticSpec(4, 2, 3, 2, seed=-1), "seed must be a non-negative integer"),
+    (lambda: generate_synthetic(4, 2, 3, 2, seed=-1), "seed must be a non-negative integer"),
     (lambda: merge_scene(SCENE[0], "tavg"), "must be rank 3, got rank 2"),
     (lambda: merge_scene(_nan_scene(), "tavg"), "non-finite"),
     (lambda: fit_fusion_weights([SCENE], [SCENE[0]], lr=0.1, steps=-1), "steps must be >= 0"),
@@ -104,7 +103,7 @@ SEEDED = {
     "merge_scene-tavg": lambda seed: merge_scene(SCENE, "tavg", seed=seed),
     "CompressConfig": lambda seed: compress(
         FEATURES, CompressConfig(12, 3, 1, "kmeans", "attnpool", seed=seed)),
-    "SyntheticSpec": lambda seed: generate_synthetic(SyntheticSpec(8, 2, 3, 2, seed=seed)),
+    "generate_synthetic": lambda seed: generate_synthetic(8, 2, 3, 2, seed=seed),
 }
 
 
@@ -155,10 +154,13 @@ COUNTS = {
     ("CompressConfig", "input_frames"): ("input_frames", 12, lambda n: CompressConfig(n, 3, 1)),
     ("CompressConfig", "scenes_k"): ("scenes_k", 3, lambda n: CompressConfig(12, n, 1)),
     ("CompressConfig", "supplements_r"): ("supplements_r", 1, lambda n: CompressConfig(12, 3, n)),
-    ("SyntheticSpec", "n_frames"): ("n_frames", 8, lambda n: SyntheticSpec(n, 2, 3, 2)),
-    ("SyntheticSpec", "n_patches"): ("n_patches", 2, lambda n: SyntheticSpec(8, n, 3, 2)),
-    ("SyntheticSpec", "dim"): ("dim", 3, lambda n: SyntheticSpec(8, 2, n, 2)),
-    ("SyntheticSpec", "n_scenes"): ("n_scenes", 2, lambda n: SyntheticSpec(8, 2, 3, n)),
+    ("generate_synthetic", "n_frames"):
+        ("n_frames", 8, lambda n: generate_synthetic(n, 2, 3, 2)),
+    ("generate_synthetic", "n_patches"):
+        ("n_patches", 2, lambda n: generate_synthetic(8, n, 3, 2)),
+    ("generate_synthetic", "dim"): ("dim", 3, lambda n: generate_synthetic(8, 2, n, 2)),
+    ("generate_synthetic", "n_scenes"):
+        ("n_scenes", 2, lambda n: generate_synthetic(8, 2, 3, n)),
     ("Scene", "representative"): ("representative", 2, lambda n: Scene(n, (1, 2))),
     ("Scene", "members"): ("scene member", 1, lambda n: Scene(2, (n, 2))),
     ("SceneSet", "r"): ("r", 1, lambda n: SceneSet((Scene(2, (1, 2)),), n)),
@@ -205,8 +207,8 @@ def test_count_rule_accepts_numpy_integers(count):
 REALS = {
     ("FrameFeatures", "frame_timestamps"):
         ("timestamp 1", ">= 0", 0.5, lambda t: FrameFeatures(np.zeros((2, 1, 1)), (0.0, t))),
-    ("SyntheticSpec", "noise_sigma"):
-        ("noise_sigma", ">= 0", 0.2, lambda s: SyntheticSpec(8, 2, 3, 2, noise_sigma=s)),
+    ("generate_synthetic", "noise_sigma"):
+        ("noise_sigma", ">= 0", 0.2, lambda s: generate_synthetic(8, 2, 3, 2, noise_sigma=s)),
     ("kmeans", "tol"): ("tol", ">= 0", 0.5, lambda t: kmeans(REPS, 3, tol=t)),
     ("select_scenes_kmeans", "tol"):
         ("tol", ">= 0", 0.5, lambda t: select_scenes_kmeans(FEATURES, 3, 1, tol=t)),

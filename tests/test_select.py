@@ -10,7 +10,6 @@ from framefuse import (
     FrameFeatures,
     ParameterError,
     SceneSet,
-    SyntheticSpec,
     generate_synthetic,
     kmeans,
     representative_features,
@@ -130,10 +129,9 @@ def test_kmeans_uniform_scaling_invariance():
 
 
 def test_representative_indices_zero_noise_blocks():
-    spec = SyntheticSpec(n_frames=10, n_patches=3, dim=6, n_scenes=2, noise_sigma=0.0, seed=2)
-    f = generate_synthetic(spec)
+    f = generate_synthetic(10, 3, 6, 2, noise_sigma=0.0, seed=2)
     reps = representative_features(f)
-    labels = reference.planted_block_labels(spec)
+    labels = reference.planted_block_labels(10, 2)
     idx = select._distinct_representatives(reps, kmeans(reps, 2, seed=3).centers)
     assert len(idx) == 2
     assert {labels[i] for i in idx} == {0, 1}
@@ -219,9 +217,8 @@ def test_supplements_padding_warns():
 
 
 def test_select_scenes_kmeans_planted_blocks():
-    spec = SyntheticSpec(n_frames=30, n_patches=4, dim=8, n_scenes=3, noise_sigma=0.1, seed=23)
-    f = generate_synthetic(spec)
-    labels = reference.planted_block_labels(spec)
+    f = generate_synthetic(30, 4, 8, 3, noise_sigma=0.1, seed=23)
+    labels = reference.planted_block_labels(30, 3)
     ss = select_scenes_kmeans(f, 3, 1, seed=24)
     for scene in ss.scenes:
         assert len({labels[m] for m in scene.members}) == 1
@@ -244,7 +241,7 @@ def test_select_scenes_kmeans_k1_r_full_padded():
 
 
 def test_select_scenes_kmeans_96_8_3_counts():
-    f = generate_synthetic(SyntheticSpec(96, 8, 16, 4, 0.1, seed=28))
+    f = generate_synthetic(96, 8, 16, 4, 0.1, seed=28)
     ss = select_scenes_kmeans(f, 8, 3, seed=29)
     assert ss.k == 8
     assert scene_sizes(ss) == [4] * 8
@@ -270,7 +267,7 @@ def test_bsm_xxyy_hand_enumerated():
 
 
 def test_bsm_96_8_3_counts():
-    f = generate_synthetic(SyntheticSpec(96, 8, 16, 4, 0.1, seed=30))
+    f = generate_synthetic(96, 8, 16, 4, 0.1, seed=30)
     ss = select_scenes_bsm(f, 8, 3)
     assert ss.k == 8
     assert len(reference.retained_indices(ss)) == 32
@@ -280,7 +277,7 @@ def test_bsm_96_8_3_counts():
 
 
 def test_both_methods_retain_same_count():
-    f = generate_synthetic(SyntheticSpec(60, 4, 8, 5, 0.1, seed=31))
+    f = generate_synthetic(60, 4, 8, 5, 0.1, seed=31)
     a = select_scenes_kmeans(f, 6, 4, seed=32)
     b = select_scenes_bsm(f, 6, 4)
     assert len(reference.retained_indices(a)) == len(reference.retained_indices(b)) == 30
@@ -301,7 +298,7 @@ def test_scene_set_validation():
 
 
 def test_scene_set_json_schema_roundtrip():
-    f = generate_synthetic(SyntheticSpec(20, 3, 6, 2, 0.1, seed=33))
+    f = generate_synthetic(20, 3, 6, 2, 0.1, seed=33)
     ss = select_scenes_kmeans(f, 2, 2, seed=34)
     doc = ss.to_dict()
     assert set(doc) == {"k", "r", "scenes", "warnings"}
@@ -309,7 +306,7 @@ def test_scene_set_json_schema_roundtrip():
 
 
 def test_selection_scaling_invariance():
-    f = generate_synthetic(SyntheticSpec(24, 3, 6, 3, 0.1, seed=35))
+    f = generate_synthetic(24, 3, 6, 3, 0.1, seed=35)
     scaled = FrameFeatures(f.data * 4.0)
     a = select_scenes_kmeans(f, 3, 2, seed=36)
     b = select_scenes_kmeans(scaled, 3, 2, seed=36)
@@ -365,7 +362,7 @@ def test_kmeans_holds_less_than_its_input():
 
     # the seeding's first distances are taken in L2 blocks, so no (n, dim)
     # float64 temporary, as large as the input, is built
-    reps = representative_features(generate_synthetic(SyntheticSpec(1800, 4, 1024, 72, seed=1)))
+    reps = representative_features(generate_synthetic(1800, 4, 1024, 72, seed=1))
     tracemalloc.start()
     try:
         kmeans(reps, 64, seed=3)

@@ -36,7 +36,6 @@ PUBLIC = [
     "ParameterError",
     "Scene",
     "SceneSet",
-    "SyntheticSpec",
     "attn_projections",
     "bench",
     "compress",
